@@ -29,25 +29,28 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORKER = os.path.join(HERE, "worker.py")
+REQUEST = os.path.join(HERE, "request.py")
 sys.path.insert(0, HERE)
 
+import refclock  # noqa: E402
 import tracer as tr  # noqa: E402
 from worker import profile  # noqa: E402
 
 # BENCHMARK.json gates cold, hot and selftest; session runs on request only
-# (README.md: its spread on a shared VM exceeded the largest allowed bound)
+# (README.md: time budget, and its member-query median follows the seed)
 WORKLOADS = ("cold", "hot", "session", "selftest")
 # fresh set-up processes per run; the import-only set-ups are short, so more
-SETUP_REPEATS = {"cold": 7, "hot": 3, "selftest": 7}
+SETUP_REPEATS = {"cold": 11, "hot": 3, "selftest": 11}
 SESSION_PROCS = 4  # the session's processes each set up once: its set-up samples
-# Tail percentile per workload: the highest one with at least ten samples
-# beyond it at the smallest sample counts a 12 s run gets (see README.md).
-# Fixed, so a faster commit does not move the tail to another percentile.
-TAIL = {"cold": 0.58, "hot": 0.79, "session": 0.92, "selftest": 1.0}
+# Tail percentile per workload: at least ten samples beyond it at the
+# smallest sample counts a 20 s run gets, inside a cost group of the CLI
+# slots (see README.md).  Fixed, so a faster commit does not move the tail
+# to another percentile.
+TAIL = {"cold": 0.75, "hot": 0.80, "session": 0.92, "selftest": 1.0}
 DIGEST_OPS = {"cold": 12, "hot": 12, "selftest": 1}
 REQUEST_TIMEOUT = 150.0
 PREPARED = 48  # CLI requests prepared per run
-MIN_ROUNDS = 2  # so a CLI run has a tail with ten samples beyond it
+MIN_ROUNDS = 3  # so a CLI run has a tail with ten samples beyond it
 MIN_SELFTESTS = 3  # so the selftest median is not a mean of two
 CHECKS = (
     "projective-4-class", "projective-diagonal", "milnor-diagonal", "membership-witness",
@@ -57,9 +60,9 @@ CHECKS = (
 
 END_TO_END = (
     ("setup_s", "s"),
-    ("p50_cpu_ms", "ms"),
-    ("tail_cpu_ms", "ms"),
-    ("ops_per_cpu_s", "1/s"),
+    ("p50_ms", "ms"),
+    ("tail_ms", "ms"),
+    ("ops_per_s", "1/s"),
     ("peak_rss_mb", "MB"),
 )
 
@@ -85,9 +88,15 @@ def per_layer_units() -> dict:
 
 
 class Child:
-    """A finished child process: wall and CPU time, exit code, output, peak RSS."""
+    """A finished child process: wall and CPU time, exit code, output.
 
-    def __init__(self, argv: list, env: dict, cwd: str):
+    `scale` turns its CPU seconds into CPU seconds at the nominal machine
+    speed, from the probes made around it (refclock.py); read it once the
+    next child has run."""
+
+    def __init__(self, argv: list, env: dict, cwd: str, speed: refclock.SpeedLog):
+        self.speed = speed
+        self.start = speed.mark()
         with tempfile.TemporaryFile(dir=cwd) as err:
             t = time.perf_counter()
             proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env, cwd=cwd)
@@ -105,10 +114,19 @@ class Child:
                 killer.cancel()
             self.latency = time.perf_counter() - t
             self.cpu = usage.ru_utime + usage.ru_stime
+            self.end = time.monotonic()
+            speed.mark()
             proc.returncode = self.rc = os.waitstatus_to_exitcode(status)
-            self.rss_mb = usage.ru_maxrss / 1024.0
             err.seek(0)
             self.stderr = err.read().decode(errors="replace")
+
+    @property
+    def scale(self) -> float:
+        return self.speed.factor(self.start, self.end)
+
+    @property
+    def scaled(self) -> float:
+        return self.cpu * self.scale
 
     def check(self) -> "Child":
         if self.rc != 0:
@@ -138,13 +156,14 @@ class Run:
         self.env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON") and k != "COBORDLAB_CACHE"}
         self.env.update(PYTHONPATH=SRC, HOME=self.home, COBORDLAB_CACHE=os.path.join(self.dir, "unused.json"))
         self.counter = 0
+        self.speed = refclock.SpeedLog()  # probes before and after every child process
 
     def path(self, name: str) -> str:
         self.counter += 1
         return os.path.join(self.dir, f"{self.counter}-{name}")
 
     def child(self, argv: list, **env) -> Child:
-        return Child([sys.executable] + argv, dict(self.env, **env), self.dir)
+        return Child([sys.executable] + argv, dict(self.env, **env), self.dir, self.speed)
 
     def worker(self, *args, **env) -> Child:
         return self.child([WORKER] + [str(a) for a in args], **env)
@@ -177,12 +196,12 @@ def percentile(values: list, q: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
-def latency_metrics(workload: str, cpu: list) -> dict:
-    """From the CPU time of each operation (see README.md for why CPU)."""
+def latency_metrics(workload: str, scaled: list) -> dict:
+    """From the scaled CPU time of each operation (see refclock.py)."""
     return {
-        "p50_cpu_ms": statistics.median(cpu) * 1e3,
-        "tail_cpu_ms": percentile(cpu, TAIL[workload]) * 1e3,
-        "ops_per_cpu_s": len(cpu) / sum(cpu),
+        "p50_ms": statistics.median(scaled) * 1e3,
+        "tail_ms": percentile(scaled, TAIL[workload]) * 1e3,
+        "ops_per_s": len(scaled) / sum(scaled),
     }
 
 
@@ -190,9 +209,9 @@ def latency_metrics(workload: str, cpu: list) -> dict:
 
 
 def cli_requests(run: Run, cache: str | None, requests: list, traced: bool, deadline: float | None,
-                 round_size: int = 1):
+                 round_size: int = 1, min_rounds: int = MIN_ROUNDS):
     """Run requests in order, cycling, in whole rounds until the deadline and
-    at least MIN_ROUNDS rounds, or through the list once without a deadline."""
+    at least min_rounds rounds, or through the list once without a deadline."""
     done = []
     start = time.perf_counter()
     i = 0
@@ -200,7 +219,7 @@ def cli_requests(run: Run, cache: str | None, requests: list, traced: bool, dead
         if deadline is None:
             if i == len(requests):
                 break
-        elif i % round_size == 0 and i >= MIN_ROUNDS * round_size and time.perf_counter() - start >= deadline:
+        elif i % round_size == 0 and i >= min_rounds * round_size and time.perf_counter() - start >= deadline:
             break
         req = requests[i % len(requests)]
         i += 1
@@ -208,20 +227,19 @@ def cli_requests(run: Run, cache: str | None, requests: list, traced: bool, dead
             cache_path = run.path("cold.json")  # does not exist yet
         else:
             cache_path = os.path.join(cache, f"p{req['p']}.json")
-        if traced:
-            spans = run.path("spans.json")
-            child = run.worker("cli", spans, *req["argv"], COBORDLAB_CACHE=cache_path)
-        else:
-            child = run.child(["-m", "cobordlab.cli"] + req["argv"], COBORDLAB_CACHE=cache_path)
+        out = run.path("request.json")
+        child = run.child([REQUEST, out, str(int(traced))] + req["argv"], COBORDLAB_CACHE=cache_path)
         if cache is None and os.path.exists(cache_path):
             os.remove(cache_path)
-        ok = child.rc == req["rc"] == 0 and child.stdout.decode() == req["stdout"]
-        entry = {"req": req, "cpu": child.cpu, "rss_mb": child.rss_mb, "ok": ok, "stdout": child.stdout}
-        if traced and child.rc == 0:
-            with open(spans) as fh:
-                entry["trace"] = json.load(fh)
-            with open(spans + ".spans.json") as fh:
-                entry["spans"] = json.load(fh)
+        ok = child.rc == req["rc"] == 0 and child.stdout.decode() == req["stdout"] and os.path.exists(out)
+        entry = {"req": req, "child": child, "ok": ok, "stdout": child.stdout, "peak_rss_mb": 0.0}
+        if ok:
+            with open(out) as fh:
+                entry["times"] = json.load(fh)
+            entry["peak_rss_mb"] = entry["times"]["peak_rss_mb"]
+            if traced:
+                with open(out + ".spans.json") as fh:
+                    entry["spans"] = json.load(fh)
         done.append(entry)
     return done
 
@@ -237,28 +255,30 @@ def run_cli(run: Run) -> tuple:
     if not run.trace:
         done = cli_requests(run, cache, requests, False, run.seconds, round_size)
         metrics = {"setup_s": statistics.median(setup_times)}
-        metrics.update(latency_metrics(run.workload, [d["cpu"] for d in done]))
-        metrics["peak_rss_mb"] = max(d["rss_mb"] for d in done)
+        metrics.update(latency_metrics(run.workload, [d["child"].scaled for d in done]))
+        metrics["peak_rss_mb"] = max(d["peak_rss_mb"] for d in done)
         layers = None
     else:
-        plain = cli_requests(run, cache, requests, False, run.seconds / 2, round_size)
+        # no percentiles here, so one round is enough
+        plain = cli_requests(run, cache, requests, False, run.seconds / 2, round_size, 1)
         traced = cli_requests(run, cache, [d["req"] for d in plain], True, None)
         done = plain + traced
         summed: dict = {}
         import_s = boot_s = 0.0
         for d in traced:
-            if "trace" not in d:
+            if "spans" not in d:
                 continue
-            t = d["trace"]
+            t, child = d["times"], d["child"]
             for k, v in t["layers"].items():
                 summed[k] = summed.get(k, 0) + v
-            import_s += t["import_s"]
-            boot_s += d["cpu"] - t["import_s"] - t["main_s"]
+            import_s += t["import_s"] * child.scale
+            boot_s += (child.cpu - t["cpu"] + t["start_s"]) * child.scale
         keep_spans(run, [d["spans"] for d in traced if "spans" in d])
         layers = tr.finish(summed) if summed else {}
         layers["cli.import_s"] = import_s
         layers["process.boot_s"] = boot_s
-        layers["trace.overhead_s"] = sum(d["cpu"] for d in traced) - sum(d["cpu"] for d in plain)
+        layers["trace.overhead_s"] = (sum(d["child"].scaled for d in traced)
+                                      - sum(d["child"].scaled for d in plain))
         metrics = None
     digest = hashlib.sha256()
     for d in done[:DIGEST_OPS[run.workload]]:
@@ -267,6 +287,7 @@ def run_cli(run: Run) -> tuple:
         "requests": len(done),
         "digest": f"{digest.hexdigest()} over {min(len(done), DIGEST_OPS[run.workload])} requests",
         "profile": dict(sorted(profile([d["req"] for d in done]).items())),
+        "raw_p50_cpu_ms": statistics.median(d["child"].cpu for d in done) * 1e3,
     }
     failed = sum(not d["ok"] for d in done)
     return metrics, layers, len(done), failed, facts
@@ -285,8 +306,8 @@ def run_session(run: Run) -> tuple:
     for seed in seeds:
         out = run.path("session.json")
         docs.append(run.worker("session", seed, seconds, "-", 0, out).load(out))
-    cpu_times = [t for d in docs for t in d["cpu"]]
-    attempted, failed = len(cpu_times), sum(d["failed"] for d in docs)
+    times = [t for d in docs for t in d["scaled"]]
+    attempted, failed = len(times), sum(d["failed"] for d in docs)
     mix: dict = {}
     for d in docs:
         for k, v in d["profile"].items():
@@ -295,27 +316,33 @@ def run_session(run: Run) -> tuple:
              "witness_share": mix.get("kind.witness", 0) / attempted, "profile": dict(sorted(mix.items()))}
     if not run.trace:
         metrics = {"setup_s": statistics.median(d["setup_s"] for d in docs)}
-        metrics.update(latency_metrics(run.workload, cpu_times))
+        metrics.update(latency_metrics(run.workload, times))
         metrics["peak_rss_mb"] = max(d["peak_rss_mb"] for d in docs)
         return metrics, None, attempted, failed, facts
     summed: dict = {}
-    spans, traced_cpu_times = [], []
+    spans, traced_times = [], []
     for seed, doc in zip(seeds, docs):
         out = run.path("traced.json")
-        traced = run.worker("session", seed, 0, len(doc["cpu"]), 1, out).load(out)
+        traced = run.worker("session", seed, 0, len(doc["scaled"]), 1, out).load(out)
         for k, v in traced["layers"].items():
             summed[k] = summed.get(k, 0) + v
         with open(out + ".spans.json") as fh:
             spans.append(json.load(fh))
-        traced_cpu_times += traced["cpu"]
+        traced_times += traced["scaled"]
         failed += traced["failed"]
     keep_spans(run, spans)
     layers = tr.finish(summed)
-    layers["trace.overhead_s"] = sum(traced_cpu_times) - sum(cpu_times)
-    return None, layers, attempted + len(traced_cpu_times), failed, facts
+    layers["trace.overhead_s"] = sum(traced_times) - sum(times)
+    return None, layers, attempted + len(traced_times), failed, facts
 
 
 # -- acceptance suite (selftest) --------------------------------------------
+
+
+def suite_s(child: Child, doc: dict) -> float:
+    """Scaled CPU seconds of one selftest process: what the child's Ticker
+    covered, plus the rest (start-up, exit) scaled by the parent's probes."""
+    return doc["scaled"] + (child.cpu - doc["covered"]) * child.scale
 
 
 def selftest_once(run: Run, trace: bool) -> tuple:
@@ -338,11 +365,12 @@ def run_selftest(run: Run) -> tuple:
     failed = sum(not ok for _, _, ok in runs)
     digest = hashlib.sha256(json.dumps([(c["name"], c["ok"]) for c in runs[0][1]["checks"]]).encode())
     facts = {"runs": len(runs), "digest": f"{digest.hexdigest()} over 1 run",
-             "checks_passed": sum(c["ok"] for c in runs[-1][1]["checks"])}
+             "checks_passed": sum(c["ok"] for c in runs[-1][1]["checks"]),
+             "raw_p50_cpu_ms": statistics.median(child.cpu for child, _, _ in runs) * 1e3}
     if not run.trace:
         metrics = {"setup_s": statistics.median(setup_times)}
-        metrics.update(latency_metrics(run.workload, [child.cpu for child, _, _ in runs]))
-        metrics["peak_rss_mb"] = max(child.rss_mb for child, _, _ in runs)
+        metrics.update(latency_metrics(run.workload, [suite_s(child, doc) for child, doc, _ in runs]))
+        metrics["peak_rss_mb"] = max(doc["peak_rss_mb"] for _, doc, _ in runs)
         return metrics, None, len(runs), failed, facts
     child, doc, ok = selftest_once(run, True)
     with open(doc["spans"]) as fh:
@@ -350,7 +378,7 @@ def run_selftest(run: Run) -> tuple:
     layers = tr.finish(doc["layers"])
     for c in runs[-1][1]["checks"]:
         layers[f"acceptance.{c['name']}.s"] = c["seconds"]
-    layers["trace.overhead_s"] = child.cpu - runs[-1][0].cpu
+    layers["trace.overhead_s"] = suite_s(child, doc) - suite_s(*runs[-1][:2])
     return None, layers, len(runs) + 1, failed + (not ok), facts
 
 
@@ -358,6 +386,7 @@ def run_selftest(run: Run) -> tuple:
 
 
 def measure(workload: str, seed: int, seconds: float, trace: bool) -> dict:
+    refclock.pin()
     run = Run(workload, seed, seconds, trace)
     try:
         fn = {"cold": run_cli, "hot": run_cli, "session": run_session, "selftest": run_selftest}[workload]

@@ -4,8 +4,10 @@ The wrappers live in the benchmark, not in the package: install() replaces a
 function in every cobordlab module that binds it (so `cobordism.atom_class`
 is wrapped as well as `chow.atom_class`) and replaces methods on their
 class.  Spans record name, start, end, parent index and request id, with
-times in process CPU seconds; a span's self time is its duration minus the
-durations of its direct children.
+times in process CPU seconds from the tracer's clock (a Ticker's
+program_time, which leaves out the reference probes, see refclock.py); a
+span's self time is its duration minus the durations of its direct
+children.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ COUNT_METRICS = (
 class Tracer:
     MAX_SPANS = 400_000  # beyond this only the aggregates are kept
 
-    def __init__(self):
+    def __init__(self, clock=time.process_time):
+        self.clock = clock
         self.spans: list[list] = []  # [name, start, end, parent, request]
         self.dropped = 0
         self.stack: list[list] = []  # [span index or -1, child time]
@@ -69,7 +72,7 @@ class Tracer:
         self.request = 0
         self.active = True  # wrappers only pass through while this is off
         self._seen_monomials: set = set()
-        self._origin = time.process_time()
+        self._origin = clock()
 
     def count(self, name: str, k: float = 1) -> None:
         self.counts[name] = self.counts.get(name, 0) + k
@@ -84,7 +87,7 @@ class Tracer:
                 before(args, kwargs)
             stack = tracer.stack
             parent = stack[-1][0] if stack else -1
-            start = time.process_time()
+            start = tracer.clock()
             if len(tracer.spans) < tracer.MAX_SPANS:
                 idx = len(tracer.spans)
                 tracer.spans.append([name, start - tracer._origin, None, parent, tracer.request])
@@ -97,7 +100,7 @@ class Tracer:
                 out = fn(*args, **kwargs)
             finally:
                 stack.pop()
-                end = time.process_time()
+                end = tracer.clock()
                 dur = end - start
                 if stack:
                     stack[-1][1] += dur

@@ -4,27 +4,24 @@
     worker.py prepare SEED COUNT OUT            CLI inputs and their expected output
     worker.py session SEED SECONDS LIMIT TRACE OUT
     worker.py selftest TRACE OUT
-    worker.py cli SPANS ARGV...                 traced `cobordlab.cli.main(ARGV)`
 
 Each mode writes one JSON document (to OUT, or to stdout for setup).  The
-times a mode reports are CPU seconds taken inside the child, so interpreter
-start-up is only in the per-process CPU time the parent reads from wait4.
+times a mode reports are scaled CPU seconds (refclock.py) from the first
+probe of its Ticker on; for a selftest the parent adds the rest of the
+process (interpreter start-up, the worker's own imports, exit), scaled by
+its own probes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
 import time
-
-CPU0 = time.process_time()  # set-up and import times are CPU seconds from here
-
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import os  # noqa: E402
-import random  # noqa: E402
-import resource  # noqa: E402
-import sys  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -32,13 +29,38 @@ SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 sys.path.insert(0, HERE)
 
+import refclock  # noqa: E402
+from rss import peak_rss_mb  # noqa: E402
+
 CLI_TOP = 24  # hot caches are filled to this weight
-# (top weight, first term a large hypersurface) per CLI cell.  The two
-# weight-20 cells cost about the same cold, so the cold median does not sit
-# in a gap between cells; the two hypersurface cells are a third of the hot
-# requests, so the hot tail lies among them, not at their edge.
-CLI_CELLS = ((12, False), (18, False), (20, True), (20, False), (22, True), (24, False))
-SMALL_H = 8  # largest hypersurface dimension in the other cells
+# One round of CLI requests: (top weight, first term a large hypersurface,
+# prime, command, q = p^2).  The seed draws the expressions and the order;
+# the rest is fixed, so every round costs about the same.  The slots form
+# cost groups, and each reported percentile falls inside a group rather
+# than between two (an odd count keeps the median off a boundary).  Cold,
+# by generator weight: 2 light (w 12), 1 (p = 2, w 18), 6 middle (p = 2,
+# w 20-22 and p = 3, w 18) holding the median, 4 (p = 3, w 20) holding
+# the tail, 2 heaviest.  Hot, by input class: 9 cheap slots holding the
+# median, 5 with a large hypersurface holding the tail, and the p = 3
+# H(4,19) realization.
+CLI_SLOTS = (
+    (12, False, 2, "express", False),
+    (12, False, 3, "dimq", True),
+    (18, False, 2, "realize", False),
+    (18, False, 3, "express", False),
+    (20, False, 2, "dimq", True),
+    (20, False, 2, "realize", False),
+    (20, True, 2, "realize", False),
+    (20, True, 2, "express", False),
+    (22, True, 2, "dimq", True),
+    (20, False, 3, "realize", True),
+    (20, False, 3, "express", False),
+    (20, True, 3, "dimq", False),
+    (20, True, 3, "realize", True),
+    (24, False, 2, "express", False),
+    (22, True, 3, "realize", False),
+)
+SMALL_H = 8  # largest hypersurface dimension in the other slots
 SESSION_TOP = 22  # generators built in session set-up
 MEMBER_TOP = 20
 WITNESS_WEIGHTS = {2: (18, 22), 3: (16, 20)}
@@ -58,10 +80,6 @@ def import_checked(name: str):
     return module
 
 
-def peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
 def write(path: str | None, obj) -> None:
     if path is None:
         print(json.dumps(obj))
@@ -74,9 +92,10 @@ def write(path: str | None, obj) -> None:
 
 
 def setup(workload: str, cache_dir: str) -> dict:
-    """The set-up of a CLI or selftest run; timed from process start.
+    """The set-up of a CLI or selftest run.
 
     The session sets up inside each of its own processes instead."""
+    ticker = refclock.Ticker()
     if workload == "hot":
         cb = import_checked("cobordlab.cobordism")
         for p in PRIMES:
@@ -87,7 +106,7 @@ def setup(workload: str, cache_dir: str) -> dict:
         import_checked("cobordlab.acceptance")
     else:
         raise SystemExit(f"unknown workload {workload!r}")
-    return {"setup_s": time.process_time() - CPU0}
+    return {"setup_s": ticker.scaled(ticker.stop())}
 
 
 # -- CLI inputs -------------------------------------------------------------
@@ -133,9 +152,9 @@ def prepare(seed: int, count: int, out: str) -> None:
 
     COUNT is rounded up to whole rounds.
 
-    Requests come in rounds holding every (weight, prime) cell once, so every
+    Requests come in rounds holding every CLI_SLOTS slot once, so every
     run sees the same mix whatever the seed.  An expression is kept only if
-    its class is nonzero mod p with top weight equal to its cell's weight.
+    its class is nonzero mod p with top weight equal to its slot's weight.
     The expected output is `cli.main` run in this process with an in-memory
     generator family, so it never depends on a cache file.
     """
@@ -146,11 +165,10 @@ def prepare(seed: int, count: int, out: str) -> None:
     rng = random.Random(seed)
     requests = []
     while len(requests) < count:
-        cells = [(w, big_h, p) for w, big_h in CLI_CELLS for p in PRIMES]
-        rng.shuffle(cells)
-        for w, big_h, p in cells:
-            cmd = rng.choice(("express", "dimq", "realize"))
-            q = rng.choice((p, p * p))
+        slots = list(CLI_SLOTS)
+        rng.shuffle(slots)
+        for w, big_h, p, cmd, square in slots:
+            q = p * p if square else p
             for _ in range(100):
                 text = variety_expression(rng, w, big_h)
                 x = chern_numbers(text, p)
@@ -168,7 +186,7 @@ def prepare(seed: int, count: int, out: str) -> None:
             rc = cli.main(list(req["argv"]))
         req["stdout"] = stdout.getvalue()
         req["rc"] = rc
-    write(out, {"round": len(CLI_CELLS) * len(PRIMES), "requests": requests})
+    write(out, {"round": len(CLI_SLOTS), "requests": requests})
 
 
 # -- library session --------------------------------------------------------
@@ -296,9 +314,10 @@ def session(seed: int, seconds: float, limit: int | None, trace: bool, out: str)
     with one it runs exactly that many queries (the traced pass replays the
     untraced pass's count, drawing the same rounds at the same points).
     """
+    ticker = refclock.Ticker()
     cb = import_checked("cobordlab.cobordism")
     fams = {p: cb.standard_generators(p, SESSION_TOP) for p in PRIMES}
-    setup_s = time.process_time() - CPU0
+    setup_end = time.process_time()
 
     import cobordlab.actions as actions
     import cobordlab.bounds as bounds
@@ -314,10 +333,10 @@ def session(seed: int, seconds: float, limit: int | None, trace: bool, out: str)
     if trace:
         import tracer as tr
 
-        tracer = tr.Tracer()
+        tracer = tr.Tracer(ticker.program_time)
         tr.install(tracer)
     ns = _Namespace(cb, actions, bounds, chow, fpring)  # after install: the wrappers
-    cpu_times, results = [], []
+    stamps, results = [], []  # process_time() before and after each query
     start = time.perf_counter()
     while True:
         i = len(results)
@@ -341,11 +360,12 @@ def session(seed: int, seconds: float, limit: int | None, trace: bool, out: str)
                 res = ns.express_in_generators(query["x"], fam)
         except Exception as exc:  # a crashing query is a failed one
             res = exc
-        cpu_times.append(time.process_time() - t)
+        stamps.append((t, time.process_time()))
         results.append(res)
 
     if tracer is not None:
         tracer.active = False
+    ticker.stop()
     done = queries[:len(results)]
     failed = 0
     digest = hashlib.sha256()
@@ -362,7 +382,7 @@ def session(seed: int, seconds: float, limit: int | None, trace: bool, out: str)
         if k < DIGEST_OPS:
             digest.update(text.encode() + b"\n")
     doc = {
-        "setup_s": setup_s, "cpu": cpu_times, "failed": failed,
+        "setup_s": ticker.scaled(setup_end), "scaled": [ticker.between(*ab) for ab in stamps], "failed": failed,
         "digest": digest.hexdigest(), "digest_ops": min(len(done), DIGEST_OPS),
         "profile": profile(done), "peak_rss_mb": peak_rss_mb(),
     }
@@ -385,41 +405,41 @@ def profile(queries: list) -> dict:
 
 
 def selftest(trace: bool, out: str) -> None:
+    """acceptance.run_all() under a Ticker; a check's "seconds" is its
+    scaled CPU time (CheckResult.seconds would hold probes too)."""
+    ticker = refclock.Ticker()
     acceptance = import_checked("cobordlab.acceptance")
     tracer = None
     if trace:
         import tracer as tr
 
-        tracer = tr.Tracer()
+        tracer = tr.Tracer(ticker.program_time)
         tr.install(tracer)
+    stamps: dict = {}
+
+    def timed_check(name, fn):
+        def check(ctx):
+            t = time.process_time()
+            try:
+                return fn(ctx)
+            finally:
+                stamps[name] = (t, time.process_time())
+        return check
+
+    acceptance.CHECKS = tuple((name, timed_check(name, fn)) for name, fn in acceptance.CHECKS)
     results = acceptance.run_all()
+    end = ticker.stop()
     doc = {
-        "checks": [{"name": r.name, "ok": r.ok, "seconds": r.seconds, "detail": r.detail} for r in results],
+        "checks": [{"name": r.name, "ok": r.ok, "seconds": ticker.between(*stamps[r.name]), "detail": r.detail}
+                   for r in results],
+        "scaled": ticker.scaled(end),
+        "covered": ticker.covered,
         "peak_rss_mb": peak_rss_mb(),
     }
     if tracer is not None:
         doc["layers"] = tracer.summary()
         tracer.write(out + ".spans.json")
     write(out, doc)
-
-
-# -- traced CLI request -----------------------------------------------------
-
-
-def traced_cli(spans: str, argv: list) -> int:
-    import_checked("cobordlab.cli")
-    import_s = time.process_time() - CPU0
-    import tracer as tr
-
-    tracer = tr.Tracer()
-    tr.install(tracer)
-    t = time.process_time()
-    rc = sys.modules["cobordlab.cli"].main(argv)
-    main_s = time.process_time() - t
-    sys.stdout.flush()
-    tracer.write(spans + ".spans.json")
-    write(spans, {"import_s": import_s, "main_s": main_s, "layers": tracer.summary()})
-    return rc
 
 
 def main(argv: list) -> int:
@@ -433,8 +453,6 @@ def main(argv: list) -> int:
         session(int(args[0]), float(args[1]), limit, args[3] == "1", args[4])
     elif mode == "selftest":
         selftest(args[0] == "1", args[1])
-    elif mode == "cli":
-        return traced_cli(args[0], args[1:])
     else:
         raise SystemExit(f"unknown mode {mode!r}")
     return 0
