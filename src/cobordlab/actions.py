@@ -202,7 +202,8 @@ def construct_action_P(n: int, G: CharacterGroup) -> PAct:
     for idx, ch in enumerate(chars):
         weights.extend([ch] * (a + 1 if idx < r else a))
     action = PAct(tuple(sorted(weights)))
-    assert fixed_dim(action) == n // q
+    if fixed_dim(action) != n // q:
+        raise AssertionError(f"P({n}) action misses fixed dimension {n // q}")
     _record(action, G)
     return action
 
@@ -236,9 +237,10 @@ def construct_action_H(n: int, m: int, G: CharacterGroup) -> HAct:
             expected = (n + m - 1) // q
         else:
             expected = n // q + m // q
-        assert fixed_dim(action) == expected
     else:
-        assert fixed_dim(action) == NEG_INF
+        expected = NEG_INF
+    if fixed_dim(action) != expected:
+        raise AssertionError(f"H({n},{m}) action misses fixed dimension {expected}")
     _record(action, G)
     return action
 
@@ -256,7 +258,8 @@ def construct_action_L(i: int, G: CharacterGroup) -> PAct | HAct:
             rest //= p
             s += 1
         action = construct_action_H(p**s, (rest - 1) * p**s, G)
-    assert fixed_dim(action) == i // G.q
+    if fixed_dim(action) != i // G.q:
+        raise AssertionError(f"weight-{i} generator action misses fixed dimension {i // G.q}")
     return action
 
 
@@ -284,7 +287,7 @@ def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> 
 
     Expresses x in the standard generators and takes the disjoint union,
     with the expression's coefficients as multiplicities, of products of
-    per-generator actions.  Asserts both halves of the contract: the
+    per-generator actions.  Checks both halves of the contract: the
     achieved dimension equals dim_q(x) and the underlying variety's class
     reproduces x exactly.
     """
@@ -304,8 +307,10 @@ def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> 
         parts.append((P.terms[beta], node))
     action = Disjoint(tuple(parts))
     achieved = fixed_dim(action)
-    assert achieved == dim_q_direct(x, G.q)
-    assert chern_numbers(underlying_variety(action), p) == x
+    if achieved != dim_q_direct(x, G.q):
+        raise AssertionError(f"realized fixed dimension {achieved} differs from dim_q")
+    if chern_numbers(underlying_variety(action), p) != x:
+        raise AssertionError("realized variety does not reproduce the class")
     _record(action, G)
     return action, achieved
 

@@ -15,10 +15,10 @@ two kinds of atoms: projective spaces P(n) and Milnor hypersurfaces H(n, m)
 (the smooth (1,1)-divisor in P^n x P^m, canonically ordered n <= m).
 chern_numbers maps an expression to its mod-p Chern-number class as a BPoly.
 
-For speed, P^n classes come from a closed multinomial form and hypersurface
-classes from shared per-prime tables of the inverse powers
-(sum_i b_i x^i)^(-m); the generic engine recomputes both on small cases in
-the tests so the fast routes never go unchecked.
+Atom classes come from one closed form: the coefficients of the inverse
+powers (sum_i b_i x^i)^(-k) are multinomial, which gives P^n directly and
+H(n, m) as a short sum of products of such slices.  The generic series
+engine (class_from_tangent) is the tests' reference for both.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from math import comb, factorial
 
 from . import partitions as pt
 from .fpring import BPoly
-from .partitions import Partition
 
 
 class ChowModel:
@@ -98,9 +97,6 @@ class ChowModel:
 
     def neg(self, a: dict) -> dict:
         return {e: self.p - c for e, c in a.items()}
-
-    def sub(self, a: dict, b: dict) -> dict:
-        return self.add(a, self.neg(b))
 
     def smul(self, k: int, a: dict) -> dict:
         k %= self.p
@@ -471,89 +467,20 @@ def class_from_tangent(tangent: KClass, max_weight: int | None = None) -> BPoly:
     return BPoly(model.p, terms, None if W >= model.virtual_dim else W)
 
 
-# -- tuned atom classes via shared inverse-power tables ---------------------
+# -- atom classes in closed form ---------------------------------------------
 
 
-def _conv(x: dict, y: dict, p: int, max_weight: int) -> dict:
-    groups: dict[int, list] = {}
-    for gamma, cg in y.items():
-        groups.setdefault(sum(gamma), []).append((gamma, cg))
-    out: dict = {}
-    for beta, cb in x.items():
-        wb = sum(beta)
-        for wg, items in groups.items():
-            if wb + wg > max_weight:
-                continue
-            for gamma, cg in items:
-                u = tuple(sorted(beta + gamma, reverse=True))
-                s = (out.get(u, 0) + cb * cg) % p
-                if s:
-                    out[u] = s
-                else:
-                    out.pop(u, None)
-    return out
+def _inverse_power_slice(p: int, k: int, w: int) -> BPoly:
+    """Weight-w slice of S^(-k), S = sum_i b_i x^i, with x set to 1.
 
-
-class _InvPowerTable:
-    """Per-prime tables of (sum_i b_i x^i)^(-m), coefficients as scalars.
-
-    The b_alpha coefficient of such a power is lambda * x^|alpha|; only the
-    scalar lambda is stored, the x-power being implied by the weight.
-    """
-
-    def __init__(self, p: int):
-        self.p = p
-        self.weight = -1
-        self.powers: list[dict] = []
-
-    def _rebuild(self, max_weight: int):
-        p = self.p
-        # T = S^{-1} where S = sum_i b_i; recursion T = 1 - (S-1) T by weight
-        t_by_w: dict[int, dict] = {0: {(): 1}}
-        for w in range(1, max_weight + 1):
-            acc: dict = {}
-            for i in range(1, w + 1):
-                for gamma, tg in t_by_w[w - i].items():
-                    alpha = tuple(sorted((i,) + gamma, reverse=True))
-                    acc[alpha] = (acc.get(alpha, 0) + tg) % p
-            t_by_w[w] = {a: (p - c) % p for a, c in acc.items() if (p - c) % p}
-        T = {}
-        for level in t_by_w.values():
-            T.update(level)
-        self.powers = [{(): 1}, T]
-        self.weight = max_weight
-
-    def inverse_power(self, m: int, max_weight: int) -> dict:
-        """Coefficients of S^(-m) up to the given weight."""
-        if max_weight > self.weight:
-            self._rebuild(max_weight)
-        while len(self.powers) <= m:
-            self.powers.append(_conv(self.powers[-1], self.powers[1], self.p, self.weight))
-        return self.powers[m]
-
-
-_TABLES: dict[int, _InvPowerTable] = {}
-
-
-def _table(p: int) -> _InvPowerTable:
-    if p not in _TABLES:
-        _TABLES[p] = _InvPowerTable(p)
-    return _TABLES[p]
-
-
-def _pn_class(p: int, n: int) -> BPoly:
-    """Mod-p class of P^n: weight-n slice of the (n+1)st inverse power.
-
-    Expanding (1 + (S-1))^(-(n+1)) binomially gives the coefficient at a
+    Expanding (1 + (S-1))^(-k) binomially gives the coefficient at a
     partition alpha with L parts and multiplicities m_j directly:
-    (-1)^L * binom(n+L, L) * L! / prod(m_j!).  This closed form matches the
-    table route term by term; the table stays in use for the hypersurface
-    classes, whose weights stay small, while P^n is needed up to weight 30.
+    (-1)^L * binom(k-1+L, L) * L! / prod(m_j!).
     """
     terms = {}
-    for alpha in pt.partitions_of(n):
+    for alpha in pt.partitions_of(w):
         L = len(alpha)
-        c = comb(n + L, L) * factorial(L)
+        c = comb(k - 1 + L, L) * factorial(L)
         for mult in Counter(alpha).values():
             c //= factorial(mult)
         c = (-c) % p if L % 2 else c % p
@@ -562,40 +489,39 @@ def _pn_class(p: int, n: int) -> BPoly:
     return BPoly(p, terms, None)
 
 
+def _pn_class(p: int, n: int) -> BPoly:
+    """Mod-p class of P^n: the weight-n slice of S^(-(n+1)).
+
+    The tangent bundle is (n+1)O(1) - 1, so P(-T) = S(h)^(-(n+1)), and the
+    degree reads its h^n coefficient.
+    """
+    return _inverse_power_slice(p, n + 1, n)
+
+
 def _h_class(p: int, n: int, m: int) -> BPoly:
-    """Mod-p class of the Milnor hypersurface in P^n x P^m."""
+    """Mod-p class of the Milnor hypersurface in P^n x P^m, n <= m.
+
+    With d = n+m-1, P(-T) = S(x)^(-(n+1)) * S(y)^(-(m+1)) * S(x+y), and
+    deg(x^j y^k) is the coefficient of x^n y^m in (x+y) x^j y^k.  Writing
+    A_a, B_b for the weight-a, weight-b slices of S^(-(n+1)), S^(-(m+1))
+    and expanding (x+y)^i binomially leaves
+    [H(n,m)] = sum C(i+1, n-a) * A_a * B_b * b_i over a <= n, b <= m and
+    i = d-a-b >= 0 (b_0 = 1).
+    """
     d = n + m - 1
     if d < 0:
         return BPoly.zero(p)  # H(0,0) is empty
-    model = atom_model(HAtom(n, m) if n <= m else HAtom(m, n), p)
-    if n > m:
-        raise ValueError("normalized indices expected")
-    tab = _table(p)
-    a_scalars = tab.inverse_power(n + 1, d)
-    b_scalars = tab.inverse_power(m + 1, d)
-    # lift the two one-variable inverse powers into the product model
-    A = {}
-    for alpha, c in a_scalars.items():
-        w = sum(alpha)
-        if w <= n:
-            A[alpha] = {(w, 0): c}
-    B = {}
-    for alpha, c in b_scalars.items():
-        w = sum(alpha)
-        if w <= m:
-            B[alpha] = {(0, w): c}
-    # line series of O(1,1)
-    h11 = model.add(model.var(0), model.var(1))
-    L = {(): model.one()}
-    power = model.one()
-    for i in range(1, d + 1):
-        power = model.mul(power, h11)
-        if model.is_zero(power):
-            break
-        L[(i,)] = power
-    series = series_mul(model, series_mul(model, A, B, d), L, d)
-    terms = {alpha: model.deg(c) for alpha, c in series.items()}
-    return BPoly(p, terms, None)
+    A = [_inverse_power_slice(p, n + 1, a) for a in range(n + 1)]
+    B = [_inverse_power_slice(p, m + 1, b) for b in range(m + 1)]
+    total = BPoly.zero(p)
+    for i in range(d + 1):
+        inner = BPoly.zero(p)
+        for a in range(max(0, d - i - m), min(n, d - i) + 1):
+            c = comb(i + 1, n - a) % p
+            if c:
+                inner = inner + (A[a] * B[d - i - a]).scale(c)
+        total = total + (inner * BPoly.monomial(p, (i,)) if i else inner)
+    return total
 
 
 _ATOM_CACHE: dict[tuple, BPoly] = {}

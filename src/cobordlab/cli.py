@@ -213,7 +213,8 @@ def cmd_dimq(args) -> int:
     fam = make_family(args)
     direct = dim_q_direct(x, q)
     via = dim_q_via_generators(x, q, fam)
-    assert direct == via, f"dimension disagreement: direct {direct}, via generators {via}"
+    if direct != via:
+        raise AssertionError(f"dimension disagreement: direct {direct}, via generators {via}")
     emit(
         args,
         {"direct": _json_dim(direct), "viaGenerators": _json_dim(via)},
@@ -276,7 +277,8 @@ def cmd_localize(args) -> int:
     y = {(args.zeta, args.t): 1}
     lhs, rhs = localization_check(args.prime, weights, y, args.r)
     emit(args, {"lhs": lhs, "match": lhs == rhs, "rhs": rhs}, f"lhs {lhs}, rhs {rhs}")
-    assert lhs == rhs, f"localization mismatch: lhs {lhs} != rhs {rhs}"
+    if lhs != rhs:
+        raise AssertionError(f"localization mismatch: lhs {lhs} != rhs {rhs}")
     return 0
 
 

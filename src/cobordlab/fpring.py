@@ -47,6 +47,27 @@ def _min_weight(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
+def _convolve(x: dict, y: dict, p: int, max_weight: int | None) -> dict:
+    """Product of two partition-indexed term dicts: parts multiply by union.
+
+    y is bucketed by weight so a truncated product skips whole buckets.
+    Entries may come out zero; the constructors drop them.
+    """
+    groups: dict[int, list] = {}
+    for gamma, cg in y.items():
+        groups.setdefault(sum(gamma), []).append((gamma, cg))
+    out: dict[Partition, int] = {}
+    for beta, cb in x.items():
+        wb = sum(beta)
+        for wg, items in groups.items():
+            if max_weight is not None and wb + wg > max_weight:
+                continue
+            for gamma, cg in items:
+                u = tuple(sorted(beta + gamma, reverse=True))
+                out[u] = (out.get(u, 0) + cb * cg) % p
+    return out
+
+
 class BPoly:
     """Mod-p linear combination of b-monomials indexed by partitions."""
 
@@ -132,21 +153,8 @@ class BPoly:
 
     def __mul__(self, other: "BPoly") -> "BPoly":
         self._binop_check(other)
-        p = self.p
         mw = _min_weight(self.max_weight, other.max_weight)
-        groups: dict[int, list] = {}
-        for gamma, cg in other.terms.items():
-            groups.setdefault(sum(gamma), []).append((gamma, cg))
-        out: dict[Partition, int] = {}
-        for beta, cb in self.terms.items():
-            wb = sum(beta)
-            for wg, items in groups.items():
-                if mw is not None and wb + wg > mw:
-                    continue
-                for gamma, cg in items:
-                    u = tuple(sorted(beta + gamma, reverse=True))
-                    out[u] = (out.get(u, 0) + cb * cg) % p
-        return BPoly(p, out, mw)
+        return BPoly(self.p, _convolve(self.terms, other.terms, self.p, mw), mw)
 
     def __pow__(self, k: int) -> "BPoly":
         if k < 0:
@@ -255,12 +263,7 @@ class GenPoly:
     def __mul__(self, other: "GenPoly") -> "GenPoly":
         if not isinstance(other, GenPoly) or other.p != self.p:
             raise TypeError("mixed GenPoly operands")
-        out: dict[Partition, int] = {}
-        for beta, cb in self.terms.items():
-            for gamma, cg in other.terms.items():
-                u = tuple(sorted(beta + gamma, reverse=True))
-                out[u] = (out.get(u, 0) + cb * cg) % self.p
-        return GenPoly(self.p, out)
+        return GenPoly(self.p, _convolve(self.terms, other.terms, self.p, None))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GenPoly) and self.p == other.p and self.terms == other.terms

@@ -25,7 +25,9 @@ from cobordlab.chow import (
     series_one,
     tangent_kclass,
 )
+from cobordlab.cobordism import generator_atom
 from cobordlab.fpring import BPoly
+from cobordlab.partitions import in_np
 
 
 def test_model_caps_and_degree():
@@ -54,19 +56,21 @@ def test_projective_closed_form_matches_engine():
             assert direct == engine, (p, n)
 
 
-def test_milnor_table_matches_engine():
-    for p in (2, 3):
-        for n, m in [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]:
-            direct = atom_class(HAtom(n, m), p)
-            engine = class_from_tangent(tangent_kclass(HAtom(n, m), p))
-            assert direct == engine, (p, n, m)
+def test_milnor_closed_form_matches_engine():
+    # the closed form against the generic series engine, H(0,0) and H(0,m) included
+    for p in (2, 3, 5):
+        for n in range(7):
+            for m in range(n, 7):
+                direct = atom_class(HAtom(n, m), p)
+                engine = class_from_tangent(tangent_kclass(HAtom(n, m), p))
+                assert direct == engine, (p, n, m)
 
 
 def test_milnor_degenerate_isomorphisms():
     # H(0,m) is a hyperplane P^{m-1}; H(1,1) is a (1,1) conic, again P^1
     for p in (2, 3):
-        for m in range(1, 6):
-            assert atom_class(HAtom(0, m), p) == atom_class(PAtom(m - 1), p)
+        for m in range(1, 17):
+            assert atom_class(HAtom(0, m), p) == atom_class(PAtom(m - 1), p), (p, m)
         assert atom_class(HAtom(1, 1), p) == atom_class(PAtom(1), p)
 
 
@@ -84,6 +88,15 @@ def test_milnor_top_chern_number():
                 else:
                     want = -2 % p
                 assert got == want, (p, n, m)
+    # every hypersurface generator up to weight 24 has n >= 2
+    for p in (2, 3):
+        for i in range(1, 25):
+            if not in_np(i, p):
+                continue
+            atom = generator_atom(i, p)
+            if isinstance(atom, HAtom):
+                want = comb(atom.n + atom.m, atom.n) % p
+                assert want and atom_class(atom, p).coefficient((i,)) == want, (p, i, atom)
 
 
 def test_product_class_matches_two_variable_model():

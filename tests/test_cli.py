@@ -1,9 +1,14 @@
 """Command-line behaviour: parsing, exit codes, deterministic JSON."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cobordlab
 from cobordlab.cli import is_raw_input, main, parse_raw_bpoly
 from cobordlab.fpring import BPoly
 
@@ -175,3 +180,19 @@ def test_selftest_json(capsys):
     assert all(row["ok"] and "detail" not in row for row in blob["checks"])
     names = [row["name"] for row in blob["checks"]]
     assert names[0] == "projective-4-class" and names[-1] == "action-soundness"
+
+
+def test_contract_check_survives_optimize_flag():
+    # under python -O a bare assert vanishes; the dimq cross-check must still exit 3
+    script = (
+        "import sys\n"
+        "import cobordlab.cli as cli\n"
+        "cli.dim_q_via_generators = lambda x, q, fam=None: -7\n"
+        "sys.exit(cli.main(['dimq', 'P(4)', '-p', '2', '-q', '2']))\n"
+    )
+    src = str(Path(cobordlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "dimension disagreement" in proc.stderr
+    assert proc.stdout == ""
