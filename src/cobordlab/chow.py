@@ -486,7 +486,7 @@ def _inverse_power_slice(p: int, k: int, w: int) -> BPoly:
         c = (-c) % p if L % 2 else c % p
         if c:
             terms[alpha] = c
-    return BPoly(p, terms, None)
+    return BPoly._trusted(p, terms, None)
 
 
 def _pn_class(p: int, n: int) -> BPoly:

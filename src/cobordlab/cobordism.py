@@ -18,9 +18,11 @@ the coarsest one.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import random
+import tempfile
 from typing import Callable
 
 from . import partitions as pt
@@ -147,7 +149,10 @@ class GeneratorFamily:
                 cls = BPoly.from_json_dict(val)
                 i = int(key)
                 if cls.p != self.p or cls.coefficient((i,)) == 0:
-                    return  # corrupt entry, recompute everything
+                    # corrupt entry, recompute everything
+                    self.gens = {}
+                    self._cached_up_to = -1
+                    return
                 self.gens[i] = cls
             self._cached_up_to = int(data.get("maxWeight", -1))
         except (OSError, ValueError, KeyError, json.JSONDecodeError):
@@ -161,9 +166,18 @@ class GeneratorFamily:
             "maxWeight": max_index,
             "generators": {str(i): cls.to_json_dict() for i, cls in sorted(self.gens.items())},
         }
-        os.makedirs(os.path.dirname(os.path.abspath(self.cache_path)), exist_ok=True)
-        with open(self.cache_path, "w") as fh:
-            json.dump(data, fh, sort_keys=True)
+        directory = os.path.dirname(os.path.abspath(self.cache_path))
+        os.makedirs(directory, exist_ok=True)
+        # write beside the target and rename, so a failed write leaves the old file;
+        # json.dumps runs the C encoder, json.dump streams through the Python one
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(data, sort_keys=True))
+            os.replace(tmp, self.cache_path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self._cached_up_to = max_index
 
     def __repr__(self):
@@ -240,7 +254,7 @@ def _gauss_witness(x_w: dict[Partition, int], weight: int, family: GeneratorFami
     for alpha in rows:
         vec = {}
         for beta, cls in columns.items():
-            c = cls.coefficient(alpha)
+            c = cls.terms.get(alpha, 0)  # columns are exact, so nothing is truncated
             if c:
                 vec[beta] = c
         rhs = x_w.get(alpha, 0) % p
@@ -300,12 +314,17 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
         raise ValueError("prime mismatch")
     _require_exact(x)
     p = x.p
-    result = GenPoly.zero(p)
+    solution: dict[Partition, int] = {}
     for weight, comp in sorted(x.weight_components().items()):
         family.ensure(weight)
         residual = dict(comp.terms)
+        # coarsest first; entries whose term has been cleared are skipped
+        heap = [(len(a), pt.canonical_term_key(a), a) for a in residual]
+        heapq.heapify(heap)
         while residual:
-            alpha = min(residual, key=lambda a: (len(a), pt.canonical_term_key(a)))
+            alpha = heapq.heappop(heap)[2]
+            if alpha not in residual:
+                continue
             if any(not in_np(part, p) for part in alpha):
                 outcome = _gauss_witness(dict(comp.terms), weight, family)
                 if isinstance(outcome, tuple):
@@ -315,14 +334,16 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
             for part in alpha:
                 diag = (diag * family.diagonal(part)) % p
             coeff = (residual[alpha] * pow(diag, -1, p)) % p
-            result = result + GenPoly.monomial(p, alpha, coeff)
+            solution[alpha] = solution.get(alpha, 0) + coeff
             for beta, c in family.monomial_class(alpha).terms.items():
                 nv = (residual.get(beta, 0) - coeff * c) % p
                 if nv:
+                    if beta not in residual:
+                        heapq.heappush(heap, (len(beta), pt.canonical_term_key(beta), beta))
                     residual[beta] = nv
                 else:
                     residual.pop(beta, None)
-    return result
+    return GenPoly._trusted(p, solution)
 
 
 def express_by_elimination(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInLp:

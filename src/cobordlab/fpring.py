@@ -8,6 +8,14 @@ max_weight None means the element is exact and everything unstored is zero.
 
 GenPoly models polynomials in abstract generator symbols; a monomial
 X_{i_1}...X_{i_k} is stored as the partition (i_1 >= ... >= i_k).
+
+Validation happens at the boundary only.  The public constructors
+BPoly(...) and GenPoly(...), monomial, from_json_dict, the CLI parsers and
+BPoly.coefficient check the prime and every partition.  Results that
+arithmetic builds from already-valid operands (sums, scalings, products,
+truncations, weight components) go through the private _trusted
+constructors, which still reduce mod p, drop zeros and truncate, but skip
+those checks.
 """
 
 from __future__ import annotations
@@ -84,6 +92,15 @@ class BPoly:
             pt.check_partition(alpha)
 
     @classmethod
+    def _trusted(cls, p: int, terms: dict, max_weight: int | None) -> "BPoly":
+        """Build from valid partitions over a prime, skipping the checks."""
+        obj = object.__new__(cls)
+        obj.p = p
+        obj.terms = _normalize(terms, p, max_weight)
+        obj.max_weight = max_weight
+        return obj
+
+    @classmethod
     def zero(cls, p: int, max_weight: int | None = None) -> "BPoly":
         return cls(p, {}, max_weight)
 
@@ -121,11 +138,11 @@ class BPoly:
         comps: dict[int, dict] = {}
         for alpha, c in self.terms.items():
             comps.setdefault(sum(alpha), {})[alpha] = c
-        return {w: BPoly(self.p, t, self.max_weight) for w, t in sorted(comps.items())}
+        return {w: BPoly._trusted(self.p, t, self.max_weight) for w, t in sorted(comps.items())}
 
     def truncate(self, max_weight: int | None) -> "BPoly":
         mw = _min_weight(self.max_weight, max_weight)
-        return BPoly(self.p, self.terms, mw)
+        return BPoly._trusted(self.p, self.terms, mw)
 
     def _binop_check(self, other: "BPoly"):
         if not isinstance(other, BPoly):
@@ -139,7 +156,7 @@ class BPoly:
         terms = dict(self.terms)
         for alpha, c in other.terms.items():
             terms[alpha] = terms.get(alpha, 0) + c
-        return BPoly(self.p, terms, mw)
+        return BPoly._trusted(self.p, terms, mw)
 
     def __neg__(self) -> "BPoly":
         return self.scale(-1)
@@ -149,12 +166,12 @@ class BPoly:
 
     def scale(self, k: int) -> "BPoly":
         k %= self.p
-        return BPoly(self.p, {a: k * c for a, c in self.terms.items()}, self.max_weight)
+        return BPoly._trusted(self.p, {a: k * c for a, c in self.terms.items()}, self.max_weight)
 
     def __mul__(self, other: "BPoly") -> "BPoly":
         self._binop_check(other)
         mw = _min_weight(self.max_weight, other.max_weight)
-        return BPoly(self.p, _convolve(self.terms, other.terms, self.p, mw), mw)
+        return BPoly._trusted(self.p, _convolve(self.terms, other.terms, self.p, mw), mw)
 
     def __pow__(self, k: int) -> "BPoly":
         if k < 0:
@@ -225,6 +242,14 @@ class GenPoly:
             pt.check_partition(alpha)
 
     @classmethod
+    def _trusted(cls, p: int, terms: dict) -> "GenPoly":
+        """Build from valid partitions over a prime, skipping the checks."""
+        obj = object.__new__(cls)
+        obj.p = p
+        obj.terms = _normalize(terms, p, None)
+        return obj
+
+    @classmethod
     def zero(cls, p: int) -> "GenPoly":
         return cls(p, {})
 
@@ -255,15 +280,15 @@ class GenPoly:
         terms = dict(self.terms)
         for b, c in other.terms.items():
             terms[b] = terms.get(b, 0) + c
-        return GenPoly(self.p, terms)
+        return GenPoly._trusted(self.p, terms)
 
     def scale(self, k: int) -> "GenPoly":
-        return GenPoly(self.p, {b: k * c for b, c in self.terms.items()})
+        return GenPoly._trusted(self.p, {b: k * c for b, c in self.terms.items()})
 
     def __mul__(self, other: "GenPoly") -> "GenPoly":
         if not isinstance(other, GenPoly) or other.p != self.p:
             raise TypeError("mixed GenPoly operands")
-        return GenPoly(self.p, _convolve(self.terms, other.terms, self.p, None))
+        return GenPoly._trusted(self.p, _convolve(self.terms, other.terms, self.p, None))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GenPoly) and self.p == other.p and self.terms == other.terms

@@ -85,7 +85,14 @@ def partitions_of(n: int, parts=None, cap: int = DEFAULT_WEIGHT_CAP) -> list[Par
         return [()]
     allowed = None
     if parts is not None:
-        allowed = [v for v in range(n, 0, -1) if v in parts]
+        allowed = tuple(v for v in range(n, 0, -1) if v in parts)
+    return list(_enumerate(n, allowed))
+
+
+# keyed by (n, allowed parts); the entry count is bounded so that a long
+# session does not keep every restricted enumeration it ever asked for
+@lru_cache(maxsize=256)
+def _enumerate(n: int, allowed: tuple[int, ...] | None) -> tuple[Partition, ...]:
     out: list[Partition] = []
     stack: list[int] = []
 
@@ -108,7 +115,7 @@ def partitions_of(n: int, parts=None, cap: int = DEFAULT_WEIGHT_CAP) -> list[Par
                 stack.pop()
 
     rec(n, n)
-    return out
+    return tuple(out)
 
 
 def _runs(alpha: Partition) -> list[tuple[int, int]]:

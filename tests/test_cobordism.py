@@ -1,5 +1,7 @@
 """Generator families, expression in generators, dim_q."""
 
+import json
+import os
 import random
 
 import hypothesis.strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 import cobordlab.partitions as pt
 from cobordlab.chow import HAtom, PAtom, chern_numbers
 from cobordlab.cobordism import (
+    GeneratorFamily,
     NotInLp,
     dim_q_direct,
     dim_q_via_generators,
@@ -201,3 +204,50 @@ def test_cache_ignores_other_prime(tmp_path):
     standard_generators(2, max_index=6, cache_path=path)
     fam3 = standard_generators(3, max_index=6, cache_path=path)
     assert fam3.generator(5) == standard_generators(3).generator(5)
+
+
+def test_cache_rejected_entry_discards_the_whole_file(tmp_path):
+    path = tmp_path / "cache.json"
+    standard_generators(2, max_index=6, cache_path=str(path))
+    data = json.loads(path.read_text())
+    entry = data["generators"]["5"]
+    entry["terms"] = [t for t in entry["terms"] if t["partition"] != [5]]
+    path.write_text(json.dumps(data))
+    fam = GeneratorFamily(2, "standard", standard_generators(2).generator, str(path))
+    assert fam.gens == {}
+    assert fam._cached_up_to == -1
+    fam.ensure(6)
+    assert fam.generator(5) == standard_generators(2).generator(5)
+
+
+def test_cache_write_failure_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    standard_generators(2, max_index=6, cache_path=str(path))
+    before = path.read_bytes()
+    real_fdopen = os.fdopen
+
+    class HalfWritten:
+        """A file that takes half of what is written to it, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: HalfWritten(real_fdopen(fd, mode)))
+    with pytest.raises(OSError):
+        standard_generators(2, max_index=8, cache_path=str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["cache.json"]
+    fam = GeneratorFamily(2, "standard", standard_generators(2).generator, str(path))
+    assert fam._cached_up_to == 6 and sorted(fam.gens) == [2, 4, 5, 6]
+    assert fam.generator(6) == standard_generators(2).generator(6)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from cobordlab.fpring import NEG_INF, BPoly, GenPoly, TruncationError, format_bpoly, format_genpoly
+from cobordlab.partitions import is_partition
 
 partition_st = st.lists(st.integers(1, 6), min_size=0, max_size=4).map(
     lambda v: tuple(sorted(v, reverse=True))
@@ -36,6 +37,31 @@ def test_constructor_validation():
         BPoly(2, {(1, 2): 1})  # not weakly decreasing
     with pytest.raises(ValueError):
         BPoly(2, {}, max_weight=-1)
+
+
+def test_boundary_checks_stay_on_public_paths():
+    with pytest.raises(ValueError):
+        BPoly.from_json_dict({"p": 2, "terms": [{"partition": [1, 2], "coeff": 1}]})
+    with pytest.raises(ValueError):
+        GenPoly(2, {(1, 2): 1})
+    with pytest.raises(ValueError):
+        GenPoly.from_json_dict({"p": 4, "terms": []})
+
+
+@given(bpoly_triples(), st.integers(-7, 7), st.integers(0, 14))
+def test_trusted_results_match_checked_constructor(triple, k, w):
+    # arithmetic skips the constructor checks; its results must still pass them
+    a, b, _ = triple
+    results = [a * b, a + b, a - b, a.scale(k), a.truncate(w), a.truncate(w) * b]
+    results += a.weight_components().values()
+    for r in results:
+        assert all(is_partition(alpha) for alpha in r.terms)
+        assert all(0 < c < r.p for c in r.terms.values())
+        assert r == BPoly(r.p, r.terms, r.max_weight)
+    g, h = GenPoly(a.p, a.terms), GenPoly(b.p, b.terms)
+    for r in (g * h, g + h, g.scale(k)):
+        assert all(is_partition(beta) for beta in r.terms)
+        assert r == GenPoly(r.p, r.terms)
 
 
 def test_coefficient_and_truncation_error():

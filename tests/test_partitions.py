@@ -49,6 +49,20 @@ def test_partitions_of_edges():
         pt.partitions_of(pt.DEFAULT_WEIGHT_CAP + 1)
 
 
+def test_partitions_of_memo_is_not_shared_with_callers():
+    n2 = IndexSet.np_minus(2)
+    want_all, want_n2 = list(pt.partitions_of(6)), list(pt.partitions_of(6, parts=n2))
+    for got in (pt.partitions_of(6), pt.partitions_of(6, parts=n2)):
+        got.append((99,))
+        got.sort()
+        del got[0]
+    assert pt.partitions_of(6) == want_all
+    assert pt.partitions_of(6, parts=n2) == want_n2
+    assert want_all[0] == (6,) and len(want_all) == 11
+    with pytest.raises(ValueError):
+        pt.partitions_of(65)
+
+
 def test_is_partition_and_as_partition():
     assert pt.is_partition(())
     assert pt.is_partition((3, 1, 1))
