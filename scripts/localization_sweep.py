@@ -9,15 +9,7 @@ case count grows like p^L * L^2, so lengths much beyond 6 get slow.
 import argparse
 import time
 
-from cobordlab.equivariant import localization_sweep_violations
-
-
-def case_count(p, max_len):
-    total = 0
-    for length in range(1, max_len + 1):
-        n = length - 1
-        total += p**length * ((n + 1) * (n + 2) // 2) * (p - 1)
-    return total
+from cobordlab.equivariant import localization_case_count, localization_sweep_violations
 
 
 def main():
@@ -29,7 +21,7 @@ def main():
     t0 = time.perf_counter()
     bad = localization_sweep_violations(args.prime, args.max_len)
     dt = time.perf_counter() - t0
-    total = case_count(args.prime, args.max_len)
+    total = localization_case_count(args.prime, args.max_len)
     print(f"p={args.prime} lengths<={args.max_len}: {total} cases in {dt:.2f}s, {len(bad)} violations")
     for weights, y, r, lhs, rhs in bad[:20]:
         print(f"  weights={weights} y={y} r={r}: lhs={lhs} rhs={rhs}")

@@ -34,7 +34,7 @@ from .cobordism import (
     random_gen_poly,
     standard_generators,
 )
-from .equivariant import f_poly, localization_sweep_violations, phi
+from .equivariant import f_poly, localization_case_count, localization_sweep_violations, phi
 from .fpring import NEG_INF, BPoly, GenPoly, format_bpoly
 
 SEED = 20260819
@@ -144,10 +144,9 @@ def check_np_monomial_ratio(ctx: SuiteContext) -> tuple[bool, str]:
 def check_localization(ctx: SuiteContext) -> tuple[bool, str]:
     t0 = time.perf_counter()
     bad = []
-    cases = 0
     for p in (2, 3):
         bad.extend(localization_sweep_violations(p, 5))
-        cases += sum(p**L * (L * (L + 1) // 2) * (p - 1) for L in range(1, 6))
+    cases = sum(localization_case_count(p, 5) for p in (2, 3))
     dt = time.perf_counter() - t0
     ok = not bad and dt < 60.0
     return ok, f"{cases} localization cases over p in 2,3 in {dt:.1f}s; failures: {bad[:3]}"

@@ -287,7 +287,7 @@ def cmd_selftest(args) -> int:
     if args.json:
         checks = []
         for r in results:
-            row: dict = {"name": r.name, "ok": r.ok}
+            row: dict = {"name": r.name, "ok": r.ok, "seconds": r.seconds}
             if not r.ok:
                 row["detail"] = r.detail
             checks.append(row)

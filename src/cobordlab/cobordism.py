@@ -37,7 +37,6 @@ __all__ = [
     "standard_generators",
     "perturbed_family",
     "express_in_generators",
-    "express_by_elimination",
     "evaluate_gen_poly",
     "dim_q_direct",
     "dim_q_via_generators",
@@ -122,7 +121,8 @@ class GeneratorFamily:
         for i in range(1, max_index + 1):
             if in_np(i, self.p):
                 self.generator(i)
-        if self.cache_path and max_index > self._cached_up_to:
+        # weight 0 has no generators, so a cold cache is not written until there are some
+        if self.cache_path and max_index > max(self._cached_up_to, 0):
             self._save_cache(max_index)
 
     def diagonal(self, i: int) -> int:
@@ -344,26 +344,6 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
                 else:
                     residual.pop(beta, None)
     return GenPoly._trusted(p, solution)
-
-
-def express_by_elimination(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInLp:
-    """Same contract as express_in_generators, dense elimination throughout.
-
-    Kept as an independent route: the two must agree everywhere (tested),
-    and the triangular path defers to this one for witness extraction.
-    """
-    if x.p != family.p:
-        raise ValueError("prime mismatch")
-    _require_exact(x)
-    result = GenPoly.zero(x.p)
-    for weight, comp in sorted(x.weight_components().items()):
-        family.ensure(weight)
-        outcome = _gauss_witness(dict(comp.terms), weight, family)
-        if isinstance(outcome, tuple):
-            return NotInLp(x.p, outcome)
-        for beta, coeff in outcome.items():
-            result = result + GenPoly.monomial(x.p, beta, coeff)
-    return result
 
 
 def dim_q_direct(x: BPoly, q: int):

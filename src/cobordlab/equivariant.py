@@ -33,10 +33,6 @@ from .chow import ChowModel, line_series, series_mul, series_one
 XTPoly = dict  # {(x_degree, t_degree): coefficient mod p}
 
 
-def _xt_normalize(a: XTPoly, p: int) -> XTPoly:
-    return {k: v % p for k, v in a.items() if v % p}
-
-
 def _xt_mul(a: XTPoly, b: XTPoly, p: int) -> XTPoly:
     out: XTPoly = {}
     for (xa, ta), ca in a.items():
@@ -275,28 +271,42 @@ def localization_check(p: int, weights, y, r: int) -> tuple[int, int]:
     if degrees and max(degrees) > n:
         raise ValueError(f"degree of y exceeds n={n}")
 
-    reduced = _reduce_zeta(element, weights, p)
-    lhs = reduced.get((n, 0), 0)
+    lhs = _reduce_zeta(element, weights, p).get((n, 0), 0)
 
+    table = _fixed_point_degrees(p, weights, r)
+    rhs = sum(co * pow(r, b, p) * table[a] for (a, b), co in element.items()) % p
+    return lhs, rhs
+
+
+def _fixed_point_degrees(p: int, weights: tuple[int, ...], r: int) -> list[int]:
+    """T[a] = sum over characters c of deg(epsilon_r(e_c)^-1 * (xi - c r)^a) for a <= n.
+
+    e_c is the Euler class of the normal bundle of the fixed component of
+    character c.  The fixed-point side is linear in y: zeta^a t^b adds r^b T[a].
+    """
     mults = Counter(weights)
-    rhs = 0
+    table = [0] * len(weights)
     for c, mc in sorted(mults.items()):
         base = ChowModel(p, (mc - 1,))
         xi = base.var(0)
-        # restriction: zeta -> xi - c t, then t -> r, fused into one substitution
-        restricted = base.zero()
-        shifted = base.add(xi, base.scalar(-c * r))
-        for (a, b), co in element.items():
-            term = base.smul(co * pow(r, b, p), base.power(shifted, a))
-            restricted = base.add(restricted, term)
         inv_euler = base.one()
         for cp, mcp in mults.items():
             if cp == c:
                 continue
             chern = [base.smul(comb(mcp, k), base.power(xi, k)) for k in range(1, mcp + 1)]
             inv_euler = base.mul(inv_euler, euler_inverse_eps(base, chern, (cp - c) % p, r))
-        rhs = (rhs + base.deg(base.mul(inv_euler, restricted))) % p
-    return lhs, rhs
+        # restriction zeta -> xi - c t, then t -> r; term runs over inv_euler * shifted^a
+        shifted = base.add(xi, base.scalar(-c * r))
+        term = inv_euler
+        for a in range(len(table)):
+            table[a] = (table[a] + base.deg(term)) % p
+            term = base.mul(term, shifted)
+    return table
+
+
+def localization_case_count(p: int, max_len: int) -> int:
+    """Cases in localization_sweep_violations(p, max_len): weights x monomials x r."""
+    return sum(p**length * (length * (length + 1) // 2) * (p - 1) for length in range(1, max_len + 1))
 
 
 def localization_sweep_violations(p: int, max_len: int = 5) -> list[tuple]:
@@ -309,12 +319,13 @@ def localization_sweep_violations(p: int, max_len: int = 5) -> list[tuple]:
     bad = []
     for length in range(1, max_len + 1):
         for weights in itertools.product(range(p), repeat=length):
+            tables = {r: _fixed_point_degrees(p, weights, r) for r in range(1, p)}
             n = length - 1
             for a in range(n + 1):
                 for b in range(n + 1 - a):
-                    y = {(a, b): 1}
-                    for r in range(1, p):
-                        lhs, rhs = localization_check(p, weights, y, r)
+                    lhs = _reduce_zeta({(a, b): 1}, weights, p).get((n, 0), 0)
+                    for r, table in tables.items():
+                        rhs = pow(r, b, p) * table[a] % p
                         if lhs != rhs:
                             bad.append((weights, (a, b), r, lhs, rhs))
     return bad

@@ -10,6 +10,7 @@ import pytest
 
 import cobordlab
 from cobordlab.cli import is_raw_input, main, parse_raw_bpoly
+from cobordlab.cobordism import GeneratorFamily, standard_generators
 from cobordlab.fpring import BPoly
 
 
@@ -171,6 +172,24 @@ def test_cache_env_override_and_determinism(capsys, tmp_path, monkeypatch):
     assert first == second  # byte-identical across cache states
 
 
+def test_cold_cache_is_saved_once(capsys, tmp_path, monkeypatch):
+    saves = []
+    real_save = GeneratorFamily._save_cache
+
+    def spy(self, max_index):
+        saves.append(max_index)
+        real_save(self, max_index)
+
+    monkeypatch.setattr(GeneratorFamily, "_save_cache", spy)
+    code, _, _ = run(capsys, "dimq", "-p", "2", "-q", "4", "P(20)")
+    assert code == 0
+    assert saves == [20]
+    monkeypatch.undo()
+    reference = tmp_path / "reference.json"
+    standard_generators(2, max_index=20, cache_path=str(reference))
+    assert (tmp_path / "cache.json").read_bytes() == reference.read_bytes()
+
+
 def test_selftest_json(capsys):
     code, out, _ = run(capsys, "selftest", "--json")
     blob = json.loads(out)
@@ -178,6 +197,7 @@ def test_selftest_json(capsys):
     assert blob["failed"] == 0 and blob["passed"] == 12
     assert len(blob["checks"]) == 12
     assert all(row["ok"] and "detail" not in row for row in blob["checks"])
+    assert all(isinstance(row["seconds"], float) and row["seconds"] >= 0 for row in blob["checks"])
     names = [row["name"] for row in blob["checks"]]
     assert names[0] == "projective-4-class" and names[-1] == "action-soundness"
 

@@ -1,22 +1,78 @@
 """Equivariant Chow model: dividing polynomials, localization, f-classes."""
 
 import itertools
+import random
+from collections import Counter
+from math import comb
 
 import pytest
 
+from cobordlab import equivariant
 from cobordlab.chow import ChowModel
 from cobordlab.equivariant import (
     EqProjClass,
     FDividedFamily,
     TRing,
+    _reduce_zeta,
     epsilon_r,
     euler_inverse_eps,
     f_alpha_class,
     f_poly,
+    localization_case_count,
     localization_check,
     localization_sweep_violations,
     phi,
 )
+
+
+def reference_localization(p, weights, element, r):
+    """Both sides of the identity for one case, with no table shared between cases.
+
+    The reference route for localization_check: it restricts y to each fixed
+    component and multiplies by a freshly built inverse Euler class.  It
+    looks euler_inverse_eps up on the module so a patched convention reaches
+    it too.  Inputs are taken as valid: weights and r reduced mod p, r != 0,
+    element homogeneous of degree at most n.
+    """
+    n = len(weights) - 1
+    lhs = _reduce_zeta(element, weights, p).get((n, 0), 0)
+    mults = Counter(weights)
+    rhs = 0
+    for c, mc in sorted(mults.items()):
+        base = ChowModel(p, (mc - 1,))
+        xi = base.var(0)
+        restricted = base.zero()
+        shifted = base.add(xi, base.scalar(-c * r))
+        for (a, b), co in element.items():
+            term = base.smul(co * pow(r, b, p), base.power(shifted, a))
+            restricted = base.add(restricted, term)
+        inv_euler = base.one()
+        for cp, mcp in mults.items():
+            if cp == c:
+                continue
+            chern = [base.smul(comb(mcp, k), base.power(xi, k)) for k in range(1, mcp + 1)]
+            inv_euler = base.mul(inv_euler, equivariant.euler_inverse_eps(base, chern, (cp - c) % p, r))
+        rhs = (rhs + base.deg(base.mul(inv_euler, restricted))) % p
+    return lhs, rhs
+
+
+def every_case(p, max_len):
+    """(weights, (a, b), r) in the sweep's order: every weight tuple, monomial zeta^a t^b and r."""
+    for length in range(1, max_len + 1):
+        for weights in itertools.product(range(p), repeat=length):
+            for a in range(length):
+                for b in range(length - a):
+                    for r in range(1, p):
+                        yield weights, (a, b), r
+
+
+def reference_sweep_violations(p, max_len):
+    bad = []
+    for weights, (a, b), r in every_case(p, max_len):
+        lhs, rhs = reference_localization(p, weights, {(a, b): 1}, r)
+        if lhs != rhs:
+            bad.append((weights, (a, b), r, lhs, rhs))
+    return bad
 
 
 def test_phi_closed_form():
@@ -124,6 +180,48 @@ def test_localization_hand_examples():
 def test_localization_sweep_small():
     assert localization_sweep_violations(2, max_len=3) == []
     assert localization_sweep_violations(3, max_len=2) == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_localization_matches_reference_on_every_monomial(p):
+    cases = 0
+    for weights, (a, b), r in every_case(p, 4):
+        y = {(a, b): 1}
+        assert localization_check(p, weights, y, r) == reference_localization(p, weights, y, r)
+        cases += 1
+    assert cases == localization_case_count(p, 4)
+
+
+def test_localization_matches_reference_on_mixed_classes():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        p = rng.choice((2, 3, 5))
+        length = rng.randint(1, 6)
+        raw = tuple(rng.randrange(-2 * p, 3 * p) for _ in range(length))
+        d = rng.randint(0, length - 1)
+        y = {(a, d - a): rng.randrange(-p, 2 * p) for a in range(d + 1) if rng.random() < 0.75}
+        r = rng.choice([k for k in range(-p, 3 * p) if k % p])
+        weights = tuple(w % p for w in raw)
+        element = {k: v % p for k, v in y.items() if v % p}
+        assert localization_check(p, raw, y, r) == reference_localization(p, weights, element, r % p)
+
+
+def test_localization_sweep_catches_a_broken_convention(monkeypatch):
+    real = equivariant.euler_inverse_eps
+
+    def doubled(base, chern, c, r):
+        return base.smul(2, real(base, chern, c, r))
+
+    monkeypatch.setattr(equivariant, "euler_inverse_eps", doubled)
+    bad = localization_sweep_violations(3, 3)
+    assert bad
+    assert bad == reference_sweep_violations(3, 3)
+
+
+def test_localization_case_count():
+    assert localization_case_count(2, 5) + localization_case_count(3, 5) == 9996
+    assert localization_case_count(3, 6) == 39912
+    assert localization_case_count(5, 0) == 0
 
 
 def test_localization_input_validation():
