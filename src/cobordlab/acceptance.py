@@ -19,7 +19,6 @@ from .actions import (
     construct_action_P,
     fixed_dim,
     realize,
-    record_actions,
     underlying_variety,
 )
 from .bounds import main_bound, milnor_divisibility_check, np_monomial_ratio_violations, small_fixed_divisibility
@@ -50,7 +49,7 @@ class CheckResult:
 
 
 class SuiteContext:
-    """Carries actions recorded by earlier checks into the soundness sweep."""
+    """Carries the (action, group) pairs earlier checks construct into the soundness sweep."""
 
     def __init__(self):
         self.actions: list = []
@@ -119,25 +118,25 @@ def check_dimq_matches_degq(ctx: SuiteContext) -> tuple[bool, str]:
 def check_realize_achieves(ctx: SuiteContext) -> tuple[bool, str]:
     rng = random.Random(SEED + 1)
     fails = total = 0
-    with record_actions() as log:
-        for p, q in DIMQ_CONFIGS:
-            G = CharacterGroup.cyclic(q)
-            fam = standard_generators(p)
-            for _ in range(100):
-                gp = random_gen_poly(rng, p, 16)
-                x = evaluate_gen_poly(gp, fam)
-                action, achieved = realize(x, G)
-                total += 1
-                if achieved != dim_q_direct(x, q) or chern_numbers(underlying_variety(action), p) != x:
-                    fails += 1
-    ctx.actions.extend(log)
+    for p, q in DIMQ_CONFIGS:
+        G = CharacterGroup.cyclic(q)
+        fam = standard_generators(p)
+        for _ in range(100):
+            gp = random_gen_poly(rng, p, 16)
+            x = evaluate_gen_poly(gp, fam)
+            action, achieved = realize(x, G)
+            for _, node in action.parts:
+                ctx.actions.extend((factor, G) for factor in node.factors)
+            ctx.actions.append((action, G))
+            total += 1
+            if achieved != dim_q_direct(x, q) or chern_numbers(underlying_variety(action), p) != x:
+                fails += 1
     return fails == 0, f"{total} realizations achieve dim_q with the right class; {fails} failures"
 
 
 def check_np_monomial_ratio(ctx: SuiteContext) -> tuple[bool, str]:
     violations = np_monomial_ratio_violations(2, 2, 20)
-    allowed = lambda n: [j for j in range(1, n + 1) if pt.in_np(j, 2)]
-    count = sum(1 for n in range(1, 21) for _ in pt.partitions_of(n, parts=allowed(n)))
+    count = sum(len(pt.partitions_of(n, parts=pt.IndexSet.np_minus(2))) for n in range(1, 21))
     return violations == [], f"{count} N_2-monomials of weight <= 20, pi_2 >= ceil(2n/5); violations: {violations}"
 
 
@@ -166,27 +165,31 @@ def check_dividing_polynomials(ctx: SuiteContext) -> tuple[bool, str]:
 
 def check_fixed_locus_formulas(ctx: SuiteContext) -> tuple[bool, str]:
     bad = []
-    with record_actions() as log:
-        for q in (2, 3, 4, 8, 9):
-            G = CharacterGroup.cyclic(q)
-            for n in range(31):
-                if fixed_dim(construct_action_P(n, G)) != n // q:
-                    bad.append(("P", n, q))
-        for q in (2, 3, 4):
-            G = CharacterGroup.cyclic(q)
-            for n in range(9):
-                for m in range(n + 1):
-                    got = fixed_dim(construct_action_H(n, m, G))
-                    if n + m == 0:
-                        want = NEG_INF
-                    elif n % q == 0 and m % q == 0:
-                        want = (n + m - 1) // q
-                    else:
-                        want = n // q + m // q
-                    if got != want:
-                        bad.append(("H", n, m, q))
-    ctx.actions.extend(log)
-    return not bad, f"{len(log)} constructed actions match the closed formulas; failures: {bad}"
+    built = []
+    for q in (2, 3, 4, 8, 9):
+        G = CharacterGroup.cyclic(q)
+        for n in range(31):
+            action = construct_action_P(n, G)
+            built.append((action, G))
+            if fixed_dim(action) != n // q:
+                bad.append(("P", n, q))
+    for q in (2, 3, 4):
+        G = CharacterGroup.cyclic(q)
+        for n in range(9):
+            for m in range(n + 1):
+                action = construct_action_H(n, m, G)
+                built.append((action, G))
+                got = fixed_dim(action)
+                if n + m == 0:
+                    want = NEG_INF
+                elif n % q == 0 and m % q == 0:
+                    want = (n + m - 1) // q
+                else:
+                    want = n // q + m // q
+                if got != want:
+                    bad.append(("H", n, m, q))
+    ctx.actions.extend(built)
+    return not bad, f"{len(built)} constructed actions match the closed formulas; failures: {bad}"
 
 
 def check_action_soundness(ctx: SuiteContext) -> tuple[bool, str]:
@@ -226,8 +229,7 @@ def check_divisibility_corollaries(ctx: SuiteContext) -> tuple[bool, str]:
         while hits < 50 and attempts < 4000:
             attempts += 1
             n = rng.randint(1, 14)
-            allowed = [j for j in range(1, n + 1) if pt.in_np(j, p)]
-            pool = [b for b in pt.partitions_of(n, parts=allowed) if (2 * q - 1) * pt.pi_q(b, q) <= n]
+            pool = [b for b in pt.partitions_of(n, parts=pt.IndexSet.np_minus(p)) if (2 * q - 1) * pt.pi_q(b, q) <= n]
             if not pool:
                 continue
             x = _random_homogeneous(rng, p, pool, fam)
@@ -245,8 +247,7 @@ def check_divisibility_corollaries(ctx: SuiteContext) -> tuple[bool, str]:
     while hits < 50 and attempts < 4000:
         attempts += 1
         n = rng.randint(1, 14)
-        allowed = [j for j in range(1, n + 1) if pt.in_np(j, 2)]
-        pool = list(pt.partitions_of(n, parts=allowed))
+        pool = pt.partitions_of(n, parts=pt.IndexSet.np_minus(2))
         # prefer monomials keeping dim_2 below 3n/7 so the verdict is not vacuous
         sharp = [b for b in pool if 7 * pt.pi_q(b, 2) < 3 * n]
         if sharp and rng.random() < 0.7:

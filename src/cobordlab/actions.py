@@ -19,9 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .chow import HAtom, PAtom, VExpr, VProduct, chern_numbers, make_h_atom
-from .cobordism import GeneratorFamily, NotInLp, dim_q_direct, express_in_generators, standard_generators
+from .cobordism import GeneratorFamily, dim_q_direct, express_required, generator_atom
 from .fpring import NEG_INF, BPoly
-from .partitions import in_np
 
 Character = tuple[int, ...]
 
@@ -161,50 +160,27 @@ def fixed_dim(a: WeightedVariety):
     raise TypeError(f"not an action node: {a!r}")
 
 
-_ACTION_SINKS: list[list] = []
+def _character_multiset(dim_plus_one: int, G: CharacterGroup) -> tuple[Character, ...]:
+    """Weights of a (dim_plus_one)-dimensional representation, sorted.
 
-
-class record_actions:
-    """Context manager collecting every action the constructors build.
-
-    The soundness sweep replays all of them against the dimension bound, so
-    the constructors report each finished action to any active sink.
+    Writing dim_plus_one = q*a + r with 1 <= r <= q, the first r characters
+    get multiplicity a + 1 and the rest get a.
     """
-
-    def __enter__(self) -> list:
-        self.log: list[tuple[WeightedVariety, CharacterGroup]] = []
-        _ACTION_SINKS.append(self.log)
-        return self.log
-
-    def __exit__(self, *exc) -> bool:
-        _ACTION_SINKS.remove(self.log)
-        return False
-
-
-def _record(action: WeightedVariety, G: CharacterGroup) -> None:
-    for sink in _ACTION_SINKS:
-        sink.append((action, G))
+    a, r = divmod(dim_plus_one - 1, G.q)
+    r += 1
+    weights = []
+    for idx, ch in enumerate(G.characters()):
+        weights.extend([ch] * (a + 1 if idx < r else a))
+    return tuple(sorted(weights))
 
 
 def construct_action_P(n: int, G: CharacterGroup) -> PAct:
-    """Action on P^n with fixed locus of dimension exactly floor(n/q).
-
-    Writing n + 1 = q*a + r with 1 <= r <= q, the first r characters get
-    multiplicity a + 1 and the rest get a.
-    """
+    """Action on P^n with fixed locus of dimension exactly floor(n/q)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    q = G.q
-    a = n // q
-    r = n + 1 - q * a
-    chars = G.characters()
-    weights = []
-    for idx, ch in enumerate(chars):
-        weights.extend([ch] * (a + 1 if idx < r else a))
-    action = PAct(tuple(sorted(weights)))
-    if fixed_dim(action) != n // q:
-        raise AssertionError(f"P({n}) action misses fixed dimension {n // q}")
-    _record(action, G)
+    action = PAct(_character_multiset(n + 1, G))
+    if fixed_dim(action) != n // G.q:
+        raise AssertionError(f"P({n}) action misses fixed dimension {n // G.q}")
     return action
 
 
@@ -220,18 +196,7 @@ def construct_action_H(n: int, m: int, G: CharacterGroup) -> HAct:
         raise ValueError("indices must be nonnegative")
     n, m = min(n, m), max(n, m)
     q = G.q
-    chars = G.characters()
-
-    def multiset(dim_plus_one: int) -> tuple[Character, ...]:
-        a, r = dim_plus_one // q, dim_plus_one % q
-        if r == 0:
-            a, r = a - 1, q
-        out = []
-        for idx, ch in enumerate(chars):
-            out.extend([ch] * (a + 1 if idx < r else a))
-        return tuple(sorted(out))
-
-    action = HAct(multiset(n + 1), multiset(m + 1))
+    action = HAct(_character_multiset(n + 1, G), _character_multiset(m + 1, G))
     if n + m > 0:
         if n % q == 0 and m % q == 0:
             expected = (n + m - 1) // q
@@ -241,23 +206,16 @@ def construct_action_H(n: int, m: int, G: CharacterGroup) -> HAct:
         expected = NEG_INF
     if fixed_dim(action) != expected:
         raise AssertionError(f"H({n},{m}) action misses fixed dimension {expected}")
-    _record(action, G)
     return action
 
 
 def construct_action_L(i: int, G: CharacterGroup) -> PAct | HAct:
     """Action on the weight-i generator variety with fixed dimension floor(i/q)."""
-    p = G.p
-    if not in_np(i, p):
-        raise ValueError(f"{i} is not a generator index for p={p}")
-    if (i + 1) % p:
-        action: PAct | HAct = construct_action_P(i, G)
+    atom = generator_atom(i, G.p)
+    if isinstance(atom, PAtom):
+        action: PAct | HAct = construct_action_P(atom.n, G)
     else:
-        rest, s = i + 1, 0
-        while rest % p == 0:
-            rest //= p
-            s += 1
-        action = construct_action_H(p**s, (rest - 1) * p**s, G)
+        action = construct_action_H(atom.n, atom.m, G)
     if fixed_dim(action) != i // G.q:
         raise AssertionError(f"weight-{i} generator action misses fixed dimension {i // G.q}")
     return action
@@ -294,13 +252,9 @@ def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> 
     p = x.p
     if G.p != p:
         raise ValueError("character group prime mismatch")
-    if fam is None:
-        fam = standard_generators(p)
-    if not fam.kind.startswith("standard"):
+    if fam is not None and not fam.kind.startswith("standard"):
         raise ValueError("realize needs the standard family: its atoms are the standard generator varieties")
-    P = express_in_generators(x, fam)
-    if isinstance(P, NotInLp):
-        raise P
+    P = express_required(x, fam)
     parts = []
     for beta in P.support():
         node = Product(tuple(construct_action_L(part, G) for part in beta))
@@ -311,7 +265,6 @@ def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> 
         raise AssertionError(f"realized fixed dimension {achieved} differs from dim_q")
     if chern_numbers(underlying_variety(action), p) != x:
         raise AssertionError("realized variety does not reproduce the class")
-    _record(action, G)
     return action, achieved
 
 

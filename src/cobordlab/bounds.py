@@ -17,14 +17,16 @@ from fractions import Fraction
 from math import ceil
 
 from . import partitions as pt
-from .cobordism import GeneratorFamily, NotInLp, dim_q_direct, express_in_generators, standard_generators
+from .cobordism import GeneratorFamily, dim_q_direct, express_required
 from .fpring import NEG_INF, BPoly
 from .partitions import IndexSet, Partition, in_np, rho_q
 
 
-def _check_order(p: int, q: int) -> None:
+def check_order(p: int, q: int) -> int:
+    """q itself, once it is known to be a power of p."""
     if q < 1 or not pt.is_power_of(q, p):
-        raise ValueError(f"q={q} is not a power of p={p}")
+        raise ValueError(f"order {q} is not a power of the prime {p}")
+    return q
 
 
 def main_bound(x: BPoly, q: int):
@@ -33,7 +35,7 @@ def main_bound(x: BPoly, q: int):
     q must be a power of the class's prime.  The zero class imposes no
     constraint (-inf).
     """
-    _check_order(x.p, q)
+    check_order(x.p, q)
     return dim_q_direct(x, q)
 
 
@@ -92,7 +94,7 @@ def ratio_bound(x: BPoly, A, s: int, q: int, fam: GeneratorFamily | None = None)
     The qualifying monomial is returned as the certificate.
     """
     p = x.p
-    _check_order(p, q)
+    check_order(p, q)
     if s < 0:
         raise ValueError("s must be nonnegative")
     inputs = {"p": p, "q": q, "s": s, "A": _describe_indices(A), "weight": None}
@@ -102,11 +104,7 @@ def ratio_bound(x: BPoly, A, s: int, q: int, fam: GeneratorFamily | None = None)
         raise ValueError("ratio_bound needs a homogeneous class")
     n = int(x.top_weight())
     inputs["weight"] = n
-    if fam is None:
-        fam = standard_generators(p)
-    P = express_in_generators(x, fam)
-    if isinstance(P, NotInLp):
-        raise P
+    P = express_required(x, fam)
     certificate = None
     for beta in P.support():
         if sum(1 for part in beta if part in A) <= s:
@@ -136,17 +134,13 @@ def small_fixed_divisibility(x: BPoly, q: int, d: int, fam: GeneratorFamily | No
     that verdict; the precondition is an error, not a failure.
     """
     p = x.p
-    _check_order(p, q)
+    check_order(p, q)
     if x.is_zero() or not x.is_homogeneous():
         raise ValueError("a nonzero homogeneous class is required")
     n = int(x.top_weight())
     if n < (2 * q - 1) * d:
         raise ValueError(f"precondition n >= (2q-1)d fails: {n} < {(2 * q - 1) * d}")
-    if fam is None:
-        fam = standard_generators(p)
-    P = express_in_generators(x, fam)
-    if isinstance(P, NotInLp):
-        raise P
+    P = express_required(x, fam)
     need = n - (2 * q - 1) * d
     return all(_low_part_weight(beta, q) >= need for beta in P.terms)
 
@@ -166,11 +160,7 @@ def milnor_divisibility_check(x: BPoly, d: int, fam: GeneratorFamily | None = No
     need = ceil(Fraction(3 * n - 7 * d, 15))
     if need <= 0:
         return True
-    if fam is None:
-        fam = standard_generators(2)
-    P = express_in_generators(x, fam)
-    if isinstance(P, NotInLp):
-        raise P
+    P = express_required(x, fam)
     return all(sum(1 for part in beta if part == 5) >= need for beta in P.terms)
 
 
@@ -180,11 +170,11 @@ def np_monomial_ratio_violations(p: int, q: int, max_weight: int) -> list[Partit
     Mathematically empty for every (p, q); the exhaustive scan is the
     machine check.  With p = q = 2 the threshold is ceil(2n/5).
     """
-    rho = rho_q(IndexSet.np_minus(p), q)
+    np_indices = IndexSet.np_minus(p)
+    rho = rho_q(np_indices, q)
     violations = []
     for n in range(1, max_weight + 1):
-        allowed = [j for j in range(1, n + 1) if in_np(j, p)]
-        for beta in pt.partitions_of(n, parts=allowed):
+        for beta in pt.partitions_of(n, parts=np_indices):
             if pt.pi_q(beta, q) < ceil(rho * n):
                 violations.append(beta)
     return violations

@@ -1,7 +1,8 @@
 """Truncated polynomial models of Chow rings and the Conner-Floyd series engine.
 
 A ChowModel is F_p[h_1..h_k] modulo h_i^(cap_i + 1), together with a degree
-functional: deg(z) is the top-corner coefficient of degree_multiplier * z.
+functional: deg(z) is the top-corner coefficient of z, or of
+degree_multiplier * z when the model has one.
 Elements are sparse dicts mapping exponent tuples to nonzero residues.
 
 The series engine computes multiplicative characteristic series
@@ -43,8 +44,8 @@ class ChowModel:
         self.p = p
         self.caps = tuple(caps)
         self.nvars = len(caps)
-        # default degree functional: coefficient of the top corner monomial
-        self.degree_multiplier = degree_multiplier if degree_multiplier is not None else self.one()
+        # None: the degree functional reads the top corner monomial of z itself
+        self.degree_multiplier = degree_multiplier
         self.virtual_dim = virtual_dim if virtual_dim is not None else sum(caps)
 
     # -- ring protocol -----------------------------------------------------
@@ -131,7 +132,9 @@ class ChowModel:
         return result
 
     def deg(self, z: dict) -> int:
-        """Degree functional: top-corner coefficient of degree_multiplier * z."""
+        """Degree functional: top-corner coefficient of z, or of degree_multiplier * z."""
+        if self.degree_multiplier is None:
+            return z.get(self.caps, 0) % self.p
         return self.mul(self.degree_multiplier, z).get(self.caps, 0)
 
     def __repr__(self):

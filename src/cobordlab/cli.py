@@ -21,7 +21,7 @@ import sys
 
 from . import acceptance
 from .actions import CharacterGroup, action_to_json, realize
-from .bounds import main_bound, milnor_divisibility_check, ratio_bound, small_fixed_divisibility
+from .bounds import check_order, main_bound, milnor_divisibility_check, ratio_bound, small_fixed_divisibility
 from .chow import chern_numbers, parse_variety
 from .cobordism import (
     NotInLp,
@@ -33,7 +33,7 @@ from .cobordism import (
 )
 from .equivariant import localization_check
 from .fpring import NEG_INF, BPoly, TruncationError, format_bpoly, format_genpoly
-from .partitions import IndexSet, is_power_of, rho_q
+from .partitions import IndexSet, rho_q
 
 DEFAULT_CACHE = os.path.join("~", ".cobordlab", "cache.json")
 RAW_DEFAULT_WEIGHT = 16
@@ -152,13 +152,6 @@ def make_family(args):
     return standard_generators(args.prime, cache_path=os.path.expanduser(cache))
 
 
-def check_order(args) -> int:
-    q = args.order
-    if q < 1 or not is_power_of(q, args.prime):
-        raise ValueError(f"order {q} is not a power of the prime {args.prime}")
-    return q
-
-
 def _json_dim(v):
     return None if v == NEG_INF else v
 
@@ -208,7 +201,7 @@ def cmd_express(args) -> int:
 
 
 def cmd_dimq(args) -> int:
-    q = check_order(args)
+    q = check_order(args.prime, args.order)
     x = load_class(args)
     fam = make_family(args)
     direct = dim_q_direct(x, q)
@@ -224,7 +217,7 @@ def cmd_dimq(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    q = check_order(args)
+    q = check_order(args.prime, args.order)
     x = load_class(args)
     fam = make_family(args)
     out: dict = {"main": _json_dim(main_bound(x, q))}
@@ -248,7 +241,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    q = check_order(args)
+    q = check_order(args.prime, args.order)
     x = load_class(args)
     fam = make_family(args)
     action, achieved = realize(x, CharacterGroup.cyclic(q), fam)

@@ -10,10 +10,10 @@ express_in_generators writes an exact class as a polynomial in a family.
 The solve is triangular: the monomial on l_beta only supports partitions
 refining beta, with an explicitly known diagonal entry, so clearing the
 coarsest support element first terminates.  Non-membership is a first-class
-result: express returns a NotInLp value (an exception instance, raised only
-by callers that need membership) whose witness partition is produced by a
-dense elimination with rows finest-first, so the reported obstruction is
-the coarsest one.
+result: express returns a NotInLp value (an exception instance, raised by
+express_required for callers that need membership) whose witness partition
+is produced by a dense elimination with rows finest-first, so the reported
+obstruction is the coarsest one.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable
 from . import partitions as pt
 from .chow import HAtom, PAtom, atom_class
 from .fpring import NEG_INF, BPoly, GenPoly
-from .partitions import Partition, in_np
+from .partitions import IndexSet, Partition, in_np
 
 __all__ = [
     "NotInLp",
@@ -37,12 +37,12 @@ __all__ = [
     "standard_generators",
     "perturbed_family",
     "express_in_generators",
+    "express_required",
     "evaluate_gen_poly",
     "dim_q_direct",
     "dim_q_via_generators",
     "is_indecomposable",
     "random_gen_poly",
-    "random_class",
     "in_np",
 ]
 
@@ -246,8 +246,7 @@ def _gauss_witness(x_w: dict[Partition, int], weight: int, family: GeneratorFami
     an inconsistency is reported at the coarsest possible row.
     """
     p = family.p
-    allowed = [j for j in range(1, weight + 1) if in_np(j, p)]
-    unknowns = pt.partitions_of(weight, parts=allowed)
+    unknowns = pt.partitions_of(weight, parts=IndexSet.np_minus(p))
     columns = {beta: family.monomial_class(beta) for beta in unknowns}
     rows = sorted(pt.partitions_of(weight), key=pt.canonical_term_key, reverse=True)
     pivots: dict[Partition, tuple[dict, int]] = {}  # pivot unknown -> (row vector, rhs)
@@ -346,6 +345,19 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
     return GenPoly._trusted(p, solution)
 
 
+def express_required(x: BPoly, family: GeneratorFamily | None = None) -> GenPoly:
+    """The expression of x for callers that need membership: raises the NotInLp verdict.
+
+    family defaults to the standard family of x's prime.
+    """
+    if family is None:
+        family = standard_generators(x.p)
+    P = express_in_generators(x, family)
+    if isinstance(P, NotInLp):
+        raise P
+    return P
+
+
 def dim_q_direct(x: BPoly, q: int):
     """Largest sum of floor(part/q) over the support; -inf for the zero class."""
     if q < 1:
@@ -360,12 +372,7 @@ def dim_q_via_generators(x: BPoly, q: int, family: GeneratorFamily | None = None
     """Same invariant computed through the generator expression."""
     if q < 1:
         raise ValueError("q must be a positive integer")
-    if family is None:
-        family = standard_generators(x.p)
-    P = express_in_generators(x, family)
-    if isinstance(P, NotInLp):
-        raise P
-    return P.deg_q(q)
+    return express_required(x, family).deg_q(q)
 
 
 def is_indecomposable(x: BPoly) -> bool:
@@ -382,18 +389,10 @@ def random_gen_poly(rng: random.Random, p: int, max_weight: int, max_terms: int 
     while n_terms > 0 and attempts < 200:
         attempts += 1
         w = rng.randint(1, max_weight)
-        allowed = [j for j in range(1, w + 1) if in_np(j, p)]
-        choices = pt.partitions_of(w, parts=allowed)
+        choices = pt.partitions_of(w, parts=IndexSet.np_minus(p))
         if not choices:
             continue
         beta = rng.choice(choices)
         out = out + GenPoly.monomial(p, beta, rng.randrange(1, p))
         n_terms -= 1
     return out
-
-
-def random_class(rng: random.Random, p: int, max_weight: int, family: GeneratorFamily | None = None, max_terms: int = 4) -> BPoly:
-    """Random exact class guaranteed to lie in the generator ring."""
-    if family is None:
-        family = standard_generators(p)
-    return evaluate_gen_poly(random_gen_poly(rng, p, max_weight, max_terms), family)

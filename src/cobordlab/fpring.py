@@ -215,18 +215,20 @@ class BPoly:
         return cls(data["p"], terms, data.get("maxWeight"))
 
 
-def format_bpoly(x: BPoly) -> str:
-    """Readable rendering like '1*b[4] + 1*b[2]^2'."""
-    if x.is_zero():
+def _format_terms(poly: "BPoly | GenPoly", symbol: str) -> str:
+    """Terms in support order, each monomial written with symbol[part]^mult factors."""
+    if poly.is_zero():
         return "0"
     chunks = []
-    for alpha in x.support():
-        factors = []
-        for part, mult in pt._runs(alpha):
-            factors.append(f"b[{part}]" + (f"^{mult}" if mult > 1 else ""))
-        mono = "*".join(factors) if factors else "1"
-        chunks.append(f"{x.terms[alpha]}*{mono}" if factors else f"{x.terms[alpha]}")
+    for alpha in poly.support():
+        factors = [f"{symbol}[{part}]" + (f"^{mult}" if mult > 1 else "") for part, mult in pt._runs(alpha)]
+        chunks.append(f"{poly.terms[alpha]}*{'*'.join(factors)}" if factors else f"{poly.terms[alpha]}")
     return " + ".join(chunks)
+
+
+def format_bpoly(x: BPoly) -> str:
+    """Readable rendering like '1*b[4] + 1*b[2]^2'."""
+    return _format_terms(x, "b")
 
 
 class GenPoly:
@@ -314,13 +316,5 @@ class GenPoly:
 
 
 def format_genpoly(P: GenPoly) -> str:
-    if P.is_zero():
-        return "0"
-    chunks = []
-    for beta in P.support():
-        factors = []
-        for part, mult in pt._runs(beta):
-            factors.append(f"X[{part}]" + (f"^{mult}" if mult > 1 else ""))
-        mono = "*".join(factors) if factors else "1"
-        chunks.append(f"{P.terms[beta]}*{mono}" if factors else f"{P.terms[beta]}")
-    return " + ".join(chunks)
+    """Readable rendering like '1*X[4] + 1*X[2]^2'."""
+    return _format_terms(P, "X")

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 Partition = tuple[int, ...]
 
-# partitions_of refuses weights above this unless the caller raises the cap
+# partitions_of refuses weights above this
 DEFAULT_WEIGHT_CAP = 64
 
 # large safety margin for the rho_q residue scan; the scan always terminates
@@ -71,14 +71,14 @@ def pi_q(alpha: Partition, q: int) -> int:
     return sum(a // q for a in alpha)
 
 
-def partitions_of(n: int, parts=None, cap: int = DEFAULT_WEIGHT_CAP) -> list[Partition]:
+def partitions_of(n: int, parts=None) -> list[Partition]:
     """All partitions of n in canonical order, optionally with restricted parts.
 
     parts may be None (no restriction), an IndexSet, or any container
     supporting membership tests for integers 1..n.
     """
-    if n > cap:
-        raise ValueError(f"weight {n} exceeds cap {cap}")
+    if n > DEFAULT_WEIGHT_CAP:
+        raise ValueError(f"weight {n} exceeds cap {DEFAULT_WEIGHT_CAP}")
     if n < 0:
         return []
     if n == 0:

@@ -62,8 +62,19 @@ def test_11_divisibility_corollaries():
 
 
 def test_12_action_soundness():
-    # stays last: it audits the actions recorded by tests 06 and 10
+    # stays last: it audits the actions constructed by tests 06 and 10
     _run("action-soundness", acceptance.check_action_soundness)
+
+
+def test_audit_pool_holds_every_constructed_action():
+    # the fixed-locus check adds its 290 constructions; the realize check adds
+    # each realized union and every atomic factor of its products
+    ctx = acceptance.SuiteContext()
+    ok, detail = acceptance.check_fixed_locus_formulas(ctx)
+    assert ok and detail.startswith("290 constructed actions "), detail
+    assert acceptance.check_realize_achieves(ctx)[0]
+    ok, detail = acceptance.check_action_soundness(ctx)
+    assert ok and detail.startswith("781 distinct actions "), detail
 
 
 def test_every_registered_check_is_covered():

@@ -19,14 +19,14 @@ from cobordlab.actions import (
     construct_action_P,
     fixed_dim,
     realize,
-    record_actions,
     underlying_variety,
 )
-from cobordlab.chow import chern_numbers
+from cobordlab.chow import VExpr, VProduct, chern_numbers
 from cobordlab.cobordism import (
     NotInLp,
     dim_q_direct,
     evaluate_gen_poly,
+    generator_atom,
     perturbed_family,
     standard_generators,
 )
@@ -124,6 +124,16 @@ def test_underlying_variety():
     assert str(underlying_variety(construct_action_L(5, g))) == "H(2,4)"
     node = Product((construct_action_P(2, g), construct_action_L(5, g)))
     assert str(underlying_variety(node)) == "P(2)*H(2,4)"
+    # every generator action sits on the standard generator variety
+    for p in (2, 3, 5):
+        for q in (p, p * p):
+            g = CharacterGroup.cyclic(q)
+            for i in range(1, 41):
+                if not pt.in_np(i, p):
+                    continue
+                act = construct_action_L(i, g)
+                assert underlying_variety(act) == VExpr(((1, VProduct((generator_atom(i, p),))),)), (p, q, i)
+                assert fixed_dim(act) == i // q, (p, q, i)
 
 
 def test_realize_product_example():
@@ -167,22 +177,6 @@ def test_realize_rejections():
         realize(BPoly(2, {(2,): 1}), CharacterGroup.cyclic(3))
     with pytest.raises(ValueError):
         realize(BPoly(2, {(2,): 1}), g2, perturbed_family(2, 5))
-
-
-def test_record_actions_captures_constructions():
-    g = CharacterGroup.cyclic(2)
-    with record_actions() as log:
-        construct_action_P(3, g)
-        with record_actions() as inner:
-            construct_action_H(1, 2, g)
-        realize(BPoly(2, {(2,): 1}), g)
-    # inner sees only the H; outer sees P, H, the realize internals, and the result
-    assert len(inner) == 1
-    kinds = [type(a).__name__ for a, _ in log]
-    assert kinds[0] == "PAct" and "Disjoint" in kinds
-    before = len(log)
-    construct_action_P(3, g)  # outside the context: not recorded
-    assert len(log) == before
 
 
 def test_action_to_json_shapes():
