@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import comb, factorial
 
 from . import partitions as pt
@@ -473,23 +474,78 @@ def class_from_tangent(tangent: KClass, max_weight: int | None = None) -> BPoly:
 # -- atom classes in closed form ---------------------------------------------
 
 
+def _partitions_at_most(s: int, cap: int, max_part: int):
+    """Partitions of s with at most cap parts, none above max_part, largest part first."""
+    if s == 0:
+        yield ()
+        return
+    if cap == 0:
+        return
+    # the remaining cap-1 parts are at most v each, so v >= s/cap
+    for v in range(min(s, max_part), (s + cap - 1) // cap - 1, -1):
+        for rest in _partitions_at_most(s - v, cap - 1, v):
+            yield (v,) + rest
+
+
+@cache
+def _layer_table(p: int, s: int, digit: int) -> tuple[tuple[pt.Partition, int], ...]:
+    """Digit layers of weight s under a base-p digit of k-1, with their mod-p factors.
+
+    A layer is a partition with L <= p-1-digit parts; its factor is
+    (-1)^L * L!/prod(mult!) * binom(digit+L, L), nonzero mod p by that bound.
+    """
+    out = []
+    for lam in _partitions_at_most(s, p - 1 - digit, s):
+        L = len(lam)
+        c = comb(digit + L, L) * factorial(L)
+        for mult in Counter(lam).values():
+            c //= factorial(mult)
+        out.append((lam, (-c) % p if L % 2 else c % p))
+    return tuple(out)
+
+
+@cache
+def _layers_from(p: int, digits: tuple[int, ...], j: int, w: int) -> tuple[tuple[pt.Partition, int], ...]:
+    """Nonzero terms built from digit layers j, j+1, ... of total weight p^j * w.
+
+    Layer j contributes each of its parts p^j times; its weight s must be
+    congruent to w mod p, and the layers above it make up (w - s) / p.
+    """
+    if w == 0:
+        return (((), 1),)
+    digit = digits[j] if j < len(digits) else 0
+    rep = p**j
+    out = []
+    for s in range(w % p, w + 1, p):
+        rest = _layers_from(p, digits, j + 1, (w - s) // p)
+        if not rest:
+            continue
+        for lam, c in _layer_table(p, s, digit):
+            head = tuple(part for part in lam for _ in range(rep))
+            for alpha, c_rest in rest:
+                out.append((tuple(sorted(head + alpha, reverse=True)), c * c_rest % p))
+    return tuple(out)
+
+
 def _inverse_power_slice(p: int, k: int, w: int) -> BPoly:
     """Weight-w slice of S^(-k), S = sum_i b_i x^i, with x set to 1.
 
     Expanding (1 + (S-1))^(-k) binomially gives the coefficient at a
-    partition alpha with L parts and multiplicities m_j directly:
-    (-1)^L * binom(k-1+L, L) * L! / prod(m_j!).
+    partition alpha with L parts and multiplicities m_i directly:
+    (-1)^L * binom(k-1+L, L) * L! / prod(m_i!).  By Kummer the multinomial
+    is nonzero mod p iff the m_i add without carries in base p, and by
+    Lucas the binomial is nonzero iff L adds to k-1 without carries; both
+    then factor digit by digit.  So the nonzero terms are exactly the
+    stacks of digit layers: layer j holds digit j of each m_i, at most
+    p-1-digit_j(k-1) parts in all (one at most for p = 2), and the
+    coefficient is the product of the layer factors.
     """
-    terms = {}
-    for alpha in pt.partitions_of(w):
-        L = len(alpha)
-        c = comb(k - 1 + L, L) * factorial(L)
-        for mult in Counter(alpha).values():
-            c //= factorial(mult)
-        c = (-c) % p if L % 2 else c % p
-        if c:
-            terms[alpha] = c
-    return BPoly._trusted(p, terms, None)
+    digits = []
+    rest = k - 1
+    while rest:
+        rest, d = divmod(rest, p)
+        digits.append(d)
+    return BPoly._trusted(p, dict(_layers_from(p, tuple(digits), 0, w)), None)
 
 
 def _pn_class(p: int, n: int) -> BPoly:
@@ -509,30 +565,49 @@ def _h_class(p: int, n: int, m: int) -> BPoly:
     A_a, B_b for the weight-a, weight-b slices of S^(-(n+1)), S^(-(m+1))
     and expanding (x+y)^i binomially leaves
     [H(n,m)] = sum C(i+1, n-a) * A_a * B_b * b_i over a <= n, b <= m and
-    i = d-a-b >= 0 (b_0 = 1).
+    i = d-a-b >= 0 (b_0 = 1).  Grouped by a, this is sum_a A_a * C_a with
+    C_a = sum_i C(i+1, n-a) * b_i * B_(d-a-i): each C_a is folded and reduced
+    first, which merges many of its terms, and then every product term of
+    A_a * C_a goes into one dict, reduced mod p once at the end.
     """
     d = n + m - 1
     if d < 0:
         return BPoly.zero(p)  # H(0,0) is empty
-    A = [_inverse_power_slice(p, n + 1, a) for a in range(n + 1)]
-    B = [_inverse_power_slice(p, m + 1, b) for b in range(m + 1)]
-    total = BPoly.zero(p)
-    for i in range(d + 1):
-        inner = BPoly.zero(p)
-        for a in range(max(0, d - i - m), min(n, d - i) + 1):
+    A = [_inverse_power_slice(p, n + 1, a).terms for a in range(n + 1)]
+    B = [_inverse_power_slice(p, m + 1, b).terms for b in range(m + 1)]
+    acc: dict[pt.Partition, int] = {}
+    for a in range(min(n, d) + 1):
+        folded: dict[pt.Partition, int] = {}
+        for i in range(max(0, d - a - m), d - a + 1):
             c = comb(i + 1, n - a) % p
-            if c:
-                inner = inner + (A[a] * B[d - i - a]).scale(c)
-        total = total + (inner * BPoly.monomial(p, (i,)) if i else inner)
-    return total
+            if not c:
+                continue
+            extra = (i,) if i else ()
+            for beta, cb in B[d - a - i].items():
+                key = tuple(sorted(beta + extra, reverse=True))
+                folded[key] = folded.get(key, 0) + c * cb
+        C_a = [(gamma, c % p) for gamma, c in folded.items() if c % p]
+        for alpha, ca in A[a].items():
+            for gamma, cg in C_a:
+                key = tuple(sorted(alpha + gamma, reverse=True))
+                acc[key] = acc.get(key, 0) + ca * cg
+    return BPoly._trusted(p, acc, None)
 
 
 _ATOM_CACHE: dict[tuple, BPoly] = {}
 
 
 def atom_class(atom: Atom, p: int) -> BPoly:
+    """Exact mod-p class of an atom.
+
+    P(n) needs a weight-n slice and H(n, m) slices up to weight m, so each
+    is refused when that weight is above the cap; products of atoms are not.
+    """
     key = (p, atom)
     if key not in _ATOM_CACHE:
+        w = atom.n if isinstance(atom, PAtom) else atom.m
+        if w > pt.DEFAULT_WEIGHT_CAP:
+            raise ValueError(f"weight {w} exceeds cap {pt.DEFAULT_WEIGHT_CAP}")
         if isinstance(atom, PAtom):
             _ATOM_CACHE[key] = _pn_class(p, atom.n)
         else:

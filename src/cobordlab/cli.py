@@ -254,14 +254,15 @@ def cmd_realize(args) -> int:
 
 
 def cmd_rho(args) -> int:
+    q = check_order(args.prime, args.order)
     if (args.members is None) == (args.np_minus is None):
         raise ValueError("give exactly one of --members or --np-minus")
     if args.members is not None:
         index_set = IndexSet.finite(_parse_int_list(args.members))
     else:
         index_set = IndexSet.np_minus(args.prime, _parse_int_list(args.np_minus))
-    value = rho_q(index_set, args.order)
-    emit(args, {"rho": str(value)}, f"rho_{args.order} = {value}")
+    value = rho_q(index_set, q)
+    emit(args, {"rho": str(value)}, f"rho_{q} = {value}")
     return 0
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 Partition = tuple[int, ...]
 
-# partitions_of refuses weights above this
+# partitions_of and chow.atom_class refuse weights above this
 DEFAULT_WEIGHT_CAP = 64
 
 # large safety margin for the rho_q residue scan; the scan always terminates

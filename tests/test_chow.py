@@ -1,11 +1,16 @@
 """Chow models, characteristic series, atom classes, variety expressions."""
 
+import hashlib
+import json
 from math import comb
 
 import pytest
+from reference import reference_h_class, reference_slice
 
 from cobordlab.chow import (
     STANDARD,
+    _h_class,
+    _inverse_power_slice,
     ChowModel,
     HAtom,
     KClass,
@@ -25,7 +30,7 @@ from cobordlab.chow import (
     series_one,
     tangent_kclass,
 )
-from cobordlab.cobordism import generator_atom
+from cobordlab.cobordism import generator_atom, standard_generators
 from cobordlab.fpring import BPoly
 from cobordlab.partitions import in_np
 
@@ -64,6 +69,34 @@ def test_milnor_closed_form_matches_engine():
                 direct = atom_class(HAtom(n, m), p)
                 engine = class_from_tangent(tangent_kclass(HAtom(n, m), p))
                 assert direct == engine, (p, n, m)
+
+
+def test_digit_layer_slices_match_the_partition_walk():
+    # the digit-layer enumeration against the full walk over partitions
+    for p in (2, 3, 5, 7):
+        for k in range(1, 31):
+            for w in range(21):
+                assert _inverse_power_slice(p, k, w) == reference_slice(p, k, w), (p, k, w)
+
+
+def test_one_pass_milnor_class_matches_bpoly_products():
+    for p in (2, 3, 5):
+        for n in range(11):
+            for m in range(n, 11):
+                assert _h_class(p, n, m) == reference_h_class(p, n, m), (p, n, m)
+
+
+@pytest.mark.parametrize(
+    "p, w, digest",
+    [
+        (2, 28, "ef5fd38d4b67af1713d9981822f6222efccc208db9df16c11035032a45aaf544"),
+        (3, 29, "4f995b8b7400b3605a74e3cc82e32391977122693efce7f286ec83a39ad360a5"),
+    ],
+)
+def test_standard_generator_digest_is_pinned(p, w, digest):
+    fam = standard_generators(p, w)
+    blob = json.dumps({str(i): g.to_json_dict() for i, g in sorted(fam.gens.items()) if i <= w}, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_milnor_degenerate_isomorphisms():

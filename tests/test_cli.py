@@ -145,6 +145,27 @@ def test_raw_weight_ceiling(capsys):
     assert code == 0 and out.strip() == "1*b[17]"
 
 
+def test_atom_weight_cap(capsys):
+    # atoms above the cap are refused at once; a product of atoms below it is not
+    assert run(capsys, "class", "-p", "5", "P(65)") == (1, "", "error: weight 65 exceeds cap 64\n")
+    assert run(capsys, "class", "-p", "5", "H(3,65)") == (1, "", "error: weight 65 exceeds cap 64\n")
+    code, out, _ = run(capsys, "class", "-p", "2", "P(40)*P(30)")
+    assert code == 0 and out.startswith("1*b[40]*b[30] + ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dimq", "P(4)"],
+        ["bound", "P(4)"],
+        ["realize", "P(4)"],
+        ["rho", "--np-minus", ""],
+    ],
+)
+def test_order_must_be_a_power_of_p(capsys, argv):
+    assert run(capsys, *argv, "-p", "2", "-q", "6") == (1, "", "error: order 6 is not a power of the prime 2\n")
+
+
 def test_expression_truncation(capsys):
     code, out, _ = run(capsys, "class", "P(4)", "-p", "2", "--max-weight", "3", "--json")
     assert code == 0

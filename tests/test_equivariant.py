@@ -13,6 +13,7 @@ from cobordlab.equivariant import (
     EqProjClass,
     FDividedFamily,
     TRing,
+    _fixed_point_degrees,
     _reduce_zeta,
     epsilon_r,
     euler_inverse_eps,
@@ -25,35 +26,50 @@ from cobordlab.equivariant import (
 )
 
 
-def reference_localization(p, weights, element, r):
-    """Both sides of the identity for one case, with no table shared between cases.
+def reference_components(p, weights, r):
+    """(c, base model, inverse Euler class) for each fixed component, built afresh.
 
-    The reference route for localization_check: it restricts y to each fixed
-    component and multiplies by a freshly built inverse Euler class.  It
-    looks euler_inverse_eps up on the module so a patched convention reaches
-    it too.  Inputs are taken as valid: weights and r reduced mod p, r != 0,
-    element homogeneous of degree at most n.
+    The reference for localization_check builds these itself rather than
+    reading the library's fixed-point table.  It looks euler_inverse_eps up
+    on the module so a patched convention reaches it too.  Inputs are taken
+    as valid: weights and r reduced mod p, r != 0.
     """
-    n = len(weights) - 1
-    lhs = _reduce_zeta(element, weights, p).get((n, 0), 0)
     mults = Counter(weights)
-    rhs = 0
+    components = []
     for c, mc in sorted(mults.items()):
         base = ChowModel(p, (mc - 1,))
         xi = base.var(0)
-        restricted = base.zero()
-        shifted = base.add(xi, base.scalar(-c * r))
-        for (a, b), co in element.items():
-            term = base.smul(co * pow(r, b, p), base.power(shifted, a))
-            restricted = base.add(restricted, term)
         inv_euler = base.one()
         for cp, mcp in mults.items():
             if cp == c:
                 continue
             chern = [base.smul(comb(mcp, k), base.power(xi, k)) for k in range(1, mcp + 1)]
             inv_euler = base.mul(inv_euler, equivariant.euler_inverse_eps(base, chern, (cp - c) % p, r))
+        components.append((c, base, inv_euler))
+    return components
+
+
+def reference_sides(p, weights, element, r, components):
+    """Both sides of the identity: y restricted to each fixed component times its inverse Euler class.
+
+    element is homogeneous of degree at most n, with reduced coefficients.
+    """
+    n = len(weights) - 1
+    lhs = _reduce_zeta(element, weights, p).get((n, 0), 0)
+    rhs = 0
+    for c, base, inv_euler in components:
+        restricted = base.zero()
+        shifted = base.add(base.var(0), base.scalar(-c * r))
+        for (a, b), co in element.items():
+            term = base.smul(co * pow(r, b, p), base.power(shifted, a))
+            restricted = base.add(restricted, term)
         rhs = (rhs + base.deg(base.mul(inv_euler, restricted))) % p
     return lhs, rhs
+
+
+def reference_localization(p, weights, element, r):
+    """Both sides of the identity for one case, with no table shared between cases."""
+    return reference_sides(p, weights, element, r, reference_components(p, weights, r))
 
 
 def every_case(p, max_len):
@@ -184,11 +200,21 @@ def test_localization_sweep_small():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_localization_matches_reference_on_every_monomial(p):
+    # each side builds its inverse Euler classes once per (weights, r);
+    # the library's per-case value is lhs and r^b * T[a], as localization_check reads it
     cases = 0
-    for weights, (a, b), r in every_case(p, 4):
-        y = {(a, b): 1}
-        assert localization_check(p, weights, y, r) == reference_localization(p, weights, y, r)
-        cases += 1
+    for length in range(1, 5):
+        n = length - 1
+        for weights in itertools.product(range(p), repeat=length):
+            for r in range(1, p):
+                table = _fixed_point_degrees(p, weights, r)
+                components = reference_components(p, weights, r)
+                for a in range(length):
+                    for b in range(length - a):
+                        y = {(a, b): 1}
+                        got = (_reduce_zeta(y, weights, p).get((n, 0), 0), pow(r, b, p) * table[a] % p)
+                        assert got == reference_sides(p, weights, y, r, components), (weights, (a, b), r)
+                        cases += 1
     assert cases == localization_case_count(p, 4)
 
 
