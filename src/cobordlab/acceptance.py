@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from . import partitions as pt
 from .actions import (
@@ -40,12 +39,14 @@ SEED = 20260819
 DIMQ_CONFIGS = ((2, 2), (2, 4), (2, 8), (3, 3), (3, 9))
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+    """One check's outcome, as run_all reports it."""
+
+    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+        self.seconds = seconds
 
 
 class SuiteContext:

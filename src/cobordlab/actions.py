@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
 from .chow import HAtom, PAtom, VExpr, VProduct, chern_numbers, make_h_atom
 from .cobordism import GeneratorFamily, dim_q_direct, express_required, generator_atom
 from .fpring import NEG_INF, BPoly
+from .partitions import Record
 
 Character = tuple[int, ...]
 
@@ -40,16 +40,16 @@ def _prime_power_root(f: int) -> tuple[int, int]:
     return p, r
 
 
-@dataclass(frozen=True)
-class CharacterGroup:
+class CharacterGroup(Record):
     """Finite abelian p-group presented by prime-power invariant factors."""
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        if not self.invariant_factors:
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        if not invariant_factors:
             raise ValueError("at least one invariant factor is required")
-        primes = {_prime_power_root(f)[0] for f in self.invariant_factors}
+        primes = {_prime_power_root(f)[0] for f in invariant_factors}
         if len(primes) != 1:
             raise ValueError("all invariant factors must be powers of one prime")
 
@@ -73,52 +73,52 @@ class CharacterGroup:
         return list(itertools.product(*(range(f) for f in self.invariant_factors)))
 
 
-@dataclass(frozen=True)
-class PAct:
+class PAct(Record):
     """Action on P(V) given by the character multiset of V (sorted tuple)."""
 
-    weights: tuple[Character, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        if not self.weights:
+    def __init__(self, weights: tuple[Character, ...]):
+        object.__setattr__(self, "weights", weights)
+        if not weights:
             raise ValueError("P(V) needs dim V >= 1")
-        if tuple(sorted(self.weights)) != self.weights:
+        if tuple(sorted(weights)) != weights:
             raise ValueError("weights must be stored sorted")
 
 
-@dataclass(frozen=True)
-class HAct:
+class HAct(Record):
     """Action on the Milnor hypersurface in P(V) x P(W), V a sub-multiset of W."""
 
-    V: tuple[Character, ...]
-    W: tuple[Character, ...]
+    __slots__ = ("V", "W")
 
-    def __post_init__(self):
-        if not self.V or not self.W:
+    def __init__(self, V: tuple[Character, ...], W: tuple[Character, ...]):
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "W", W)
+        if not V or not W:
             raise ValueError("V and W must be nonempty")
-        if tuple(sorted(self.V)) != self.V or tuple(sorted(self.W)) != self.W:
+        if tuple(sorted(V)) != V or tuple(sorted(W)) != W:
             raise ValueError("character multisets must be stored sorted")
-        cv, cw = Counter(self.V), Counter(self.W)
+        cv, cw = Counter(V), Counter(W)
         if any(cv[c] > cw[c] for c in cv):
             raise ValueError("V must be a sub-multiset of W")
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(Record):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        for f in self.factors:
+    def __init__(self, factors: tuple):
+        object.__setattr__(self, "factors", factors)
+        for f in factors:
             if not isinstance(f, (PAct, HAct)):
                 raise ValueError("product factors must be atomic actions")
 
 
-@dataclass(frozen=True)
-class Disjoint:
-    parts: tuple[tuple[int, Product], ...]
+class Disjoint(Record):
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        for mult, node in self.parts:
+    def __init__(self, parts: tuple[tuple[int, Product], ...]):
+        object.__setattr__(self, "parts", parts)
+        for mult, node in parts:
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
             if not isinstance(node, Product):

@@ -12,14 +12,12 @@ dimensions are integers, so fractional lower bounds are rounded up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil
 
 from . import partitions as pt
 from .cobordism import GeneratorFamily, dim_q_direct, express_required
 from .fpring import NEG_INF, BPoly
-from .partitions import IndexSet, Partition, in_np, rho_q
+from .partitions import IndexSet, Partition, Record, in_np, rho_q
 
 
 def check_order(p: int, q: int) -> int:
@@ -65,18 +63,20 @@ def _describe_indices(A) -> object:
     return sorted(set(A))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Outcome of a hypothesis-checked bound.
 
     bound is -inf exactly when the hypothesis fails or the class is zero;
     certificate is the generator monomial witnessing the hypothesis.
     """
 
-    bound: object  # int or NEG_INF
-    hypothesis_checked: str
-    certificate: Partition | None
-    inputs: dict
+    __slots__ = ("bound", "hypothesis_checked", "certificate", "inputs")
+
+    def __init__(self, bound, hypothesis_checked: str, certificate: Partition | None, inputs: dict):
+        object.__setattr__(self, "bound", bound)  # int or NEG_INF
+        object.__setattr__(self, "hypothesis_checked", hypothesis_checked)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "inputs", inputs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,6 +147,11 @@ def small_fixed_divisibility(x: BPoly, q: int, d: int, fam: GeneratorFamily | No
     return all(_low_part_weight(beta, q) >= need for beta in P.terms)
 
 
+def milnor_exponent(n: int, d: int) -> int:
+    """ceil((3n - 7d) / 15), in exact integer arithmetic."""
+    return -((7 * d - 3 * n) // 15)
+
+
 def milnor_divisibility_check(x: BPoly, d: int, fam: GeneratorFamily | None = None) -> bool:
     """Mod-2 divisibility by the weight-5 Milnor generator.
 
@@ -159,7 +164,7 @@ def milnor_divisibility_check(x: BPoly, d: int, fam: GeneratorFamily | None = No
     if x.is_zero() or not x.is_homogeneous():
         raise ValueError("a nonzero homogeneous class is required")
     n = int(x.top_weight())
-    need = ceil(Fraction(3 * n - 7 * d, 15))
+    need = milnor_exponent(n, d)
     if need <= 0:
         return True
     P = express_required(x, fam)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
 
@@ -142,17 +141,19 @@ class ChowModel:
         return f"ChowModel(p={self.p}, caps={self.caps})"
 
 
-@dataclass(frozen=True)
-class KClass:
+class KClass(pt.Record):
     """Split K-theory class: line bundles with integer multiplicities plus a trivial offset.
 
     Each line is (multiplicity, twist); the twist is the tuple of h_i
     exponents, so c_1 = sum twist_i * h_i in the model.
     """
 
-    model: ChowModel
-    lines: tuple[tuple[int, tuple[int, ...]], ...]
-    offset: int = 0
+    __slots__ = ("model", "lines", "offset")
+
+    def __init__(self, model: ChowModel, lines: tuple[tuple[int, tuple[int, ...]], ...], offset: int = 0):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "offset", offset)
 
     def rank(self) -> int:
         return sum(m for m, _ in self.lines) + self.offset
@@ -290,9 +291,11 @@ def cf_class(E: KClass, alpha, g=STANDARD) -> dict:
 # -- variety expressions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PAtom:
-    n: int
+class PAtom(pt.Record):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
 
     def dim(self) -> int:
         return self.n
@@ -301,13 +304,13 @@ class PAtom:
         return f"P({self.n})"
 
 
-@dataclass(frozen=True)
-class HAtom:
-    n: int
-    m: int
+class HAtom(pt.Record):
+    __slots__ = ("n", "m")
 
-    def __post_init__(self):
-        if self.n > self.m:
+    def __init__(self, n: int, m: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        if n > m:
             raise ValueError("HAtom stores n <= m; use make_h_atom to normalize")
 
     def dim(self) -> int:
@@ -327,9 +330,11 @@ def make_h_atom(a: int, b: int) -> tuple[HAtom, bool]:
     return (HAtom(a, b), False) if a <= b else (HAtom(b, a), True)
 
 
-@dataclass(frozen=True)
-class VProduct:
-    atoms: tuple[Atom, ...]
+class VProduct(pt.Record):
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms: tuple[Atom, ...]):
+        object.__setattr__(self, "atoms", atoms)
 
     def dim(self) -> int:
         return sum(a.dim() for a in self.atoms)
@@ -338,11 +343,13 @@ class VProduct:
         return "*".join(str(a) for a in self.atoms)
 
 
-@dataclass(frozen=True)
-class VExpr:
+class VExpr(pt.Record):
     """Disjoint union of products, with positive integer multiplicities."""
 
-    parts: tuple[tuple[int, VProduct], ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[int, VProduct], ...]):
+        object.__setattr__(self, "parts", parts)
 
     def dim(self) -> int:
         """Top dimension across components; -1 for the empty expression."""

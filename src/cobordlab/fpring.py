@@ -21,7 +21,7 @@ those checks.
 from __future__ import annotations
 
 from . import partitions as pt
-from .partitions import Partition, canonical_term_key
+from .partitions import Partition, canonical_order
 
 NEG_INF = float("-inf")
 
@@ -116,7 +116,7 @@ class BPoly:
         return not self.terms
 
     def support(self) -> list[Partition]:
-        return sorted(self.terms, key=canonical_term_key)
+        return canonical_order(self.terms)
 
     def coefficient(self, alpha) -> int:
         alpha = pt.check_partition(tuple(alpha))
@@ -263,7 +263,7 @@ class GenPoly:
         return not self.terms
 
     def support(self) -> list[Partition]:
-        return sorted(self.terms, key=canonical_term_key)
+        return canonical_order(self.terms)
 
     def coefficient(self, beta) -> int:
         return self.terms.get(tuple(beta), 0)

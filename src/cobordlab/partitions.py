@@ -11,9 +11,8 @@ the exact ratio rho_q of an index set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 Partition = tuple[int, ...]
 
@@ -206,17 +205,80 @@ def in_np(i: int, p: int) -> bool:
     return i >= 1 and not is_power_of(i + 1, p)
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class Record:
+    """Immutable value record whose fields are the subclass's __slots__.
+
+    Instances compare equal when they are of the same class with equal
+    fields, hash as the tuple of their fields and print as
+    Name(field=value, ...), as a frozen dataclass does.  A subclass sets its
+    fields in __init__ through object.__setattr__; afterwards assigning or
+    deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        # eq and hash are closures over a C attrgetter built once per class,
+        # not loops over the field names: the acceptance checks hash and
+        # compare tens of thousands of action records
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        if len(names) == 1:
+            get = attrgetter(names[0])
+
+            def values(obj):
+                return (get(obj),)
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return (get(self),) == (get(other),)
+                return NotImplemented
+
+            def __hash__(self):
+                return hash((get(self),))
+        else:
+            values = attrgetter(*names)
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return values(self) == values(other)
+                return NotImplemented
+
+            def __hash__(self):
+                return hash(values(self))
+
+        cls._values = staticmethod(values)
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class IndexSet(Record):
     """A set of generator indices: explicit and finite, or cofinite in N_p.
 
     The cofinite form is N_p minus a finite exclusion set, where N_p is the
     set of i >= 1 with i+1 not a power of p.
     """
 
-    members: frozenset[int] | None = None
-    p: int | None = None
-    excluded: frozenset[int] = frozenset()
+    __slots__ = ("members", "p", "excluded")
+
+    def __init__(self, members: frozenset[int] | None = None, p: int | None = None,
+                 excluded: frozenset[int] = frozenset()):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "excluded", excluded)
 
     @staticmethod
     def finite(members) -> "IndexSet":
@@ -240,21 +302,25 @@ class IndexSet:
         return self.members is not None and not self.members
 
 
-def rho_q(index_set: IndexSet, q: int) -> Fraction:
-    """Exact infimum of floor(i/q)/i over the index set.
+def rho_q(index_set: IndexSet, q: int):
+    """Exact infimum of floor(i/q)/i over the index set, as a Fraction.
 
     For an empty set the value is 1/q.  For a cofinite set the infimum is
     attained on the smallest member of some residue class mod q, because
     a -> a/(aq+r) is increasing in a; scanning residue classes up to their
     first members is exact.
     """
+    # imported here, so that importing the package does not load fractions
+    # and decimal; of the CLI subcommands only rho and bound get this far
+    from fractions import Fraction
+
     if q < 1:
         raise ValueError("q must be a positive integer")
     if index_set.members is not None:
         if not index_set.members:
             return Fraction(1, q)
         return min(Fraction(i // q, i) for i in index_set.members)
-    best: Fraction | None = None
+    best = None
     seen_residues: set[int] = set()
     i = 1
     while len(seen_residues) < q:
@@ -273,3 +339,18 @@ def rho_q(index_set: IndexSet, q: int) -> Fraction:
 def canonical_term_key(alpha: Partition):
     """Sort key ordering partitions by weight, then canonical order within weight."""
     return (sum(alpha), tuple(-a for a in alpha))
+
+
+def canonical_order(terms) -> list[Partition]:
+    """The partitions sorted by canonical_term_key, without a Python key function.
+
+    Within one weight no partition is a proper prefix of another, so there the
+    canonical order is descending tuple order.
+    """
+    by_weight: dict[int, list[Partition]] = {}
+    for alpha in terms:
+        by_weight.setdefault(sum(alpha), []).append(alpha)
+    out: list[Partition] = []
+    for w in sorted(by_weight):
+        out += sorted(by_weight[w], reverse=True)
+    return out

@@ -1,6 +1,8 @@
 """Dimension bounds and divisibility corollaries."""
 
 import random
+from fractions import Fraction
+from math import ceil
 
 import pytest
 
@@ -8,6 +10,7 @@ import cobordlab.partitions as pt
 from cobordlab.bounds import (
     main_bound,
     milnor_divisibility_check,
+    milnor_exponent,
     np_complement,
     np_monomial_ratio_violations,
     partition_bound,
@@ -142,6 +145,12 @@ def test_milnor_divisibility_cases():
     assert milnor_divisibility_check(sq, 4)
     tall = _member(2, {(5, 4): 1})
     assert not milnor_divisibility_check(tall, 0)  # need 2, has 1
+
+
+def test_milnor_exponent_is_the_exact_ceiling():
+    for n in range(121):
+        for d in range(121):
+            assert milnor_exponent(n, d) == ceil(Fraction(3 * n - 7 * d, 15)), (n, d)
 
 
 def test_milnor_divisibility_validation():

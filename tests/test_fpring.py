@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from cobordlab.fpring import NEG_INF, BPoly, GenPoly, TruncationError, format_bpoly, format_genpoly
-from cobordlab.partitions import is_partition
+from cobordlab.partitions import canonical_term_key, is_partition
 
 partition_st = st.lists(st.integers(1, 6), min_size=0, max_size=4).map(
     lambda v: tuple(sorted(v, reverse=True))
@@ -127,6 +127,18 @@ def test_top_weight_and_components():
 def test_support_canonical_order():
     x = BPoly(2, {(2, 1, 1): 1, (4,): 1, (2, 2): 1, (1,): 1})
     assert x.support() == [(1,), (4,), (2, 2), (2, 1, 1)]
+
+
+wide_partition_st = st.lists(st.integers(1, 9), min_size=0, max_size=7).map(
+    lambda v: tuple(sorted(v, reverse=True))
+)
+
+
+@given(st.dictionaries(wide_partition_st, st.integers(1, 4), min_size=2, max_size=40))
+def test_support_matches_the_key_function_sort(terms):
+    # mixed weights, and partitions of one weight that share long prefixes
+    for poly in (BPoly(5, terms, None), GenPoly(5, terms)):
+        assert poly.support() == sorted(poly.terms, key=canonical_term_key)
 
 
 @given(bpoly_triples())
