@@ -3,140 +3,37 @@ Milnor hypersurfaces, with the fixed-locus dimension bound machinery:
 generator expressions, dim_q, lower bounds, explicit diagonalizable group
 actions achieving them, and an equivariant localization checker.
 
-Everything is exact arithmetic over F_p; no floats, no external deps.
+Everything is exact arithmetic over F_p; no floats, no external deps.  The
+package exports the names of the README's Library section; the bounds, the
+localization checker and the rest are in the submodules.
 """
 
-from .actions import (
-    CharacterGroup,
-    Disjoint,
-    HAct,
-    PAct,
-    Product,
-    action_to_json,
-    construct_action_H,
-    construct_action_L,
-    construct_action_P,
-    fixed_dim,
-    realize,
-    underlying_variety,
-)
-from .bounds import (
-    BoundReport,
-    main_bound,
-    milnor_divisibility_check,
-    np_complement,
-    np_monomial_ratio_violations,
-    partition_bound,
-    ratio_bound,
-    small_fixed_divisibility,
-)
-from .chow import (
-    ChowModel,
-    HAtom,
-    KClass,
-    PAtom,
-    VExpr,
-    VProduct,
-    atom_class,
-    cf_class,
-    cf_series,
-    chern_numbers,
-    class_from_tangent,
-    make_h_atom,
-    parse_variety,
-    tangent_kclass,
-)
+from .actions import CharacterGroup, realize
+from .chow import chern_numbers
 from .cobordism import (
     GeneratorFamily,
     NotInLp,
     dim_q_direct,
     dim_q_via_generators,
-    evaluate_gen_poly,
     express_in_generators,
-    generator_atom,
-    is_indecomposable,
     perturbed_family,
-    random_gen_poly,
     standard_generators,
 )
-from .equivariant import (
-    EqProjClass,
-    epsilon_r,
-    euler_inverse_eps,
-    f_alpha_class,
-    f_poly,
-    localization_check,
-    phi,
-)
-from .fpring import NEG_INF, BPoly, GenPoly, TruncationError, format_bpoly, format_genpoly
-from .partitions import IndexSet, Partition, dominates, in_np, pi_q, refines, rho_q
+from .fpring import BPoly, GenPoly
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BPoly",
-    "BoundReport",
     "CharacterGroup",
-    "ChowModel",
-    "Disjoint",
-    "EqProjClass",
     "GenPoly",
     "GeneratorFamily",
-    "HAct",
-    "HAtom",
-    "IndexSet",
-    "KClass",
-    "NEG_INF",
     "NotInLp",
-    "PAct",
-    "PAtom",
-    "Partition",
-    "Product",
-    "TruncationError",
-    "VExpr",
-    "VProduct",
-    "action_to_json",
-    "atom_class",
-    "cf_class",
-    "cf_series",
     "chern_numbers",
-    "class_from_tangent",
-    "construct_action_H",
-    "construct_action_L",
-    "construct_action_P",
     "dim_q_direct",
     "dim_q_via_generators",
-    "dominates",
-    "epsilon_r",
-    "euler_inverse_eps",
-    "evaluate_gen_poly",
     "express_in_generators",
-    "f_alpha_class",
-    "f_poly",
-    "fixed_dim",
-    "format_bpoly",
-    "format_genpoly",
-    "generator_atom",
-    "in_np",
-    "is_indecomposable",
-    "localization_check",
-    "main_bound",
-    "make_h_atom",
-    "milnor_divisibility_check",
-    "np_complement",
-    "np_monomial_ratio_violations",
-    "parse_variety",
-    "partition_bound",
     "perturbed_family",
-    "phi",
-    "pi_q",
-    "random_gen_poly",
-    "ratio_bound",
     "realize",
-    "refines",
-    "rho_q",
-    "small_fixed_divisibility",
     "standard_generators",
-    "tangent_kclass",
-    "underlying_variety",
 ]

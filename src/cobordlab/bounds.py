@@ -39,11 +39,6 @@ def main_bound(x: BPoly, q: int):
     return dim_q_direct(x, q)
 
 
-def partition_bound(alphas, q: int) -> int:
-    """Additive bound: sum of pi_q over a list of partitions."""
-    return sum(pt.pi_q(pt.check_partition(a), q) for a in alphas)
-
-
 def np_complement(A, p: int) -> IndexSet:
     """N_p minus the given index collection, as an IndexSet."""
     if isinstance(A, IndexSet):

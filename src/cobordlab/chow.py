@@ -1,25 +1,15 @@
-"""Truncated polynomial models of Chow rings and the Conner-Floyd series engine.
-
-A ChowModel is F_p[h_1..h_k] modulo h_i^(cap_i + 1), together with a degree
-functional: deg(z) is the top-corner coefficient of z, or of
-degree_multiplier * z when the model has one.
-Elements are sparse dicts mapping exponent tuples to nonzero residues.
-
-The series engine computes multiplicative characteristic series
-P_g(E) = prod_j P_g(L_j)^(m_j) for split K-classes E, generically over any
-coefficient ring implementing the small protocol used here (zero/one/add/
-mul/neg/scalar/is_zero).  A series is a dict from partitions to ring
-elements; multiplication convolves by partition union.
+"""Variety expressions and their mod-p Chern-number classes.
 
 Variety expressions are disjoint unions, with multiplicities, of products of
 two kinds of atoms: projective spaces P(n) and Milnor hypersurfaces H(n, m)
 (the smooth (1,1)-divisor in P^n x P^m, canonically ordered n <= m).
-chern_numbers maps an expression to its mod-p Chern-number class as a BPoly.
+parse_variety reads the expression grammar, and chern_numbers maps an
+expression to its mod-p Chern-number class as a BPoly.
 
 Atom classes come from one closed form: the coefficients of the inverse
 powers (sum_i b_i x^i)^(-k) are multinomial, which gives P^n directly and
-H(n, m) as a short sum of products of such slices.  The generic series
-engine (class_from_tangent) is the tests' reference for both.
+H(n, m) as a short sum of products of such slices.  Only the nonzero terms
+are built: by Kummer and Lucas they are stacks of base-p digit layers.
 """
 
 from __future__ import annotations
@@ -31,261 +21,6 @@ from math import comb, factorial
 
 from . import partitions as pt
 from .fpring import BPoly
-
-
-class ChowModel:
-    """F_p[h_1..h_k] / (h_i^(cap_i+1)) with a degree functional."""
-
-    def __init__(self, p: int, caps: tuple[int, ...], degree_multiplier=None, virtual_dim: int | None = None):
-        if not pt.is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if any(c < 0 for c in caps):
-            raise ValueError("caps must be nonnegative")
-        self.p = p
-        self.caps = tuple(caps)
-        self.nvars = len(caps)
-        # None: the degree functional reads the top corner monomial of z itself
-        self.degree_multiplier = degree_multiplier
-        self.virtual_dim = virtual_dim if virtual_dim is not None else sum(caps)
-
-    # -- ring protocol -----------------------------------------------------
-
-    def zero(self) -> dict:
-        return {}
-
-    def one(self) -> dict:
-        return {(0,) * self.nvars: 1}
-
-    def scalar(self, k: int) -> dict:
-        k %= self.p
-        return {(0,) * self.nvars: k} if k else {}
-
-    def monomial(self, exps: tuple[int, ...], coeff: int = 1) -> dict:
-        if len(exps) != self.nvars:
-            raise ValueError("exponent arity mismatch")
-        coeff %= self.p
-        if not coeff or any(e > c for e, c in zip(exps, self.caps)):
-            return {}
-        return {tuple(exps): coeff}
-
-    def var(self, i: int) -> dict:
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return self.monomial(tuple(exps))
-
-    def linear_form(self, coeffs: tuple[int, ...]) -> dict:
-        """sum coeffs_i * h_i"""
-        out = self.zero()
-        for i, c in enumerate(coeffs):
-            out = self.add(out, self.monomial(tuple(1 if j == i else 0 for j in range(self.nvars)), c))
-        return out
-
-    def is_zero(self, a: dict) -> bool:
-        return not a
-
-    def is_one(self, a: dict) -> bool:
-        return a == self.one()
-
-    def add(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        for e, c in b.items():
-            s = (out.get(e, 0) + c) % self.p
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return out
-
-    def neg(self, a: dict) -> dict:
-        return {e: self.p - c for e, c in a.items()}
-
-    def smul(self, k: int, a: dict) -> dict:
-        k %= self.p
-        if not k:
-            return {}
-        return {e: (k * c) % self.p for e, c in a.items() if (k * c) % self.p}
-
-    def mul(self, a: dict, b: dict) -> dict:
-        caps = self.caps
-        p = self.p
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if any(x > c for x, c in zip(e, caps)):
-                    continue
-                s = (out.get(e, 0) + c1 * c2) % p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return out
-
-    def power(self, a: dict, k: int) -> dict:
-        result = self.one()
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
-
-    def deg(self, z: dict) -> int:
-        """Degree functional: top-corner coefficient of z, or of degree_multiplier * z."""
-        if self.degree_multiplier is None:
-            return z.get(self.caps, 0) % self.p
-        return self.mul(self.degree_multiplier, z).get(self.caps, 0)
-
-    def __repr__(self):
-        return f"ChowModel(p={self.p}, caps={self.caps})"
-
-
-class KClass(pt.Record):
-    """Split K-theory class: line bundles with integer multiplicities plus a trivial offset.
-
-    Each line is (multiplicity, twist); the twist is the tuple of h_i
-    exponents, so c_1 = sum twist_i * h_i in the model.
-    """
-
-    __slots__ = ("model", "lines", "offset")
-
-    def __init__(self, model: ChowModel, lines: tuple[tuple[int, tuple[int, ...]], ...], offset: int = 0):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "lines", lines)
-        object.__setattr__(self, "offset", offset)
-
-    def rank(self) -> int:
-        return sum(m for m, _ in self.lines) + self.offset
-
-    def negate(self) -> "KClass":
-        return KClass(self.model, tuple((-m, t) for m, t in self.lines), -self.offset)
-
-
-class StandardFamily:
-    """The multiplicative family with g_i(x) = x^i."""
-
-    def values(self, ring, c1, max_weight: int):
-        vals = [ring.one()]
-        for _ in range(max_weight):
-            vals.append(ring.mul(vals[-1], c1))
-        return vals
-
-
-STANDARD = StandardFamily()
-
-
-# -- generic series algebra -----------------------------------------------
-
-
-def series_one(ring) -> dict:
-    return {(): ring.one()}
-
-
-def line_series(ring, gvalues) -> dict:
-    """P_g(L) = sum_i g_i(c_1(L)) b_i given the evaluated family values."""
-    out = {}
-    for i, v in enumerate(gvalues):
-        if not ring.is_zero(v):
-            out[(i,) if i else ()] = v
-    return out
-
-
-def series_mul(ring, s: dict, t: dict, max_weight: int) -> dict:
-    groups: dict[int, list] = {}
-    for gamma, cg in t.items():
-        groups.setdefault(sum(gamma), []).append((gamma, cg))
-    out: dict = {}
-    for beta, cb in s.items():
-        wb = sum(beta)
-        for wg, items in groups.items():
-            if wb + wg > max_weight:
-                continue
-            for gamma, cg in items:
-                prod = ring.mul(cb, cg)
-                if ring.is_zero(prod):
-                    continue
-                u = tuple(sorted(beta + gamma, reverse=True))
-                if u in out:
-                    acc = ring.add(out[u], prod)
-                    if ring.is_zero(acc):
-                        del out[u]
-                    else:
-                        out[u] = acc
-                else:
-                    out[u] = prod
-    return out
-
-
-def series_inv(ring, s: dict, max_weight: int) -> dict:
-    """Inverse of a series with constant term 1, by weight recursion."""
-    if () not in s or not ring.is_one(s[()]):
-        raise ValueError("series is not invertible: constant term must be 1")
-    u_by_w: dict[int, list] = {}
-    for beta, c in s.items():
-        w = sum(beta)
-        if w:
-            u_by_w.setdefault(w, []).append((beta, c))
-    t_by_w: dict[int, dict] = {0: {(): ring.one()}}
-    for w in range(1, max_weight + 1):
-        acc: dict = {}
-        for wu, items in u_by_w.items():
-            if wu > w:
-                continue
-            lower = t_by_w.get(w - wu, {})
-            for beta, ub in items:
-                for gamma, tg in lower.items():
-                    prod = ring.mul(ub, tg)
-                    if ring.is_zero(prod):
-                        continue
-                    alpha = tuple(sorted(beta + gamma, reverse=True))
-                    acc[alpha] = ring.add(acc.get(alpha, ring.zero()), prod)
-        level = {}
-        for alpha, v in acc.items():
-            nv = ring.neg(v)
-            if not ring.is_zero(nv):
-                level[alpha] = nv
-        t_by_w[w] = level
-    out = {}
-    for level in t_by_w.values():
-        out.update(level)
-    return out
-
-
-def series_pow(ring, s: dict, k: int, max_weight: int) -> dict:
-    if k < 0:
-        return series_pow(ring, series_inv(ring, s, max_weight), -k, max_weight)
-    result = series_one(ring)
-    base = s
-    while k:
-        if k & 1:
-            result = series_mul(ring, result, base, max_weight)
-        base = series_mul(ring, base, base, max_weight)
-        k >>= 1
-    return result
-
-
-def cf_series(E: KClass, g=STANDARD, max_weight: int | None = None) -> dict:
-    """Characteristic series P_g(E) of a split K-class, truncated by weight."""
-    ring = E.model
-    if max_weight is None:
-        max_weight = ring.virtual_dim
-    result = series_one(ring)
-    for mult, twist in E.lines:
-        c1 = ring.linear_form(twist)
-        s = line_series(ring, g.values(ring, c1, max_weight))
-        result = series_mul(ring, result, series_pow(ring, s, mult, max_weight), max_weight)
-    if E.offset:
-        s0 = line_series(ring, g.values(ring, ring.zero(), max_weight))
-        result = series_mul(ring, result, series_pow(ring, s0, E.offset, max_weight), max_weight)
-    return result
-
-
-def cf_class(E: KClass, alpha, g=STANDARD) -> dict:
-    """Single coefficient g_alpha(E) of the characteristic series."""
-    alpha = pt.check_partition(tuple(alpha))
-    series = cf_series(E, g, max_weight=sum(alpha))
-    return series.get(alpha, E.model.zero())
 
 
 # -- variety expressions ---------------------------------------------------
@@ -447,35 +182,6 @@ def parse_variety(text: str) -> tuple[VExpr, list[str]]:
     if peek() is not None:
         raise ValueError(f"trailing input at {peek()!r}")
     return VExpr(tuple(parts)), notes
-
-
-# -- atom models and tangent classes ---------------------------------------
-
-
-def atom_model(atom: Atom, p: int) -> ChowModel:
-    if isinstance(atom, PAtom):
-        return ChowModel(p, (atom.n,), None, atom.n)
-    model = ChowModel(p, (atom.n, atom.m), None, atom.n + atom.m - 1)
-    model.degree_multiplier = model.add(model.var(0), model.var(1))
-    return model
-
-
-def tangent_kclass(atom: Atom, p: int) -> KClass:
-    """Tangent bundle of an atom in split K-theory form over its model."""
-    model = atom_model(atom, p)
-    if isinstance(atom, PAtom):
-        return KClass(model, ((atom.n + 1, (1,)),), -1)
-    lines = ((atom.n + 1, (1, 0)), (atom.m + 1, (0, 1)), (-1, (1, 1)))
-    return KClass(model, lines, -2)
-
-
-def class_from_tangent(tangent: KClass, max_weight: int | None = None) -> BPoly:
-    """Chern-number class via the generic engine: deg of each P(-T) coefficient."""
-    model = tangent.model
-    W = model.virtual_dim if max_weight is None else max_weight
-    series = cf_series(tangent.negate(), STANDARD, W)
-    terms = {alpha: model.deg(c) for alpha, c in series.items()}
-    return BPoly(model.p, terms, None if W >= model.virtual_dim else W)
 
 
 # -- atom classes in closed form ---------------------------------------------

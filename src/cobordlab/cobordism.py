@@ -22,7 +22,6 @@ import heapq
 import json
 import os
 import random
-import tempfile
 from typing import Callable
 
 from . import partitions as pt
@@ -41,7 +40,6 @@ __all__ = [
     "evaluate_gen_poly",
     "dim_q_direct",
     "dim_q_via_generators",
-    "is_indecomposable",
     "random_gen_poly",
     "in_np",
 ]
@@ -160,6 +158,9 @@ class GeneratorFamily:
             self._cached_up_to = -1
 
     def _save_cache(self, max_index: int) -> None:
+        # imported here: tempfile loads shutil and more, and a hot request never saves
+        import tempfile
+
         data = {
             "version": 1,
             "p": self.p,
@@ -373,12 +374,6 @@ def dim_q_via_generators(x: BPoly, q: int, family: GeneratorFamily | None = None
     if q < 1:
         raise ValueError("q must be a positive integer")
     return express_required(x, family).deg_q(q)
-
-
-def is_indecomposable(x: BPoly) -> bool:
-    """Some single-part coefficient c_(n) is nonzero."""
-    _require_exact(x)
-    return any(len(alpha) == 1 for alpha in x.terms)
 
 
 def random_gen_poly(rng: random.Random, p: int, max_weight: int, max_terms: int = 4) -> GenPoly:

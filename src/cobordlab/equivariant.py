@@ -2,13 +2,11 @@
 
 The equivariant Chow ring of a point is F_p[t] with t the first Chern class
 of the weight-1 character line; over a trivial-action base X it is
-Ch(X)[t].  Elements over a base ChowModel are dicts mapping t-degree to a
-base element.  epsilon_r evaluates t at a chosen residue r; it is a ring
-morphism but not graded.
+Ch(X)[t].  epsilon_r evaluates t at a chosen residue r: a ring morphism
+Ch(X)[t] -> Ch(X), but not a graded one.
 
 phi and f_i are the partition-dividing polynomials in x over F_p[t], stored
-as dicts {(x_degree, t_degree): coefficient}.  f_alpha_class runs the
-generic series engine of the chow module with the f-family over Ch(X)[t].
+as dicts {(x_degree, t_degree): coefficient}.
 
 localization_check verifies, numerically and exactly, that the degree of a
 class on P(V) equals the fixed-point sum of degrees of epsilon_r applied to
@@ -18,7 +16,8 @@ relation prod_j (zeta + w_j t); restriction to the component of the
 character c sends zeta to xi - c*t; the normal bundle to that component
 has Euler class prod_{c' != c} (xi + (c' - c) t)^(mult c').  These three
 conventions calibrate each other and are validated wholesale by the
-exhaustive sweep.
+exhaustive sweep.  Each fixed component is a projective space, and its
+Chow ring is a ChowModel: a truncated polynomial ring over F_p.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from collections import Counter
 from math import comb
 
 from . import partitions as pt
-from .chow import ChowModel, line_series, series_mul, series_one
 
 XTPoly = dict  # {(x_degree, t_degree): coefficient mod p}
 
@@ -64,68 +62,69 @@ def f_poly(p: int, i: int) -> XTPoly:
     return out
 
 
-class TRing:
-    """Ch(X)[t] over a base ChowModel; elements map t-degree to base elements."""
+class ChowModel:
+    """F_p[h_1..h_k] / (h_i^(cap_i+1)); deg reads the top-corner coefficient.
 
-    def __init__(self, base: ChowModel):
-        self.base = base
-        self.p = base.p
+    Elements are sparse dicts mapping exponent tuples to nonzero residues.
+    """
+
+    def __init__(self, p: int, caps: tuple[int, ...]):
+        if not pt.is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.p = p
+        self.caps = tuple(caps)
+        self.nvars = len(caps)
 
     def zero(self) -> dict:
         return {}
 
     def one(self) -> dict:
-        return {0: self.base.one()}
+        return {(0,) * self.nvars: 1}
+
+    def scalar(self, k: int) -> dict:
+        k %= self.p
+        return {(0,) * self.nvars: k} if k else {}
+
+    def var(self, i: int) -> dict:
+        if self.caps[i] < 1:
+            return {}
+        exps = [0] * self.nvars
+        exps[i] = 1
+        return {tuple(exps): 1}
 
     def is_zero(self, a: dict) -> bool:
         return not a
 
-    def is_one(self, a: dict) -> bool:
-        return a == self.one()
-
-    def from_base(self, elem: dict) -> dict:
-        return {0: elem} if elem else {}
-
-    def t_term(self, tdeg: int, elem: dict) -> dict:
-        return {tdeg: elem} if elem else {}
-
-    def scalar(self, k: int) -> dict:
-        return self.from_base(self.base.scalar(k))
-
     def add(self, a: dict, b: dict) -> dict:
         out = dict(a)
-        for td, v in b.items():
-            s = self.base.add(out.get(td, self.base.zero()), v)
-            if self.base.is_zero(s):
-                out.pop(td, None)
+        for e, c in b.items():
+            s = (out.get(e, 0) + c) % self.p
+            if s:
+                out[e] = s
             else:
-                out[td] = s
+                out.pop(e, None)
         return out
-
-    def neg(self, a: dict) -> dict:
-        return {td: self.base.neg(v) for td, v in a.items()}
 
     def smul(self, k: int, a: dict) -> dict:
-        out = {}
-        for td, v in a.items():
-            s = self.base.smul(k, v)
-            if not self.base.is_zero(s):
-                out[td] = s
-        return out
+        k %= self.p
+        if not k:
+            return {}
+        return {e: (k * c) % self.p for e, c in a.items() if (k * c) % self.p}
 
     def mul(self, a: dict, b: dict) -> dict:
+        caps = self.caps
+        p = self.p
         out: dict = {}
-        for ta, va in a.items():
-            for tb, vb in b.items():
-                prod = self.base.mul(va, vb)
-                if self.base.is_zero(prod):
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                if any(x > c for x, c in zip(e, caps)):
                     continue
-                td = ta + tb
-                s = self.base.add(out.get(td, self.base.zero()), prod)
-                if self.base.is_zero(s):
-                    out.pop(td, None)
+                s = (out.get(e, 0) + c1 * c2) % p
+                if s:
+                    out[e] = s
                 else:
-                    out[td] = s
+                    out.pop(e, None)
         return out
 
     def power(self, a: dict, k: int) -> dict:
@@ -138,13 +137,12 @@ class TRing:
             k >>= 1
         return result
 
+    def deg(self, z: dict) -> int:
+        """The coefficient of the top corner monomial prod h_i^cap_i."""
+        return z.get(self.caps, 0) % self.p
 
-def epsilon_r(z: dict, r: int, base: ChowModel) -> dict:
-    """Evaluate t at the residue r: Ch(X)[t] -> Ch(X), a ring morphism."""
-    out = base.zero()
-    for tdeg, elem in z.items():
-        out = base.add(out, base.smul(pow(r % base.p, tdeg, base.p) if tdeg else 1, elem))
-    return out
+    def __repr__(self):
+        return f"ChowModel(p={self.p}, caps={self.caps})"
 
 
 def euler_inverse_eps(base: ChowModel, chern: list, c: int, r: int) -> dict:
@@ -329,52 +327,3 @@ def localization_sweep_violations(p: int, max_len: int = 5) -> list[tuple]:
                         if lhs != rhs:
                             bad.append((weights, (a, b), r, lhs, rhs))
     return bad
-
-
-class FDividedFamily:
-    """Series family whose i-th value is f_i evaluated at the line's c_1.
-
-    Usable only over a TRing: values are computed from the (x, t) tables of
-    f_poly with t supplied by the coefficient ring.
-    """
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def values(self, ring: TRing, c1, max_weight: int):
-        vals = []
-        for i in range(max_weight + 1):
-            table = f_poly(self.p, i)
-            elem = ring.zero()
-            for (xdeg, tdeg), co in table.items():
-                term = ring.smul(co, ring.power(c1, xdeg))
-                term = {td + tdeg: v for td, v in term.items()}
-                elem = ring.add(elem, term)
-            vals.append(elem)
-        return vals
-
-
-def f_alpha_class(E, alpha, base: ChowModel, max_weight: int | None = None) -> dict:
-    """Coefficient at alpha of the f-family series of a split bundle.
-
-    E is a list of (c1 form in the base ring, character c) pairs over a
-    trivial-action base.  Setting t to zero must recover the ordinary
-    series coefficient at alpha; that is asserted on every call.
-    """
-    alpha = pt.check_partition(tuple(alpha))
-    W = sum(alpha) if max_weight is None else max_weight
-    ring = TRing(base)
-    fam = FDividedFamily(base.p)
-    series = series_one(ring)
-    plain = series_one(base)
-    for c1_form, c in E:
-        c1_t = ring.add(ring.from_base(c1_form), ring.t_term(1, base.scalar(c)))
-        series = series_mul(ring, series, line_series(ring, fam.values(ring, c1_t, W)), W)
-        powers = [base.one()]
-        for _ in range(W):
-            powers.append(base.mul(powers[-1], c1_form))
-        plain = series_mul(base, plain, line_series(base, powers), W)
-    out = series.get(alpha, ring.zero())
-    if epsilon_r(out, 0, base) != plain.get(alpha, base.zero()):
-        raise AssertionError(f"t = 0 does not recover the plain coefficient at {alpha}")
-    return out

@@ -20,6 +20,8 @@ those checks.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import partitions as pt
 from .partitions import Partition, canonical_order
 
@@ -221,7 +223,9 @@ def _format_terms(poly: "BPoly | GenPoly", symbol: str) -> str:
         return "0"
     chunks = []
     for alpha in poly.support():
-        factors = [f"{symbol}[{part}]" + (f"^{mult}" if mult > 1 else "") for part, mult in pt._runs(alpha)]
+        # Counter keeps first-seen order, so the parts stay largest first
+        factors = [f"{symbol}[{part}]" + (f"^{mult}" if mult > 1 else "")
+                   for part, mult in Counter(alpha).items()]
         chunks.append(f"{poly.terms[alpha]}*{'*'.join(factors)}" if factors else f"{poly.terms[alpha]}")
     return " + ".join(chunks)
 

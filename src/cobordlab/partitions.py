@@ -1,12 +1,12 @@
-"""Integer partitions and the multiset calculus built on them.
+"""Integer partitions, the generator index sets and the value-record base.
 
 A partition is a tuple of weakly decreasing positive integers; () is the
 empty partition.  Canonical enumeration order is descending lexicographic,
 so partitions_of(4) runs (4,), (3,1), (2,2), (2,1,1), (1,1,1,1).
 
-Besides enumeration this module provides the two partial orders used by the
-cobordism code (dominance and refinement), the floor-sum statistic pi_q, and
-the exact ratio rho_q of an index set.
+Besides enumeration this module provides the floor-sum statistic pi_q, the
+generator index sets N_p, the exact ratio rho_q of an index set, the
+canonical term order, and the Record base of the value types.
 """
 
 from __future__ import annotations
@@ -47,20 +47,9 @@ def check_partition(alpha) -> Partition:
     return alpha
 
 
-def weight(alpha: Partition) -> int:
-    return sum(alpha)
-
-
 def union(alpha: Partition, beta: Partition) -> Partition:
     """Multiset union, re-sorted into partition form."""
     return tuple(sorted(alpha + beta, reverse=True))
-
-
-def dominates(alpha: Partition, beta: Partition) -> bool:
-    """Componentwise order: len(alpha) >= len(beta) and alpha_j >= beta_j."""
-    if len(alpha) < len(beta):
-        return False
-    return all(alpha[j] >= beta[j] for j in range(len(beta)))
 
 
 def pi_q(alpha: Partition, q: int) -> int:
@@ -115,69 +104,6 @@ def _enumerate(n: int, allowed: tuple[int, ...] | None) -> tuple[Partition, ...]
 
     rec(n, n)
     return tuple(out)
-
-
-def _runs(alpha: Partition) -> list[tuple[int, int]]:
-    """Distinct parts with multiplicities, largest part first."""
-    runs: list[tuple[int, int]] = []
-    for a in alpha:
-        if runs and runs[-1][0] == a:
-            runs[-1] = (a, runs[-1][1] + 1)
-        else:
-            runs.append((a, 1))
-    return runs
-
-
-def sub_multisets(alpha: Partition) -> list[Partition]:
-    """All sub-multisets of alpha, as partitions, in a fixed order."""
-    runs = _runs(alpha)
-    subs: list[list[int]] = [[]]
-    for part, mult in runs:
-        subs = [s + [part] * k for s in subs for k in range(mult + 1)]
-    return [tuple(s) for s in subs]
-
-
-def splittings(alpha: Partition) -> list[tuple[Partition, Partition]]:
-    """Ordered pairs (beta, gamma) of partitions with beta union gamma = alpha.
-
-    Each pair appears exactly once; there are prod(mult_i + 1) of them.
-    """
-    pairs = []
-    counts = _runs(alpha)
-    for beta in sub_multisets(alpha):
-        bruns = dict(_runs(beta))
-        gamma = []
-        for part, mult in counts:
-            gamma.extend([part] * (mult - bruns.get(part, 0)))
-        pairs.append((beta, tuple(gamma)))
-    return pairs
-
-
-@lru_cache(maxsize=200000)
-def refines(alpha: Partition, beta: Partition) -> bool:
-    """True if alpha refines beta: alpha splits into blocks summing to beta's parts."""
-    if weight(alpha) != weight(beta):
-        return False
-    if not beta:
-        return not alpha
-    if len(alpha) < len(beta):
-        return False
-    target = beta[0]
-    rest = beta[1:]
-    for block in sub_multisets(alpha):
-        if weight(block) != target or not block:
-            continue
-        remainder = _multiset_minus(alpha, block)
-        if refines(remainder, rest):
-            return True
-    return False
-
-
-def _multiset_minus(alpha: Partition, block: Partition) -> Partition:
-    remaining = list(alpha)
-    for b in block:
-        remaining.remove(b)
-    return tuple(remaining)
 
 
 def is_prime(n: int) -> bool:

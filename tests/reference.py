@@ -1,16 +1,33 @@
-"""Reference routes for the closed-form atom classes in cobordlab.chow.
+"""Reference routes the tests compare the library against.
 
-These are the direct forms of the two builders: the slice walks every
-partition of the weight and reduces each multinomial coefficient mod p, and
-the hypersurface class is summed as BPoly products.  The library builds the
-same classes from their nonzero terms only; the tests compare the two.
+None of this is library code: each piece exists so that a test can check a
+library route against an independent one.
+
+* The direct forms of the closed-form atom classes in cobordlab.chow: the
+  slice walks every partition of the weight and reduces each multinomial
+  coefficient mod p, and the hypersurface class is summed as BPoly products.
+* The generic Conner-Floyd series engine: multiplicative characteristic
+  series P_g(E) = prod_j P_g(L_j)^(m_j) of split K-classes E, over any
+  coefficient ring implementing the small protocol used here (zero/one/add/
+  mul/neg/smul/is_zero/is_one).  A series is a dict from partitions to ring
+  elements; multiplication convolves by partition union.
+  class_from_tangent reads an atom's class off its tangent bundle, which is
+  the reference for the closed forms.
+* The f-divided series over Ch(X)[t] (TRing, FDividedFamily, f_alpha_class,
+  epsilon_r), the check of cobordlab.equivariant.f_poly.
+* Partition refinement, the check that monomial classes are triangular.
 """
 
 from collections import Counter
+from functools import lru_cache
 from math import comb, factorial
 
 from cobordlab import partitions as pt
+from cobordlab.chow import PAtom
+from cobordlab.equivariant import ChowModel, f_poly
 from cobordlab.fpring import BPoly
+
+# -- closed-form atom classes, term by term ------------------------------------
 
 
 def reference_slice(p: int, k: int, w: int) -> BPoly:
@@ -43,3 +60,395 @@ def reference_h_class(p: int, n: int, m: int) -> BPoly:
                 inner = inner + (A[a] * B[d - i - a]).scale(c)
         total = total + (inner * BPoly.monomial(p, (i,)) if i else inner)
     return total
+
+
+# -- Chow models of atoms and split K-classes -----------------------------------
+
+
+class AtomModel(ChowModel):
+    """A ChowModel whose degree functional may pair with a multiplier first.
+
+    deg(z) is the top-corner coefficient of degree_multiplier * z, or of z
+    when there is no multiplier; virtual_dim is the weight the series engine
+    truncates at.
+    """
+
+    def __init__(self, p: int, caps: tuple[int, ...], degree_multiplier=None, virtual_dim: int | None = None):
+        super().__init__(p, caps)
+        self.degree_multiplier = degree_multiplier
+        self.virtual_dim = virtual_dim if virtual_dim is not None else sum(caps)
+
+    def monomial(self, exps: tuple[int, ...], coeff: int = 1) -> dict:
+        if len(exps) != self.nvars:
+            raise ValueError("exponent arity mismatch")
+        coeff %= self.p
+        if not coeff or any(e > c for e, c in zip(exps, self.caps)):
+            return {}
+        return {tuple(exps): coeff}
+
+    def linear_form(self, coeffs: tuple[int, ...]) -> dict:
+        """sum coeffs_i * h_i"""
+        out = self.zero()
+        for i, c in enumerate(coeffs):
+            out = self.add(out, self.monomial(tuple(1 if j == i else 0 for j in range(self.nvars)), c))
+        return out
+
+    def is_one(self, a: dict) -> bool:
+        return a == self.one()
+
+    def neg(self, a: dict) -> dict:
+        return {e: self.p - c for e, c in a.items()}
+
+    def deg(self, z: dict) -> int:
+        if self.degree_multiplier is None:
+            return super().deg(z)
+        return self.mul(self.degree_multiplier, z).get(self.caps, 0)
+
+
+class KClass(pt.Record):
+    """Split K-theory class: line bundles with integer multiplicities plus a trivial offset.
+
+    Each line is (multiplicity, twist); the twist is the tuple of h_i
+    exponents, so c_1 = sum twist_i * h_i in the model.
+    """
+
+    __slots__ = ("model", "lines", "offset")
+
+    def __init__(self, model: AtomModel, lines: tuple[tuple[int, tuple[int, ...]], ...], offset: int = 0):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "offset", offset)
+
+    def rank(self) -> int:
+        return sum(m for m, _ in self.lines) + self.offset
+
+    def negate(self) -> "KClass":
+        return KClass(self.model, tuple((-m, t) for m, t in self.lines), -self.offset)
+
+
+def atom_model(atom, p: int) -> AtomModel:
+    if isinstance(atom, PAtom):
+        return AtomModel(p, (atom.n,), None, atom.n)
+    model = AtomModel(p, (atom.n, atom.m), None, atom.n + atom.m - 1)
+    model.degree_multiplier = model.add(model.var(0), model.var(1))
+    return model
+
+
+def tangent_kclass(atom, p: int) -> KClass:
+    """Tangent bundle of an atom in split K-theory form over its model."""
+    model = atom_model(atom, p)
+    if isinstance(atom, PAtom):
+        return KClass(model, ((atom.n + 1, (1,)),), -1)
+    lines = ((atom.n + 1, (1, 0)), (atom.m + 1, (0, 1)), (-1, (1, 1)))
+    return KClass(model, lines, -2)
+
+
+# -- the generic series engine ---------------------------------------------------
+
+
+class StandardFamily:
+    """The multiplicative family with g_i(x) = x^i."""
+
+    def values(self, ring, c1, max_weight: int):
+        vals = [ring.one()]
+        for _ in range(max_weight):
+            vals.append(ring.mul(vals[-1], c1))
+        return vals
+
+
+STANDARD = StandardFamily()
+
+
+def series_one(ring) -> dict:
+    return {(): ring.one()}
+
+
+def line_series(ring, gvalues) -> dict:
+    """P_g(L) = sum_i g_i(c_1(L)) b_i given the evaluated family values."""
+    out = {}
+    for i, v in enumerate(gvalues):
+        if not ring.is_zero(v):
+            out[(i,) if i else ()] = v
+    return out
+
+
+def series_mul(ring, s: dict, t: dict, max_weight: int) -> dict:
+    groups: dict[int, list] = {}
+    for gamma, cg in t.items():
+        groups.setdefault(sum(gamma), []).append((gamma, cg))
+    out: dict = {}
+    for beta, cb in s.items():
+        wb = sum(beta)
+        for wg, items in groups.items():
+            if wb + wg > max_weight:
+                continue
+            for gamma, cg in items:
+                prod = ring.mul(cb, cg)
+                if ring.is_zero(prod):
+                    continue
+                u = tuple(sorted(beta + gamma, reverse=True))
+                if u in out:
+                    acc = ring.add(out[u], prod)
+                    if ring.is_zero(acc):
+                        del out[u]
+                    else:
+                        out[u] = acc
+                else:
+                    out[u] = prod
+    return out
+
+
+def series_inv(ring, s: dict, max_weight: int) -> dict:
+    """Inverse of a series with constant term 1, by weight recursion."""
+    if () not in s or not ring.is_one(s[()]):
+        raise ValueError("series is not invertible: constant term must be 1")
+    u_by_w: dict[int, list] = {}
+    for beta, c in s.items():
+        w = sum(beta)
+        if w:
+            u_by_w.setdefault(w, []).append((beta, c))
+    t_by_w: dict[int, dict] = {0: {(): ring.one()}}
+    for w in range(1, max_weight + 1):
+        acc: dict = {}
+        for wu, items in u_by_w.items():
+            if wu > w:
+                continue
+            lower = t_by_w.get(w - wu, {})
+            for beta, ub in items:
+                for gamma, tg in lower.items():
+                    prod = ring.mul(ub, tg)
+                    if ring.is_zero(prod):
+                        continue
+                    alpha = tuple(sorted(beta + gamma, reverse=True))
+                    acc[alpha] = ring.add(acc.get(alpha, ring.zero()), prod)
+        level = {}
+        for alpha, v in acc.items():
+            nv = ring.neg(v)
+            if not ring.is_zero(nv):
+                level[alpha] = nv
+        t_by_w[w] = level
+    out = {}
+    for level in t_by_w.values():
+        out.update(level)
+    return out
+
+
+def series_pow(ring, s: dict, k: int, max_weight: int) -> dict:
+    if k < 0:
+        return series_pow(ring, series_inv(ring, s, max_weight), -k, max_weight)
+    result = series_one(ring)
+    base = s
+    while k:
+        if k & 1:
+            result = series_mul(ring, result, base, max_weight)
+        base = series_mul(ring, base, base, max_weight)
+        k >>= 1
+    return result
+
+
+def cf_series(E: KClass, g=STANDARD, max_weight: int | None = None) -> dict:
+    """Characteristic series P_g(E) of a split K-class, truncated by weight."""
+    ring = E.model
+    if max_weight is None:
+        max_weight = ring.virtual_dim
+    result = series_one(ring)
+    for mult, twist in E.lines:
+        c1 = ring.linear_form(twist)
+        s = line_series(ring, g.values(ring, c1, max_weight))
+        result = series_mul(ring, result, series_pow(ring, s, mult, max_weight), max_weight)
+    if E.offset:
+        s0 = line_series(ring, g.values(ring, ring.zero(), max_weight))
+        result = series_mul(ring, result, series_pow(ring, s0, E.offset, max_weight), max_weight)
+    return result
+
+
+def class_from_tangent(tangent: KClass, max_weight: int | None = None) -> BPoly:
+    """Chern-number class via the generic engine: deg of each P(-T) coefficient."""
+    model = tangent.model
+    W = model.virtual_dim if max_weight is None else max_weight
+    series = cf_series(tangent.negate(), STANDARD, W)
+    terms = {alpha: model.deg(c) for alpha, c in series.items()}
+    return BPoly(model.p, terms, None if W >= model.virtual_dim else W)
+
+
+# -- the f-divided series over Ch(X)[t] ------------------------------------------
+
+
+class TRing:
+    """Ch(X)[t] over a base model; elements map t-degree to base elements."""
+
+    def __init__(self, base: AtomModel):
+        self.base = base
+        self.p = base.p
+
+    def zero(self) -> dict:
+        return {}
+
+    def one(self) -> dict:
+        return {0: self.base.one()}
+
+    def is_zero(self, a: dict) -> bool:
+        return not a
+
+    def is_one(self, a: dict) -> bool:
+        return a == self.one()
+
+    def from_base(self, elem: dict) -> dict:
+        return {0: elem} if elem else {}
+
+    def t_term(self, tdeg: int, elem: dict) -> dict:
+        return {tdeg: elem} if elem else {}
+
+    def scalar(self, k: int) -> dict:
+        return self.from_base(self.base.scalar(k))
+
+    def add(self, a: dict, b: dict) -> dict:
+        out = dict(a)
+        for td, v in b.items():
+            s = self.base.add(out.get(td, self.base.zero()), v)
+            if self.base.is_zero(s):
+                out.pop(td, None)
+            else:
+                out[td] = s
+        return out
+
+    def neg(self, a: dict) -> dict:
+        return {td: self.base.neg(v) for td, v in a.items()}
+
+    def smul(self, k: int, a: dict) -> dict:
+        out = {}
+        for td, v in a.items():
+            s = self.base.smul(k, v)
+            if not self.base.is_zero(s):
+                out[td] = s
+        return out
+
+    def mul(self, a: dict, b: dict) -> dict:
+        out: dict = {}
+        for ta, va in a.items():
+            for tb, vb in b.items():
+                prod = self.base.mul(va, vb)
+                if self.base.is_zero(prod):
+                    continue
+                td = ta + tb
+                s = self.base.add(out.get(td, self.base.zero()), prod)
+                if self.base.is_zero(s):
+                    out.pop(td, None)
+                else:
+                    out[td] = s
+        return out
+
+    def power(self, a: dict, k: int) -> dict:
+        result = self.one()
+        base = a
+        while k:
+            if k & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            k >>= 1
+        return result
+
+
+def epsilon_r(z: dict, r: int, base: ChowModel) -> dict:
+    """Evaluate t at the residue r: Ch(X)[t] -> Ch(X), a ring morphism."""
+    out = base.zero()
+    for tdeg, elem in z.items():
+        out = base.add(out, base.smul(pow(r % base.p, tdeg, base.p) if tdeg else 1, elem))
+    return out
+
+
+class FDividedFamily:
+    """Series family whose i-th value is f_i evaluated at the line's c_1.
+
+    Usable only over a TRing: values are computed from the (x, t) tables of
+    f_poly with t supplied by the coefficient ring.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def values(self, ring: TRing, c1, max_weight: int):
+        vals = []
+        for i in range(max_weight + 1):
+            table = f_poly(self.p, i)
+            elem = ring.zero()
+            for (xdeg, tdeg), co in table.items():
+                term = ring.smul(co, ring.power(c1, xdeg))
+                term = {td + tdeg: v for td, v in term.items()}
+                elem = ring.add(elem, term)
+            vals.append(elem)
+        return vals
+
+
+def f_alpha_class(E, alpha, base: AtomModel, max_weight: int | None = None) -> dict:
+    """Coefficient at alpha of the f-family series of a split bundle.
+
+    E is a list of (c1 form in the base ring, character c) pairs over a
+    trivial-action base.  Setting t to zero must recover the ordinary
+    series coefficient at alpha; that is asserted on every call.
+    """
+    alpha = pt.check_partition(tuple(alpha))
+    W = sum(alpha) if max_weight is None else max_weight
+    ring = TRing(base)
+    fam = FDividedFamily(base.p)
+    series = series_one(ring)
+    plain = series_one(base)
+    for c1_form, c in E:
+        c1_t = ring.add(ring.from_base(c1_form), ring.t_term(1, base.scalar(c)))
+        series = series_mul(ring, series, line_series(ring, fam.values(ring, c1_t, W)), W)
+        powers = [base.one()]
+        for _ in range(W):
+            powers.append(base.mul(powers[-1], c1_form))
+        plain = series_mul(base, plain, line_series(base, powers), W)
+    out = series.get(alpha, ring.zero())
+    if epsilon_r(out, 0, base) != plain.get(alpha, base.zero()):
+        raise AssertionError(f"t = 0 does not recover the plain coefficient at {alpha}")
+    return out
+
+
+# -- partition refinement ----------------------------------------------------------
+
+
+def _runs(alpha: pt.Partition) -> list[tuple[int, int]]:
+    """Distinct parts with multiplicities, largest part first."""
+    runs: list[tuple[int, int]] = []
+    for a in alpha:
+        if runs and runs[-1][0] == a:
+            runs[-1] = (a, runs[-1][1] + 1)
+        else:
+            runs.append((a, 1))
+    return runs
+
+
+def sub_multisets(alpha: pt.Partition) -> list[pt.Partition]:
+    """All sub-multisets of alpha, as partitions, in a fixed order."""
+    subs: list[list[int]] = [[]]
+    for part, mult in _runs(alpha):
+        subs = [s + [part] * k for s in subs for k in range(mult + 1)]
+    return [tuple(s) for s in subs]
+
+
+def _multiset_minus(alpha: pt.Partition, block: pt.Partition) -> pt.Partition:
+    remaining = list(alpha)
+    for b in block:
+        remaining.remove(b)
+    return tuple(remaining)
+
+
+@lru_cache(maxsize=200000)
+def refines(alpha: pt.Partition, beta: pt.Partition) -> bool:
+    """True if alpha refines beta: alpha splits into blocks summing to beta's parts."""
+    if sum(alpha) != sum(beta):
+        return False
+    if not beta:
+        return not alpha
+    if len(alpha) < len(beta):
+        return False
+    target = beta[0]
+    rest = beta[1:]
+    for block in sub_multisets(alpha):
+        if sum(block) != target or not block:
+            continue
+        if refines(_multiset_minus(alpha, block), rest):
+            return True
+    return False

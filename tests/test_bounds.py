@@ -13,7 +13,6 @@ from cobordlab.bounds import (
     milnor_exponent,
     np_complement,
     np_monomial_ratio_violations,
-    partition_bound,
     ratio_bound,
     small_fixed_divisibility,
 )
@@ -40,13 +39,6 @@ def test_main_bound_examples():
     assert main_bound(BPoly.zero(2), 2) == NEG_INF
     with pytest.raises(ValueError):
         main_bound(p4, 3)  # not a power of 2
-
-
-def test_partition_bound():
-    assert partition_bound([(5, 2), (3,)], 2) == 4
-    assert partition_bound([], 2) == 0
-    with pytest.raises(ValueError):
-        partition_bound([(1, 2)], 2)
 
 
 def test_np_complement_forms():

@@ -166,6 +166,37 @@ def test_order_must_be_a_power_of_p(capsys, argv):
     assert run(capsys, *argv, "-p", "2", "-q", "6") == (1, "", "error: order 6 is not a power of the prime 2\n")
 
 
+RAW_CEILING = (1, "", "error: raw class weight 17 exceeds 16; raise --max-weight\n")
+NOT_A_MEMBER = (2, "", "error: not in the mod-2 generator ring; obstruction at c_(1)\n")
+ZERO_CLASS = {
+    "class": (0, "0\n", ""),
+    "express": (0, "0\n", ""),
+    "dimq": (0, "dim_2 = -inf (direct) = -inf (via generators)\n", ""),
+    "bound": (0, "main bound: -inf\n", ""),
+    "realize": (0, 'achieved fixed dimension -inf\n{"parts": [], "type": "Disjoint"}\n', ""),
+}
+# (exit code, stdout, stderr) of each class subcommand at the documented input limits, p = q = 2
+INPUT_LIMITS = {
+    "b[17]": dict.fromkeys(ZERO_CLASS, RAW_CEILING),  # above the raw ceiling, no --max-weight
+    "H(0,0)": ZERO_CLASS,  # the empty hypersurface
+    "2.P(1)": ZERO_CLASS,  # 2 * [P^1] = -4 b[1], zero mod 2
+    "b[2]+b[1]": {  # mixed weights, and b[1] is not in the generator ring
+        "class": (0, "1*b[1] + 1*b[2]\n", ""),
+        "express": (0, "not a polynomial in the generators; witness c_[1]\n", ""),
+        "dimq": NOT_A_MEMBER,
+        "bound": (0, "main bound: 1\n", ""),
+        "realize": NOT_A_MEMBER,
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(ZERO_CLASS))
+@pytest.mark.parametrize("text", list(INPUT_LIMITS))
+def test_documented_input_limits(capsys, command, text):
+    order = ["-q", "2"] if command in ("dimq", "bound", "realize") else []
+    assert run(capsys, command, text, "-p", "2", *order) == INPUT_LIMITS[text][command]
+
+
 def test_expression_truncation(capsys):
     code, out, _ = run(capsys, "class", "P(4)", "-p", "2", "--max-weight", "3", "--json")
     assert code == 0

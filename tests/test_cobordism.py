@@ -7,6 +7,7 @@ import random
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from reference import refines
 
 import cobordlab.partitions as pt
 from cobordlab.chow import HAtom, PAtom, chern_numbers
@@ -19,7 +20,6 @@ from cobordlab.cobordism import (
     evaluate_gen_poly,
     express_in_generators,
     generator_atom,
-    is_indecomposable,
     perturbed_family,
     random_gen_poly,
     standard_generators,
@@ -74,7 +74,7 @@ def test_monomial_classes_are_triangular():
         cls = fam.monomial_class(beta)
         for alpha in pt.partitions_of(n):
             if cls.coefficient(alpha) != 0:
-                assert pt.refines(alpha, beta), (alpha, beta)
+                assert refines(alpha, beta), (alpha, beta)
         diag = 1
         for part in beta:
             diag = diag * fam.diagonal(part) % 2
@@ -181,14 +181,6 @@ def test_dim_q_values():
 def test_dim_q_via_generators_needs_membership():
     with pytest.raises(NotInLp):
         dim_q_via_generators(BPoly(2, {(2, 1, 1): 1}), 2)
-
-
-def test_is_indecomposable():
-    fam = standard_generators(2)
-    assert is_indecomposable(fam.generator(5))
-    assert is_indecomposable(chern_numbers("P(4)", 2))
-    assert not is_indecomposable(fam.monomial_class((2, 2)))
-    assert not is_indecomposable(BPoly.zero(2))
 
 
 def test_standard_family_memoized():

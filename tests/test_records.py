@@ -10,10 +10,12 @@ import dataclasses
 import pickle
 
 import pytest
+from reference import KClass
 
 from cobordlab.actions import CharacterGroup, Disjoint, HAct, PAct, Product
 from cobordlab.bounds import BoundReport
-from cobordlab.chow import ChowModel, HAtom, KClass, PAtom, VExpr, VProduct
+from cobordlab.chow import HAtom, PAtom, VExpr, VProduct
+from cobordlab.equivariant import ChowModel
 from cobordlab.partitions import IndexSet, Record
 
 MODEL = ChowModel(2, (3,))
