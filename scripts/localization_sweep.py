@@ -19,7 +19,10 @@ def main():
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    bad = localization_sweep_violations(args.prime, args.max_len)
+    try:
+        bad = localization_sweep_violations(args.prime, args.max_len)
+    except ValueError as e:
+        raise SystemExit(f"error: {e}")
     dt = time.perf_counter() - t0
     total = localization_case_count(args.prime, args.max_len)
     print(f"p={args.prime} lengths<={args.max_len}: {total} cases in {dt:.2f}s, {len(bad)} violations")

@@ -22,8 +22,7 @@ from .partitions import IndexSet, Partition, Record, in_np, rho_q
 
 def check_order(p: int, q: int) -> int:
     """q itself, once it is known to be a power of the prime p."""
-    if not pt.is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    pt.check_prime(p)
     if q < 1 or not pt.is_power_of(q, p):
         raise ValueError(f"order {q} is not a power of the prime {p}")
     return q

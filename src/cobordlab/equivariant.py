@@ -16,8 +16,11 @@ relation prod_j (zeta + w_j t); restriction to the component of the
 character c sends zeta to xi - c*t; the normal bundle to that component
 has Euler class prod_{c' != c} (xi + (c' - c) t)^(mult c').  These three
 conventions calibrate each other and are validated wholesale by the
-exhaustive sweep.  Each fixed component is a projective space, and its
-Chow ring is a ChowModel: a truncated polynomial ring over F_p.
+exhaustive sweep.  Each fixed component is a projective space, so its
+Chow ring is F_p[xi]/(xi^m) and its fixed-point degrees have a closed form
+(_fixed_point_degrees).  The entry points localization_check and
+localization_sweep_violations check that p is prime before any arithmetic
+mod p.
 """
 
 from __future__ import annotations
@@ -42,8 +45,7 @@ def _xt_mul(a: XTPoly, b: XTPoly, p: int) -> XTPoly:
 
 def phi(p: int) -> XTPoly:
     """x * (x + t) * ... * (x + (p-1)t), expanded over F_p."""
-    if not pt.is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    pt.check_prime(p)
     out: XTPoly = {(1, 0): 1}
     for c in range(1, p):
         out = _xt_mul(out, {(1, 0): 1, (0, 1): c}, p)
@@ -60,121 +62,6 @@ def f_poly(p: int, i: int) -> XTPoly:
     for _ in range(u):
         out = _xt_mul(out, ph, p)
     return out
-
-
-class ChowModel:
-    """F_p[h_1..h_k] / (h_i^(cap_i+1)); deg reads the top-corner coefficient.
-
-    Elements are sparse dicts mapping exponent tuples to nonzero residues.
-    """
-
-    def __init__(self, p: int, caps: tuple[int, ...]):
-        if not pt.is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.caps = tuple(caps)
-        self.nvars = len(caps)
-
-    def zero(self) -> dict:
-        return {}
-
-    def one(self) -> dict:
-        return {(0,) * self.nvars: 1}
-
-    def scalar(self, k: int) -> dict:
-        k %= self.p
-        return {(0,) * self.nvars: k} if k else {}
-
-    def var(self, i: int) -> dict:
-        if self.caps[i] < 1:
-            return {}
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return {tuple(exps): 1}
-
-    def is_zero(self, a: dict) -> bool:
-        return not a
-
-    def add(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        for e, c in b.items():
-            s = (out.get(e, 0) + c) % self.p
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return out
-
-    def smul(self, k: int, a: dict) -> dict:
-        k %= self.p
-        if not k:
-            return {}
-        return {e: (k * c) % self.p for e, c in a.items() if (k * c) % self.p}
-
-    def mul(self, a: dict, b: dict) -> dict:
-        caps = self.caps
-        p = self.p
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if any(x > c for x, c in zip(e, caps)):
-                    continue
-                s = (out.get(e, 0) + c1 * c2) % p
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return out
-
-    def power(self, a: dict, k: int) -> dict:
-        result = self.one()
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
-
-    def deg(self, z: dict) -> int:
-        """The coefficient of the top corner monomial prod h_i^cap_i."""
-        return z.get(self.caps, 0) % self.p
-
-    def __repr__(self):
-        return f"ChowModel(p={self.p}, caps={self.caps})"
-
-
-def euler_inverse_eps(base: ChowModel, chern: list, c: int, r: int) -> dict:
-    """Inverse of epsilon_r of the Euler class of F tensor the character-c line.
-
-    chern lists c_1(F)..c_n(F) in the base ring (n = rank F); the value to
-    invert is (rc)^n + c_1(F)(rc)^(n-1) + ... + c_n(F), a unit because its
-    scalar part (rc)^n is nonzero and the rest is nilpotent.
-    """
-    p = base.p
-    n = len(chern)
-    rc = (r * c) % p
-    if rc == 0:
-        raise ValueError("rc must be nonzero mod p: the bundle may have no trivial character part")
-    unit = pow(rc, n, p)
-    nil = base.zero()
-    for k, ck in enumerate(chern, start=1):
-        nil = base.add(nil, base.smul(pow(rc, n - k, p), ck))
-    # (unit + nil)^(-1) = unit^(-1) * sum (-nil/unit)^j, finite by nilpotency
-    inv_unit = pow(unit, -1, p)
-    ratio = base.smul(p - inv_unit, nil)
-    out = base.one()
-    term = base.one()
-    for _ in range(sum(base.caps) + 1):
-        term = base.mul(term, ratio)
-        if base.is_zero(term):
-            break
-        out = base.add(out, term)
-    else:
-        if not base.is_zero(term):
-            raise AssertionError("nilpotent part failed to vanish")
-    return base.smul(inv_unit, out)
 
 
 def _elementary_symmetric(values: tuple[int, ...], p: int) -> list[int]:
@@ -207,49 +94,17 @@ def _reduce_zeta(element: dict, weights: tuple[int, ...], p: int) -> dict:
                 out.pop(key, None)
 
 
-class EqProjClass:
-    """A class on P(V) for a linear mu_p-action with the given weights.
-
-    element is a polynomial in (zeta, t) stored {(zeta_deg, t_deg): coeff},
-    kept reduced modulo the relation, so zeta-degree stays at most n.
-    """
-
-    def __init__(self, p: int, weights, element: dict):
-        if not pt.is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        weights = tuple(w % p for w in weights)
-        if not weights:
-            raise ValueError("at least one weight is required")
-        self.p = p
-        self.weights = weights
-        self.element = _reduce_zeta(element, weights, p)
-
-    @classmethod
-    def monomial(cls, p: int, weights, zdeg: int, tdeg: int, coeff: int = 1) -> "EqProjClass":
-        return cls(p, weights, {(zdeg, tdeg): coeff})
-
-    def degrees(self) -> set[int]:
-        return {a + b for a, b in self.element}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EqProjClass)
-            and (self.p, self.weights, self.element) == (other.p, other.weights, other.element)
-        )
-
-    def __repr__(self):
-        return f"EqProjClass(p={self.p}, weights={self.weights}, element={self.element})"
-
-
 def localization_check(p: int, weights, y, r: int) -> tuple[int, int]:
     """Both sides of the fixed-point degree identity; they must agree.
 
     lhs: the ordinary degree of y at t = 0 on P^n.  rhs: the sum over
     characters c present in the weights of the degree, on that fixed
     component, of epsilon_r(inverse Euler of its normal bundle) times
-    epsilon_r(y restricted).  r must be nonzero mod p.  y is homogeneous of
-    total degree at most n = len(weights) - 1.
+    epsilon_r(y restricted).  p must be prime and r nonzero mod p.  y is a
+    dict {(zeta_degree, t_degree): coefficient} with nonnegative exponents,
+    homogeneous of total degree at most n = len(weights) - 1.
     """
+    pt.check_prime(p)
     weights = tuple(w % p for w in weights)
     if not weights:
         raise ValueError("at least one weight is required")
@@ -257,17 +112,14 @@ def localization_check(p: int, weights, y, r: int) -> tuple[int, int]:
     r %= p
     if r == 0:
         raise ValueError("r must be nonzero mod p")
-    if isinstance(y, EqProjClass):
-        if y.p != p or y.weights != weights:
-            raise ValueError("class belongs to a different action")
-        element = y.element
-    else:
-        element = {k: v % p for k, v in dict(y).items() if v % p}
+    element = {k: v % p for k, v in dict(y).items() if v % p}
     degrees = {a + b for a, b in element}
     if len(degrees) > 1:
         raise ValueError("y must be homogeneous")
     if degrees and max(degrees) > n:
         raise ValueError(f"degree of y exceeds n={n}")
+    if any(a < 0 or b < 0 for a, b in element):
+        raise ValueError("exponents of y must be nonnegative")
 
     lhs = _reduce_zeta(element, weights, p).get((n, 0), 0)
 
@@ -279,27 +131,45 @@ def localization_check(p: int, weights, y, r: int) -> tuple[int, int]:
 def _fixed_point_degrees(p: int, weights: tuple[int, ...], r: int) -> list[int]:
     """T[a] = sum over characters c of deg(epsilon_r(e_c)^-1 * (xi - c r)^a) for a <= n.
 
-    e_c is the Euler class of the normal bundle of the fixed component of
-    character c.  The fixed-point side is linear in y: zeta^a t^b adds r^b T[a].
+    The fixed component of character c, with m = mult(c), is P^(m-1): its
+    Chow ring is F_p[xi]/(xi^m) and deg reads the coefficient of xi^(m-1).
+    Its normal bundle has mult(c') copies of O(1) twisted by the character
+    c' - c for each c' != c, so epsilon_r of its Euler class e_c is
+
+        prod_{c' != c} (xi + v)^mult(c'),   v = r (c' - c) != 0 mod p,
+
+    and each factor inverts by the binomial series, truncated below xi^m:
+
+        (xi + v)^(-k) = sum_j binom(-k, j) v^(-k-j) xi^j,
+        binom(-k, j) = (-1)^j binom(k+j-1, j).
+
+    With E_j the coefficients of the product of those series, the binomial
+    expansion (xi - c r)^a = sum_i binom(a, i) (-c r)^(a-i) xi^i gives
+
+        T[a] = sum_c sum_{i <= min(a, m-1)} binom(a, i) (-c r)^(a-i) E_(m-1-i).
+
+    The fixed-point side is linear in y: zeta^a t^b adds r^b T[a].
     """
     mults = Counter(weights)
     table = [0] * len(weights)
-    for c, mc in sorted(mults.items()):
-        base = ChowModel(p, (mc - 1,))
-        xi = base.var(0)
-        inv_euler = base.one()
-        for cp, mcp in mults.items():
-            if cp == c:
-                continue
-            chern = [base.smul(comb(mcp, k), base.power(xi, k)) for k in range(1, mcp + 1)]
-            inv_euler = base.mul(inv_euler, euler_inverse_eps(base, chern, (cp - c) % p, r))
-        # restriction zeta -> xi - c t, then t -> r; term runs over inv_euler * shifted^a
-        shifted = base.add(xi, base.scalar(-c * r))
-        term = inv_euler
+    for c, m in mults.items():
+        inv_euler = [1] + [0] * (m - 1)
+        for cp, k in mults.items():
+            if cp != c:
+                series = _inverse_power(r * (cp - c), k, m, p)
+                inv_euler = [sum(inv_euler[i] * series[j - i] for i in range(j + 1)) % p for j in range(m)]
+        shift = -c * r
         for a in range(len(table)):
-            table[a] = (table[a] + base.deg(term)) % p
-            term = base.mul(term, shifted)
-    return table
+            table[a] += sum(
+                comb(a, i) * pow(shift, a - i, p) * inv_euler[m - 1 - i] for i in range(min(a, m - 1) + 1)
+            )
+    return [d % p for d in table]
+
+
+def _inverse_power(v: int, k: int, m: int, p: int) -> list[int]:
+    """Coefficients of (xi + v)^(-k) below xi^m over F_p, for v a unit mod p."""
+    v_inv = pow(v, -1, p)
+    return [(-1) ** j * comb(k + j - 1, j) * pow(v_inv, k + j, p) % p for j in range(m)]
 
 
 def localization_case_count(p: int, max_len: int) -> int:
@@ -314,6 +184,7 @@ def localization_sweep_violations(p: int, max_len: int = 5) -> list[tuple]:
     zeta^a t^b with a + b <= n, every nonzero r.  Returns the failing
     (weights, (a, b), r, lhs, rhs) tuples; must be empty.
     """
+    pt.check_prime(p)
     bad = []
     for length in range(1, max_len + 1):
         for weights in itertools.product(range(p), repeat=length):

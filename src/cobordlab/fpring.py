@@ -32,11 +32,6 @@ class TruncationError(Exception):
     """Raised when a coefficient above the truncation weight is requested."""
 
 
-def _check_prime(p: int):
-    if not pt.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 def _normalize(terms: dict, p: int, max_weight: int | None) -> dict:
     out = {}
     for alpha, c in terms.items():
@@ -84,7 +79,7 @@ class BPoly:
     __slots__ = ("p", "terms", "max_weight")
 
     def __init__(self, p: int, terms: dict | None = None, max_weight: int | None = None):
-        _check_prime(p)
+        pt.check_prime(p)
         if max_weight is not None and max_weight < 0:
             raise ValueError("max_weight must be nonnegative")
         self.p = p
@@ -241,7 +236,7 @@ class GenPoly:
     __slots__ = ("p", "terms")
 
     def __init__(self, p: int, terms: dict | None = None):
-        _check_prime(p)
+        pt.check_prime(p)
         self.p = p
         self.terms = _normalize(terms or {}, p, None)
         for alpha in self.terms:

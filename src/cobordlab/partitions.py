@@ -33,23 +33,10 @@ def is_partition(alpha) -> bool:
     )
 
 
-def as_partition(parts) -> Partition:
-    """Sort an iterable of positive integers into a partition."""
-    alpha = tuple(sorted(parts, reverse=True))
-    if not is_partition(alpha):
-        raise ValueError(f"not a partition: {parts!r}")
-    return alpha
-
-
 def check_partition(alpha) -> Partition:
     if not is_partition(alpha):
         raise ValueError(f"not a partition: {alpha!r}")
     return alpha
-
-
-def union(alpha: Partition, beta: Partition) -> Partition:
-    """Multiset union, re-sorted into partition form."""
-    return tuple(sorted(alpha + beta, reverse=True))
 
 
 def pi_q(alpha: Partition, q: int) -> int:
@@ -115,6 +102,11 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def is_power_of(n: int, p: int) -> bool:
@@ -215,17 +207,13 @@ class IndexSet(Record):
 
     @staticmethod
     def np_minus(p: int, excluded=()) -> "IndexSet":
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        check_prime(p)
         return IndexSet(p=p, excluded=frozenset(excluded))
 
     def __contains__(self, i: int) -> bool:
         if self.members is not None:
             return i in self.members
         return in_np(i, self.p) and i not in self.excluded
-
-    def is_empty(self) -> bool:
-        return self.members is not None and not self.members
 
 
 def rho_q(index_set: IndexSet, q: int):

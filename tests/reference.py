@@ -13,6 +13,10 @@ library route against an independent one.
   elements; multiplication convolves by partition union.
   class_from_tangent reads an atom's class off its tangent bundle, which is
   the reference for the closed forms.
+* The generic truncated Chow ring ChowModel and the nilpotent geometric
+  series euler_inverse_eps, which invert Euler classes for the reference
+  fixed-point degrees that the closed form in
+  cobordlab.equivariant._fixed_point_degrees is checked against.
 * The f-divided series over Ch(X)[t] (TRing, FDividedFamily, f_alpha_class,
   epsilon_r), the check of cobordlab.equivariant.f_poly.
 * Partition refinement, the check that monomial classes are triangular.
@@ -24,7 +28,7 @@ from math import comb, factorial
 
 from cobordlab import partitions as pt
 from cobordlab.chow import PAtom
-from cobordlab.equivariant import ChowModel, f_poly
+from cobordlab.equivariant import f_poly
 from cobordlab.fpring import BPoly
 
 # -- closed-form atom classes, term by term ------------------------------------
@@ -62,7 +66,121 @@ def reference_h_class(p: int, n: int, m: int) -> BPoly:
     return total
 
 
-# -- Chow models of atoms and split K-classes -----------------------------------
+# -- truncated Chow rings, atom models and split K-classes ---------------------
+
+
+class ChowModel:
+    """F_p[h_1..h_k] / (h_i^(cap_i+1)); deg reads the top-corner coefficient.
+
+    Elements are sparse dicts mapping exponent tuples to nonzero residues.
+    """
+
+    def __init__(self, p: int, caps: tuple[int, ...]):
+        pt.check_prime(p)
+        self.p = p
+        self.caps = tuple(caps)
+        self.nvars = len(caps)
+
+    def zero(self) -> dict:
+        return {}
+
+    def one(self) -> dict:
+        return {(0,) * self.nvars: 1}
+
+    def scalar(self, k: int) -> dict:
+        k %= self.p
+        return {(0,) * self.nvars: k} if k else {}
+
+    def var(self, i: int) -> dict:
+        if self.caps[i] < 1:
+            return {}
+        exps = [0] * self.nvars
+        exps[i] = 1
+        return {tuple(exps): 1}
+
+    def is_zero(self, a: dict) -> bool:
+        return not a
+
+    def add(self, a: dict, b: dict) -> dict:
+        out = dict(a)
+        for e, c in b.items():
+            s = (out.get(e, 0) + c) % self.p
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return out
+
+    def smul(self, k: int, a: dict) -> dict:
+        k %= self.p
+        if not k:
+            return {}
+        return {e: (k * c) % self.p for e, c in a.items() if (k * c) % self.p}
+
+    def mul(self, a: dict, b: dict) -> dict:
+        caps = self.caps
+        p = self.p
+        out: dict = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                if any(x > c for x, c in zip(e, caps)):
+                    continue
+                s = (out.get(e, 0) + c1 * c2) % p
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+        return out
+
+    def power(self, a: dict, k: int) -> dict:
+        result = self.one()
+        base = a
+        while k:
+            if k & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            k >>= 1
+        return result
+
+    def deg(self, z: dict) -> int:
+        """The coefficient of the top corner monomial prod h_i^cap_i."""
+        return z.get(self.caps, 0) % self.p
+
+    def __repr__(self):
+        return f"ChowModel(p={self.p}, caps={self.caps})"
+
+
+def euler_inverse_eps(base: ChowModel, chern: list, c: int, r: int) -> dict:
+    """Inverse of epsilon_r of the Euler class of F tensor the character-c line.
+
+    chern lists c_1(F)..c_n(F) in the base ring (n = rank F); the value to
+    invert is (rc)^n + c_1(F)(rc)^(n-1) + ... + c_n(F), a unit because its
+    scalar part (rc)^n is nonzero and the rest is nilpotent.
+    """
+    p = base.p
+    n = len(chern)
+    rc = (r * c) % p
+    if rc == 0:
+        raise ValueError("rc must be nonzero mod p: the bundle may have no trivial character part")
+    unit = pow(rc, n, p)
+    nil = base.zero()
+    for k, ck in enumerate(chern, start=1):
+        nil = base.add(nil, base.smul(pow(rc, n - k, p), ck))
+    # (unit + nil)^(-1) = unit^(-1) * sum (-nil/unit)^j, finite by nilpotency
+    inv_unit = pow(unit, -1, p)
+    ratio = base.smul(p - inv_unit, nil)
+    out = base.one()
+    term = base.one()
+    for _ in range(sum(base.caps) + 1):
+        term = base.mul(term, ratio)
+        if base.is_zero(term):
+            break
+        out = base.add(out, term)
+    else:
+        if not base.is_zero(term):
+            raise AssertionError("nilpotent part failed to vanish")
+    return base.smul(inv_unit, out)
 
 
 class AtomModel(ChowModel):

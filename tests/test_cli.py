@@ -109,6 +109,22 @@ def test_localize(capsys):
     assert code == 1
 
 
+# (exit code, stdout, stderr) of localize at its input limits: p is checked before any
+# arithmetic mod p, and the monomial zeta^a t^b needs a, b >= 0
+LOCALIZE_LIMITS = {
+    ("-p", "0", "--zeta", "1"): (1, "", "error: 0 is not prime\n"),
+    ("-p", "1", "--zeta", "1"): (1, "", "error: 1 is not prime\n"),
+    ("-p", "4", "--zeta", "1"): (1, "", "error: 4 is not prime\n"),
+    ("-p", "2", "--zeta", "-1"): (1, "", "error: exponents of y must be nonnegative\n"),
+    ("-p", "2", "--t", "-1"): (1, "", "error: exponents of y must be nonnegative\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(LOCALIZE_LIMITS), ids="".join)
+def test_localize_input_limits(capsys, argv):
+    assert run(capsys, "localize", "--weights", "0,1", *argv) == LOCALIZE_LIMITS[argv]
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "class", "P(4)")[0] == 1  # missing -p
     assert run(capsys, "nosuchcommand")[0] == 1

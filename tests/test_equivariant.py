@@ -6,15 +6,13 @@ from collections import Counter
 from math import comb
 
 import pytest
-from reference import AtomModel, FDividedFamily, TRing, epsilon_r, f_alpha_class
+import reference
+from reference import AtomModel, ChowModel, FDividedFamily, TRing, epsilon_r, euler_inverse_eps, f_alpha_class
 
 from cobordlab import equivariant
 from cobordlab.equivariant import (
-    ChowModel,
-    EqProjClass,
     _fixed_point_degrees,
     _reduce_zeta,
-    euler_inverse_eps,
     f_poly,
     localization_case_count,
     localization_check,
@@ -26,10 +24,11 @@ from cobordlab.equivariant import (
 def reference_components(p, weights, r):
     """(c, base model, inverse Euler class) for each fixed component, built afresh.
 
-    The reference for localization_check builds these itself rather than
-    reading the library's fixed-point table.  It looks euler_inverse_eps up
-    on the module so a patched convention reaches it too.  Inputs are taken
-    as valid: weights and r reduced mod p, r != 0.
+    The reference for localization_check builds these in the generic
+    truncated Chow ring rather than reading the library's closed form.  It
+    looks euler_inverse_eps up on the reference module so a patched
+    convention reaches it too.  Inputs are taken as valid: p prime, weights
+    and r reduced mod p, r != 0.
     """
     mults = Counter(weights)
     components = []
@@ -41,9 +40,21 @@ def reference_components(p, weights, r):
             if cp == c:
                 continue
             chern = [base.smul(comb(mcp, k), base.power(xi, k)) for k in range(1, mcp + 1)]
-            inv_euler = base.mul(inv_euler, equivariant.euler_inverse_eps(base, chern, (cp - c) % p, r))
+            inv_euler = base.mul(inv_euler, reference.euler_inverse_eps(base, chern, (cp - c) % p, r))
         components.append((c, base, inv_euler))
     return components
+
+
+def reference_fixed_point_degrees(p, weights, r):
+    """T[a] for a <= n: the sum over fixed components of deg(inverse Euler class * (xi - c r)^a)."""
+    table = [0] * len(weights)
+    for c, base, inv_euler in reference_components(p, weights, r):
+        shifted = base.add(base.var(0), base.scalar(-c * r))
+        term = inv_euler
+        for a in range(len(table)):
+            table[a] = (table[a] + base.deg(term)) % p
+            term = base.mul(term, shifted)
+    return table
 
 
 def reference_sides(p, weights, element, r, components):
@@ -167,16 +178,16 @@ def test_euler_inverse_eps():
         euler_inverse_eps(base, chern, 3, 1)  # 3*1 = 0 mod 3: not invertible
 
 
-def test_eqprojclass_reduction():
+def test_reduce_zeta_relation():
     # over P(V) with weights (0,1) mod 2 the relation is zeta^2 = zeta*t
-    a = EqProjClass.monomial(2, (0, 1), 2, 0)
-    b = EqProjClass.monomial(2, (0, 1), 1, 1)
-    assert a == b
+    a = _reduce_zeta({(2, 0): 1}, (0, 1), 2)
+    assert a == _reduce_zeta({(1, 1): 1}, (0, 1), 2) == {(1, 1): 1}
     # trivial weights: zeta^2 = 0
-    assert EqProjClass.monomial(2, (0, 0), 2, 0).element == {}
+    assert _reduce_zeta({(2, 0): 1}, (0, 0), 2) == {}
     # weights enter mod p
-    assert EqProjClass.monomial(3, (4, 1), 2, 1) == EqProjClass.monomial(3, (1, 1), 2, 1)
-    assert a.degrees() == {2}
+    assert _reduce_zeta({(2, 1): 1}, (4, 1), 3) == _reduce_zeta({(2, 1): 1}, (1, 1), 3)
+    # the relation is homogeneous, so reduction keeps the degree
+    assert {z + t for z, t in a} == {2}
 
 
 def test_localization_hand_examples():
@@ -184,15 +195,26 @@ def test_localization_hand_examples():
     assert localization_check(2, (0, 0), {(1, 0): 1}, 1) == (1, 1)
     for r in (1, 2):
         assert localization_check(3, (0, 1, 2), {(2, 0): 1}, r) == (1, 1)
-    # accepts an already-reduced class object too
-    y = EqProjClass.monomial(2, (0, 1, 1), 1, 1)
-    lhs, rhs = localization_check(2, (0, 1, 1), y, 1)
-    assert lhs == rhs
+    # a class of degree below n has degree zero on both sides
+    assert localization_check(2, (0, 1, 1), {(1, 1): 1}, 1) == (0, 0)
 
 
 def test_localization_sweep_small():
     assert localization_sweep_violations(2, max_len=3) == []
     assert localization_sweep_violations(3, max_len=2) == []
+
+
+def test_fixed_point_degrees_match_the_chow_model_reference():
+    # every (weights, r) with p = 2 up to length 8, p = 3 up to 6 and p = 5 up to 4
+    cases = 0
+    for p, max_len in ((2, 8), (3, 6), (5, 4)):
+        for length in range(1, max_len + 1):
+            for weights in itertools.product(range(p), repeat=length):
+                for r in range(1, p):
+                    assert _fixed_point_degrees(p, weights, r) == reference_fixed_point_degrees(p, weights, r), (
+                        p, weights, r)
+                    cases += 1
+    assert cases == 5814
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -230,12 +252,11 @@ def test_localization_matches_reference_on_mixed_classes():
 
 
 def test_localization_sweep_catches_a_broken_convention(monkeypatch):
-    real = equivariant.euler_inverse_eps
-
-    def doubled(base, chern, c, r):
-        return base.smul(2, real(base, chern, c, r))
-
-    monkeypatch.setattr(equivariant, "euler_inverse_eps", doubled)
+    # flip the sign of v = r(c' - c) in the normal Euler class, on both routes
+    real_power = equivariant._inverse_power
+    real_inverse = reference.euler_inverse_eps
+    monkeypatch.setattr(equivariant, "_inverse_power", lambda v, k, m, p: real_power(-v, k, m, p))
+    monkeypatch.setattr(reference, "euler_inverse_eps", lambda base, chern, c, r: real_inverse(base, chern, -c, r))
     bad = localization_sweep_violations(3, 3)
     assert bad
     assert bad == reference_sweep_violations(3, 3)
@@ -256,6 +277,15 @@ def test_localization_input_validation():
         localization_check(2, (0, 1), {(1, 0): 1, (0, 0): 1}, 1)  # mixed degree
     with pytest.raises(ValueError):
         localization_check(2, (), {(0, 0): 1}, 1)
+    # p is checked before any arithmetic mod p
+    for p in (0, 1, 4):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            localization_check(p, (0, 1), {(1, 0): 1}, 1)
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            localization_sweep_violations(p, 2)
+    for y in ({(-1, 0): 1}, {(0, -1): 1}, {(-1, 2): 1}):
+        with pytest.raises(ValueError, match="nonnegative"):
+            localization_check(2, (0, 1), y, 1)
 
 
 def test_f_divided_family_values():

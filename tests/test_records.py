@@ -10,12 +10,11 @@ import dataclasses
 import pickle
 
 import pytest
-from reference import KClass
+from reference import ChowModel, KClass
 
 from cobordlab.actions import CharacterGroup, Disjoint, HAct, PAct, Product
 from cobordlab.bounds import BoundReport
 from cobordlab.chow import HAtom, PAtom, VExpr, VProduct
-from cobordlab.equivariant import ChowModel
 from cobordlab.partitions import IndexSet, Record
 
 MODEL = ChowModel(2, (3,))
