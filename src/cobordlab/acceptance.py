@@ -60,7 +60,7 @@ def check_projective_four(ctx: SuiteContext) -> tuple[bool, str]:
     t0 = time.perf_counter()
     got = chern_numbers("P(4)", 2)
     dt = time.perf_counter() - t0
-    want = BPoly(2, {(4,): 1, (2, 2): 1, (2, 1, 1): 1}, None)
+    want = BPoly(2, {(4,): 1, (2, 2): 1, (2, 1, 1): 1})
     ok = got == want and dt < 1.0
     return ok, f"[[P^4]] = {format_bpoly(got)} in {dt * 1000:.0f}ms"
 
@@ -88,11 +88,11 @@ def check_milnor_diagonal(ctx: SuiteContext) -> tuple[bool, str]:
 
 def check_membership(ctx: SuiteContext) -> tuple[bool, str]:
     fam = standard_generators(2)
-    outside = express_in_generators(BPoly(2, {(2, 1, 1): 1}, None), fam)
+    outside = express_in_generators(BPoly(2, {(2, 1, 1): 1}), fam)
     ok = isinstance(outside, NotInLp) and outside.witness == (4,)
     notes = [f"b2*b1^2 -> {outside!r}"]
     for terms in ({(2, 2): 1}, {(4,): 1, (2, 2): 1, (2, 1, 1): 1}):
-        x = BPoly(2, terms, None)
+        x = BPoly(2, terms)
         res = express_in_generators(x, fam)
         inside = isinstance(res, GenPoly) and evaluate_gen_poly(res, fam) == x
         ok = ok and inside

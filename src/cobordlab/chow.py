@@ -258,7 +258,7 @@ def _inverse_power_slice(p: int, k: int, w: int) -> BPoly:
     while rest:
         rest, d = divmod(rest, p)
         digits.append(d)
-    return BPoly._trusted(p, dict(_layers_from(p, tuple(digits), 0, w)), None)
+    return BPoly._trusted(p, dict(_layers_from(p, tuple(digits), 0, w)))
 
 
 def _pn_class(p: int, n: int) -> BPoly:
@@ -304,7 +304,7 @@ def _h_class(p: int, n: int, m: int) -> BPoly:
             for gamma, cg in C_a:
                 key = tuple(sorted(alpha + gamma, reverse=True))
                 acc[key] = acc.get(key, 0) + ca * cg
-    return BPoly._trusted(p, acc, None)
+    return BPoly._trusted(p, acc)
 
 
 _ATOM_CACHE: dict[tuple, BPoly] = {}
@@ -328,11 +328,11 @@ def atom_class(atom: Atom, p: int) -> BPoly:
     return _ATOM_CACHE[key]
 
 
-def chern_numbers(expr, p: int, max_weight: int | None = None) -> BPoly:
-    """Mod-p Chern-number class of a variety expression.
+def chern_numbers(expr, p: int) -> BPoly:
+    """Exact mod-p Chern-number class of a variety expression.
 
     Accepts a VExpr, a VProduct, an atom, or a string in the expression
-    grammar.  The result is exact unless max_weight truncates it.
+    grammar.
     """
     if isinstance(expr, str):
         expr, _ = parse_variety(expr)
@@ -346,6 +346,4 @@ def chern_numbers(expr, p: int, max_weight: int | None = None) -> BPoly:
         for atom in prod.atoms:
             term = term * atom_class(atom, p)
         total = total + term.scale(mult)
-    if max_weight is not None:
-        total = total.truncate(max_weight)
     return total

@@ -31,7 +31,7 @@ from .cobordism import (
     standard_generators,
 )
 from .equivariant import localization_check
-from .fpring import NEG_INF, BPoly, TruncationError, format_bpoly, format_genpoly
+from .fpring import NEG_INF, BPoly, format_bpoly, format_genpoly
 from .partitions import IndexSet, rho_q
 
 DEFAULT_CACHE = os.path.join("~", ".cobordlab", "cache.json")
@@ -117,7 +117,7 @@ def parse_raw_bpoly(text: str, p: int) -> BPoly:
         if peek() is None:
             break
         raise ValueError(f"raw class syntax error: unexpected {peek()!r}")
-    return BPoly(p, terms, None)
+    return BPoly(p, terms)
 
 
 def is_raw_input(text: str) -> bool:
@@ -126,6 +126,8 @@ def is_raw_input(text: str) -> bool:
 
 def load_class(args) -> BPoly:
     """The input class, exact, from either input mode."""
+    if args.max_weight is not None and args.max_weight < 0:
+        raise ValueError(f"--max-weight must be nonnegative, got {args.max_weight}")
     text = args.input
     if is_raw_input(text):
         x = parse_raw_bpoly(text, args.prime)
@@ -178,9 +180,11 @@ def _parse_int_list(text: str) -> list[int]:
 
 def cmd_class(args) -> int:
     x = load_class(args)
+    shown = None  # the JSON's maxWeight: set when --max-weight filters a variety's class
     if args.max_weight is not None and not is_raw_input(args.input):
-        x = x.truncate(args.max_weight)
-    emit(args, x.to_json_dict(), format_bpoly(x))
+        shown = args.max_weight
+        x = BPoly(x.p, {alpha: c for alpha, c in x.terms.items() if sum(alpha) <= shown})
+    emit(args, dict(x.to_json_dict(), maxWeight=shown), format_bpoly(x))
     return 0
 
 
@@ -374,7 +378,7 @@ def main(argv=None) -> int:
     except NotInLp as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, TruncationError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except AssertionError as e:

@@ -146,7 +146,8 @@ class GeneratorFamily:
             for key, val in data.get("generators", {}).items():
                 cls = BPoly.from_json_dict(val)
                 i = int(key)
-                if cls.p != self.p or cls.coefficient((i,)) == 0:
+                # a nonzero c_(i) and a single weight put every term at weight i
+                if cls.p != self.p or cls.coefficient((i,)) == 0 or not cls.is_homogeneous():
                     # corrupt entry, recompute everything
                     self.gens = {}
                     self._cached_up_to = -1
@@ -233,11 +234,6 @@ def evaluate_gen_poly(gp: GenPoly, family: GeneratorFamily) -> BPoly:
     return out
 
 
-def _require_exact(x: BPoly) -> None:
-    if x.max_weight is not None:
-        raise ValueError("an exact class is required; this one is truncated")
-
-
 def _gauss_witness(x_w: dict[Partition, int], weight: int, family: GeneratorFamily) -> dict[Partition, int] | Partition:
     """Solve the weight-w linear system by elimination, rows finest-first.
 
@@ -254,7 +250,7 @@ def _gauss_witness(x_w: dict[Partition, int], weight: int, family: GeneratorFami
     for alpha in rows:
         vec = {}
         for beta, cls in columns.items():
-            c = cls.terms.get(alpha, 0)  # columns are exact, so nothing is truncated
+            c = cls.terms.get(alpha, 0)
             if c:
                 vec[beta] = c
         rhs = x_w.get(alpha, 0) % p
@@ -312,7 +308,6 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
     """
     if x.p != family.p:
         raise ValueError("prime mismatch")
-    _require_exact(x)
     p = x.p
     solution: dict[Partition, int] = {}
     for weight, comp in sorted(x.weight_components().items()):
@@ -363,7 +358,6 @@ def dim_q_direct(x: BPoly, q: int):
     """Largest sum of floor(part/q) over the support; -inf for the zero class."""
     if q < 1:
         raise ValueError("q must be a positive integer")
-    _require_exact(x)
     if x.is_zero():
         return NEG_INF
     return max(pt.pi_q(alpha, q) for alpha in x.terms)
@@ -376,14 +370,14 @@ def dim_q_via_generators(x: BPoly, q: int, family: GeneratorFamily | None = None
     return express_required(x, family).deg_q(q)
 
 
-def random_gen_poly(rng: random.Random, p: int, max_weight: int, max_terms: int = 4) -> GenPoly:
-    """Random polynomial in the generators with term weights up to max_weight."""
+def random_gen_poly(rng: random.Random, p: int, top_weight: int, max_terms: int = 4) -> GenPoly:
+    """Random polynomial in the generators with term weights up to top_weight."""
     out = GenPoly.zero(p)
     n_terms = rng.randint(1, max_terms)
     attempts = 0
     while n_terms > 0 and attempts < 200:
         attempts += 1
-        w = rng.randint(1, max_weight)
+        w = rng.randint(1, top_weight)
         choices = pt.partitions_of(w, parts=IndexSet.np_minus(p))
         if not choices:
             continue

@@ -380,13 +380,12 @@ def cf_series(E: KClass, g=STANDARD, max_weight: int | None = None) -> dict:
     return result
 
 
-def class_from_tangent(tangent: KClass, max_weight: int | None = None) -> BPoly:
+def class_from_tangent(tangent: KClass) -> BPoly:
     """Chern-number class via the generic engine: deg of each P(-T) coefficient."""
     model = tangent.model
-    W = model.virtual_dim if max_weight is None else max_weight
-    series = cf_series(tangent.negate(), STANDARD, W)
+    series = cf_series(tangent.negate(), STANDARD, model.virtual_dim)
     terms = {alpha: model.deg(c) for alpha, c in series.items()}
-    return BPoly(model.p, terms, None if W >= model.virtual_dim else W)
+    return BPoly(model.p, terms)
 
 
 # -- the f-divided series over Ch(X)[t] ------------------------------------------

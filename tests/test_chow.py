@@ -159,14 +159,6 @@ def test_chern_numbers_accepts_many_input_forms():
     assert chern_numbers(expr, 2) == x
 
 
-def test_chern_numbers_truncation():
-    x = chern_numbers("P(4)", 2, max_weight=3)
-    assert x.max_weight == 3
-    assert x.terms == {}  # the class is homogeneous of weight 4
-    assert chern_numbers("P(2)", 2, max_weight=2).terms == {(2,): 1}
-    assert chern_numbers("P(4)", 2).max_weight is None
-
-
 def test_point_class_is_one():
     assert chern_numbers("P(0)", 5) == BPoly.one(5)
 

@@ -220,6 +220,14 @@ def test_expression_truncation(capsys):
     assert blob["maxWeight"] == 3 and blob["terms"] == []
 
 
+@pytest.mark.parametrize("command", ["class", "express", "dimq", "bound", "realize"])
+@pytest.mark.parametrize("text", ["P(4)", "b[4]"])
+def test_negative_max_weight_is_an_input_error(capsys, command, text):
+    order = ["-q", "2"] if command in ("dimq", "bound", "realize") else []
+    argv = [command, text, "-p", "2", *order, "--max-weight", "-1"]
+    assert run(capsys, *argv) == (1, "", "error: --max-weight must be nonnegative, got -1\n")
+
+
 def test_h_swap_note_on_stderr(capsys):
     code, out_a, err = run(capsys, "class", "H(4,2)", "-p", "2")
     assert code == 0 and "normalized" in err
@@ -256,6 +264,34 @@ def test_cold_cache_is_saved_once(capsys, tmp_path, monkeypatch):
     reference = tmp_path / "reference.json"
     standard_generators(2, max_index=20, cache_path=str(reference))
     assert (tmp_path / "cache.json").read_bytes() == reference.read_bytes()
+
+
+def _off_weight(entry):
+    entry["terms"].append({"coeff": 1, "partition": [3]})
+
+
+def _truncated(entry):
+    entry["maxWeight"] = 2
+
+
+# a tampered weight-2 cache entry -> (input, the expression computed afresh)
+CACHE_TAMPERS = {
+    "off-weight-term": (_off_weight, "P(2)", "1*X[2]\n"),
+    "truncated-class": (_truncated, "P(2)*P(2)", "1*X[2]^2\n"),
+}
+
+
+@pytest.mark.parametrize("tamper", list(CACHE_TAMPERS))
+def test_cache_with_a_bad_entry_is_recomputed(capsys, tmp_path, tamper):
+    edit, text, want = CACHE_TAMPERS[tamper]
+    cache = tmp_path / "cache.json"  # where the autouse fixture points COBORDLAB_CACHE
+    assert run(capsys, "express", text, "-p", "2") == (0, want, "")
+    good = json.loads(cache.read_text())
+    bad = json.loads(cache.read_text())
+    edit(bad["generators"]["2"])
+    cache.write_text(json.dumps(bad))
+    assert run(capsys, "express", text, "-p", "2") == (0, want, "")
+    assert json.loads(cache.read_text()) == good  # the rejected file was rewritten
 
 
 def test_selftest_json(capsys):

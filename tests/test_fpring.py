@@ -1,4 +1,4 @@
-"""BPoly / GenPoly ring semantics, truncation, and serialization."""
+"""BPoly / GenPoly ring semantics, exactness, and serialization."""
 
 import json
 
@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from cobordlab.fpring import NEG_INF, BPoly, GenPoly, TruncationError, format_bpoly, format_genpoly
+from cobordlab.fpring import NEG_INF, BPoly, GenPoly, format_bpoly, format_genpoly
 from cobordlab.partitions import canonical_term_key, is_partition
 
 partition_st = st.lists(st.integers(1, 6), min_size=0, max_size=4).map(
@@ -19,15 +19,13 @@ def bpoly_triples(draw):
     p = draw(st.sampled_from((2, 3, 5)))
     def one():
         terms = draw(st.dictionaries(partition_st, st.integers(0, p - 1), max_size=4))
-        return BPoly(p, terms, None)
+        return BPoly(p, terms)
     return one(), one(), one()
 
 
 def test_constructor_normalizes():
     x = BPoly(3, {(2, 1): 5, (1,): 3})
     assert x.terms == {(2, 1): 2}  # 5 mod 3, zero dropped
-    y = BPoly(2, {(3,): 1, (1,): 1}, max_weight=2)
-    assert y.terms == {(1,): 1}  # weight-3 term above the truncation
 
 
 def test_constructor_validation():
@@ -35,8 +33,6 @@ def test_constructor_validation():
         BPoly(4, {})
     with pytest.raises(ValueError):
         BPoly(2, {(1, 2): 1})  # not weakly decreasing
-    with pytest.raises(ValueError):
-        BPoly(2, {}, max_weight=-1)
 
 
 def test_boundary_checks_stay_on_public_paths():
@@ -48,43 +44,41 @@ def test_boundary_checks_stay_on_public_paths():
         GenPoly.from_json_dict({"p": 4, "terms": []})
 
 
-@given(bpoly_triples(), st.integers(-7, 7), st.integers(0, 14))
-def test_trusted_results_match_checked_constructor(triple, k, w):
+@given(bpoly_triples(), st.integers(-7, 7))
+def test_trusted_results_match_checked_constructor(triple, k):
     # arithmetic skips the constructor checks; its results must still pass them
     a, b, _ = triple
-    results = [a * b, a + b, a - b, a.scale(k), a.truncate(w), a.truncate(w) * b]
+    results = [a * b, a + b, a + b.scale(-1), a.scale(k)]
     results += a.weight_components().values()
     for r in results:
         assert all(is_partition(alpha) for alpha in r.terms)
         assert all(0 < c < r.p for c in r.terms.values())
-        assert r == BPoly(r.p, r.terms, r.max_weight)
+        assert r == BPoly(r.p, r.terms)
     g, h = GenPoly(a.p, a.terms), GenPoly(b.p, b.terms)
     for r in (g * h, g + h, g.scale(k)):
         assert all(is_partition(beta) for beta in r.terms)
+        assert all(0 < c < r.p for c in r.terms.values())
         assert r == GenPoly(r.p, r.terms)
 
 
 def test_coefficient_and_truncation_error():
-    x = BPoly(2, {(2,): 1}, max_weight=3)
+    x = BPoly(2, {(2,): 1})
     assert x.coefficient((2,)) == 1
     assert x.coefficient((1, 1)) == 0
-    with pytest.raises(TruncationError):
-        x.coefficient((4,))
-    exact = BPoly(2, {(2,): 1})
-    assert exact.coefficient((99,)) == 0  # exact classes answer everywhere
+    assert x.coefficient((99,)) == 0  # classes are exact, so they answer everywhere
+    with pytest.raises(ValueError):
+        x.coefficient((1, 2))
+    # a truncated class from an older file or another tool is refused, not half-read
+    blob = x.to_json_dict()
+    assert blob["maxWeight"] is None
+    with pytest.raises(ValueError):
+        BPoly.from_json_dict(dict(blob, maxWeight=3))
 
 
 def test_square_mod_two():
     # cross terms vanish: (b2 + b1)^2 = b2^2 + b1^2 over F_2
     x = BPoly(2, {(2,): 1, (1,): 1})
     assert (x * x).terms == {(2, 2): 1, (1, 1): 1}
-
-
-def test_mul_respects_truncation_ideal():
-    x = BPoly(2, {(2,): 1, (1,): 1})
-    y = BPoly(2, {(3,): 1, (1, 1): 1})
-    w = 3
-    assert (x * y).truncate(w) == x.truncate(w) * y.truncate(w)
 
 
 @given(bpoly_triples())
@@ -99,15 +93,8 @@ def test_ring_axioms(triple):
     zero = BPoly.zero(x.p)
     assert x * one == x
     assert x + zero == x
-    assert x - x == zero
+    assert x + x.scale(-1) == zero
     assert x.scale(x.p) == zero
-
-
-@given(bpoly_triples())
-def test_pow_is_repeated_mul(triple):
-    x, _, _ = triple
-    assert x ** 0 == BPoly.one(x.p)
-    assert x ** 3 == x * x * x
 
 
 def test_top_weight_and_components():
@@ -137,7 +124,7 @@ wide_partition_st = st.lists(st.integers(1, 9), min_size=0, max_size=7).map(
 @given(st.dictionaries(wide_partition_st, st.integers(1, 4), min_size=2, max_size=40))
 def test_support_matches_the_key_function_sort(terms):
     # mixed weights, and partitions of one weight that share long prefixes
-    for poly in (BPoly(5, terms, None), GenPoly(5, terms)):
+    for poly in (BPoly(5, terms), GenPoly(5, terms)):
         assert poly.support() == sorted(poly.terms, key=canonical_term_key)
 
 
@@ -148,11 +135,6 @@ def test_bpoly_json_roundtrip(triple):
     assert BPoly.from_json_dict(json.loads(blob)) == x
 
 
-def test_json_keeps_truncation():
-    x = BPoly(2, {(2,): 1}, max_weight=5)
-    assert BPoly.from_json_dict(x.to_json_dict()) == x
-
-
 def test_format_bpoly():
     x = BPoly(2, {(4,): 1, (2, 2): 1, (2, 1, 1): 1})
     assert format_bpoly(x) == "1*b[4] + 1*b[2]^2 + 1*b[2]*b[1]^2"
@@ -160,24 +142,25 @@ def test_format_bpoly():
     assert format_bpoly(BPoly.one(3)) == "1"
 
 
-def test_eq_includes_truncation_weight():
-    assert BPoly(2, {(1,): 1}) != BPoly(2, {(1,): 1}, max_weight=5)
-
-
 def test_mixed_prime_rejected():
     with pytest.raises(ValueError):
         BPoly(2, {(1,): 1}) + BPoly(3, {(1,): 1})
+    with pytest.raises(ValueError):
+        GenPoly(2, {(1,): 1}) * GenPoly(3, {(1,): 1})
     with pytest.raises(TypeError):
         BPoly(2, {(1,): 1}) * 3
+    with pytest.raises(TypeError):
+        BPoly(2, {(1,): 1}) + GenPoly(2, {(1,): 1})  # same terms, different ring
+    assert BPoly(2, {(1,): 1}) != GenPoly(2, {(1,): 1})
 
 
 def test_genpoly_degrees():
     P = GenPoly(2, {(5, 2): 1, (3,): 1})
-    assert P.deg() == 7
+    assert P.deg_q(1) == 7  # q = 1 counts every index in full: the top weight
     assert P.deg_q(2) == 3  # floor(5/2) + floor(2/2) beats floor(3/2)
     assert P.deg_q(8) == 0
     zero = GenPoly.zero(2)
-    assert zero.deg() == NEG_INF and zero.deg_q(4) == NEG_INF
+    assert zero.deg_q(1) == NEG_INF and zero.deg_q(4) == NEG_INF
 
 
 def test_genpoly_arithmetic_and_format():
