@@ -4,18 +4,20 @@ Subcommands: class, express, dimq, bound, realize, rho, localize, selftest.
 Classes are entered either as variety expressions ("2.P(4)*H(2,4) + P(1)")
 or in raw mode ("b[2]*b[1]^2 + b[4]"); raw mode is detected by the b[...]
 syntax or a bare integer.  JSON output is deterministic: results depend on
-flags only, never on cache state, and keys are emitted sorted.
+flags only, and keys are emitted sorted.  --max-weight caps the input
+class's weight (raw input defaults to 16); in class it filters instead.
 
 Exit codes: 0 ok, 1 usage or input error, 2 not in the generator ring where
 membership is required, 3 internal assertion failure (including a failing
-selftest).  The COBORDLAB_CACHE environment variable overrides --cache.
+selftest).  Generators are built in memory as a request needs them;
+--cache and the COBORDLAB_CACHE environment variable are accepted and
+ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -34,7 +36,6 @@ from .equivariant import localization_check
 from .fpring import NEG_INF, BPoly, format_bpoly, format_genpoly
 from .partitions import IndexSet, rho_q
 
-DEFAULT_CACHE = os.path.join("~", ".cobordlab", "cache.json")
 RAW_DEFAULT_WEIGHT = 16
 
 
@@ -124,8 +125,12 @@ def is_raw_input(text: str) -> bool:
     return "b[" in text or text.strip().isdigit()
 
 
-def load_class(args) -> BPoly:
-    """The input class, exact, from either input mode."""
+def load_class(args, ceiling: bool = True) -> BPoly:
+    """The input class, exact, from either input mode.
+
+    --max-weight caps the class's top weight for raw input always, and for
+    variety input when ceiling is set (class filters by it instead).
+    """
     if args.max_weight is not None and args.max_weight < 0:
         raise ValueError(f"--max-weight must be nonnegative, got {args.max_weight}")
     text = args.input
@@ -139,7 +144,12 @@ def load_class(args) -> BPoly:
     expr, notes = parse_variety(text)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
-    return chern_numbers(expr, args.prime)
+    x = chern_numbers(expr, args.prime)
+    if ceiling and args.max_weight is not None:
+        top = x.top_weight()
+        if top != NEG_INF and top > args.max_weight:
+            raise ValueError(f"class weight {top} exceeds {args.max_weight}")
+    return x
 
 
 def make_family(args):
@@ -149,8 +159,7 @@ def make_family(args):
         return perturbed_family(args.prime, int(m.group(1)))
     if spec != "standard":
         raise ValueError(f"unknown family {spec!r}; use standard or perturbed(SEED)")
-    cache = os.environ.get("COBORDLAB_CACHE") or getattr(args, "cache", None) or DEFAULT_CACHE
-    return standard_generators(args.prime, cache_path=os.path.expanduser(cache))
+    return standard_generators(args.prime)
 
 
 def _json_dim(v):
@@ -179,7 +188,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_class(args) -> int:
-    x = load_class(args)
+    x = load_class(args, ceiling=False)
     shown = None  # the JSON's maxWeight: set when --max-weight filters a variety's class
     if args.max_weight is not None and not is_raw_input(args.input):
         shown = args.max_weight
@@ -314,14 +323,15 @@ def build_parser() -> _Parser:
     def common(sp, order=False, family=False, input_arg=True):
         if input_arg:
             sp.add_argument("input", help="variety expression or raw b[...] class")
-            sp.add_argument("--max-weight", type=int, default=None, help="weight ceiling (raw default 16)")
+            sp.add_argument("--max-weight", type=int, default=None,
+                            help="weight ceiling (raw default 16); class filters by it")
         sp.add_argument("-p", "--prime", type=int, required=True, help="the prime p")
         if order:
             sp.add_argument("-q", "--order", type=int, required=True, help="group order, a power of p")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if family:
             sp.add_argument("--family", default="standard", help="standard or perturbed(SEED)")
-            sp.add_argument("--cache", default=None, help=f"generator cache path (default {DEFAULT_CACHE})")
+            sp.add_argument("--cache", default=None, help="ignored: generators are built in memory, no cache file")
 
     sp = sub.add_parser("class", help="mod-p class of a variety expression")
     common(sp)

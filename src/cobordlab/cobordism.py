@@ -9,7 +9,8 @@ single-part coefficient c_(i) is nonzero mod p.
 express_in_generators writes an exact class as a polynomial in a family.
 The solve is triangular: the monomial on l_beta only supports partitions
 refining beta, with an explicitly known diagonal entry, so clearing the
-coarsest support element first terminates.  Non-membership is a first-class
+coarsest support element first terminates, and it builds only the
+generators of the monomials it clears.  Non-membership is a first-class
 result: express returns a NotInLp value (an exception instance, raised by
 express_required for callers that need membership) whose witness partition
 is produced by a dense elimination with rows finest-first, so the reported
@@ -19,8 +20,6 @@ obstruction is the coarsest one.
 from __future__ import annotations
 
 import heapq
-import json
-import os
 import random
 from typing import Callable
 
@@ -91,19 +90,16 @@ class GeneratorFamily:
     """A family of polynomial generators, one per index in N_p.
 
     gens maps the index i to an exact homogeneous weight-i class whose
-    single-part coefficient is nonzero.  Monomial classes are memoized.
+    single-part coefficient is nonzero.  Generators are built on first use
+    and kept in memory, as are monomial classes; ensure builds a range ahead.
     """
 
-    def __init__(self, p: int, kind: str, make: Callable[[int], BPoly], cache_path: str | None = None):
+    def __init__(self, p: int, kind: str, make: Callable[[int], BPoly]):
         self.p = p
         self.kind = kind
         self._make = make
         self.gens: dict[int, BPoly] = {}
         self._monomials: dict[Partition, BPoly] = {}
-        self.cache_path = cache_path
-        self._cached_up_to = -1
-        if cache_path:
-            self._load_cache()
 
     def generator(self, i: int) -> BPoly:
         if not in_np(i, self.p):
@@ -119,9 +115,6 @@ class GeneratorFamily:
         for i in range(1, max_index + 1):
             if in_np(i, self.p):
                 self.generator(i)
-        # weight 0 has no generators, so a cold cache is not written until there are some
-        if self.cache_path and max_index > max(self._cached_up_to, 0):
-            self._save_cache(max_index)
 
     def diagonal(self, i: int) -> int:
         """c_(i) of the weight-i generator."""
@@ -136,52 +129,6 @@ class GeneratorFamily:
             self._monomials[beta] = out
         return self._monomials[beta]
 
-    # cache file layout: one prime per file, indices up to maxWeight
-    def _load_cache(self) -> None:
-        try:
-            with open(self.cache_path) as fh:
-                data = json.load(fh)
-            if data.get("version") != 1 or data.get("p") != self.p:
-                return
-            for key, val in data.get("generators", {}).items():
-                cls = BPoly.from_json_dict(val)
-                i = int(key)
-                # a nonzero c_(i) and a single weight put every term at weight i
-                if cls.p != self.p or cls.coefficient((i,)) == 0 or not cls.is_homogeneous():
-                    # corrupt entry, recompute everything
-                    self.gens = {}
-                    self._cached_up_to = -1
-                    return
-                self.gens[i] = cls
-            self._cached_up_to = int(data.get("maxWeight", -1))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            self.gens = {}
-            self._cached_up_to = -1
-
-    def _save_cache(self, max_index: int) -> None:
-        # imported here: tempfile loads shutil and more, and a hot request never saves
-        import tempfile
-
-        data = {
-            "version": 1,
-            "p": self.p,
-            "maxWeight": max_index,
-            "generators": {str(i): cls.to_json_dict() for i, cls in sorted(self.gens.items())},
-        }
-        directory = os.path.dirname(os.path.abspath(self.cache_path))
-        os.makedirs(directory, exist_ok=True)
-        # write beside the target and rename, so a failed write leaves the old file;
-        # json.dumps runs the C encoder, json.dump streams through the Python one
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(data, sort_keys=True))
-            os.replace(tmp, self.cache_path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        self._cached_up_to = max_index
-
     def __repr__(self):
         return f"GeneratorFamily(p={self.p}, kind={self.kind!r}, known={sorted(self.gens)})"
 
@@ -190,11 +137,11 @@ _STANDARD: dict[int, GeneratorFamily] = {}
 
 
 def standard_generators(p: int, max_index: int = 0, cache_path: str | None = None) -> GeneratorFamily:
-    """The standard family; memoized per prime when no cache file is given."""
-    if cache_path is not None:
-        fam = GeneratorFamily(p, "standard", lambda i: atom_class(generator_atom(i, p), p), cache_path)
-        fam.ensure(max_index)
-        return fam
+    """The standard family, memoized per prime, with its generators up to max_index built.
+
+    cache_path is accepted and ignored: generators are built on demand and
+    nothing is read from or written to disk.
+    """
     if p not in _STANDARD:
         _STANDARD[p] = GeneratorFamily(p, "standard", lambda i: atom_class(generator_atom(i, p), p))
     _STANDARD[p].ensure(max_index)
@@ -311,7 +258,6 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
     p = x.p
     solution: dict[Partition, int] = {}
     for weight, comp in sorted(x.weight_components().items()):
-        family.ensure(weight)
         residual = dict(comp.terms)
         # coarsest first; entries whose term has been cleared are skipped
         heap = [(len(a), pt.canonical_term_key(a), a) for a in residual]

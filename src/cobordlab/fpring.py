@@ -159,7 +159,7 @@ class BPoly(_PartitionPoly):
         return {w: BPoly._trusted(self.p, t) for w, t in sorted(comps.items())}
 
     def to_json_dict(self) -> dict:
-        # cache files and class --json carry maxWeight; a BPoly is exact, so it is null
+        # class --json carries maxWeight; a BPoly is exact, so it is null unless class filters
         return {"maxWeight": None, **super().to_json_dict()}
 
     @classmethod

@@ -10,14 +10,13 @@ import pytest
 
 import cobordlab
 from cobordlab.cli import is_raw_input, main, parse_raw_bpoly
-from cobordlab.cobordism import GeneratorFamily, standard_generators
+from cobordlab.cobordism import standard_generators
 from cobordlab.fpring import BPoly
 
 
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    # keep every run away from the real ~/.cobordlab cache
-    monkeypatch.setenv("COBORDLAB_CACHE", str(tmp_path / "cache.json"))
+def _subprocess_env():
+    src = str(Path(cobordlab.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -228,6 +227,17 @@ def test_negative_max_weight_is_an_input_error(capsys, command, text):
     assert run(capsys, *argv) == (1, "", "error: --max-weight must be nonnegative, got -1\n")
 
 
+@pytest.mark.parametrize("command", ["express", "dimq", "bound", "realize"])
+def test_max_weight_caps_variety_input(capsys, command):
+    # the same ceiling as for raw input; class filters by it instead (test_expression_truncation)
+    order = ["-q", "2"] if command != "express" else []
+    argv = [command, "P(8)", "-p", "2", *order, "--max-weight"]
+    assert run(capsys, *argv, "7") == (1, "", "error: class weight 8 exceeds 7\n")
+    assert run(capsys, *argv, "8")[0] == 0
+    # a class that vanishes mod p has no weight to cap
+    assert run(capsys, command, "2.P(1)", "-p", "2", *order, "--max-weight", "0")[0] == 0
+
+
 def test_h_swap_note_on_stderr(capsys):
     code, out_a, err = run(capsys, "class", "H(4,2)", "-p", "2")
     assert code == 0 and "normalized" in err
@@ -235,63 +245,33 @@ def test_h_swap_note_on_stderr(capsys):
     assert out_a == out_b
 
 
-def test_cache_env_override_and_determinism(capsys, tmp_path, monkeypatch):
-    env_cache = tmp_path / "env-cache.json"
-    monkeypatch.setenv("COBORDLAB_CACHE", str(env_cache))
-    argv = ["express", "P(4)", "-p", "2", "--json", "--cache", str(tmp_path / "flag-cache.json")]
-    code, first, _ = run(capsys, *argv)
-    assert code == 0
-    assert env_cache.exists()  # the environment wins over --cache
-    assert not (tmp_path / "flag-cache.json").exists()
-    code, second, _ = run(capsys, *argv)  # cache hit
-    assert code == 0
-    assert first == second  # byte-identical across cache states
+def test_a_tampered_cache_file_changes_no_answer(capsys, tmp_path, monkeypatch):
+    # a file in the old cache format whose weight-4 generator lost its b[2]^2 term
+    fam = standard_generators(2, max_index=4)
+    gens = {str(i): fam.generator(i).to_json_dict() for i in (2, 4)}
+    gens["4"]["terms"] = [t for t in gens["4"]["terms"] if t["partition"] != [2, 2]]
+    cache = tmp_path / "cache.json"
+    cache.write_text(json.dumps({"version": 1, "p": 2, "maxWeight": 4, "generators": gens}))
+    before = cache.read_bytes()
+    monkeypatch.setenv("COBORDLAB_CACHE", str(cache))
+    assert run(capsys, "express", "P(4)", "-p", "2") == (0, "1*X[4]\n", "")
+    monkeypatch.delenv("COBORDLAB_CACHE")
+    assert run(capsys, "express", "P(4)", "-p", "2", "--cache", str(cache)) == (0, "1*X[4]\n", "")
+    assert cache.read_bytes() == before
 
 
-def test_cold_cache_is_saved_once(capsys, tmp_path, monkeypatch):
-    saves = []
-    real_save = GeneratorFamily._save_cache
-
-    def spy(self, max_index):
-        saves.append(max_index)
-        real_save(self, max_index)
-
-    monkeypatch.setattr(GeneratorFamily, "_save_cache", spy)
-    code, _, _ = run(capsys, "dimq", "-p", "2", "-q", "4", "P(20)")
-    assert code == 0
-    assert saves == [20]
-    monkeypatch.undo()
-    reference = tmp_path / "reference.json"
-    standard_generators(2, max_index=20, cache_path=str(reference))
-    assert (tmp_path / "cache.json").read_bytes() == reference.read_bytes()
+def test_an_unwritable_cache_path_is_ignored(capsys):
+    assert run(capsys, "express", "P(40)", "-p", "2", "--cache", "/dev/null/x") == (0, "1*X[40]\n", "")
 
 
-def _off_weight(entry):
-    entry["terms"].append({"coeff": 1, "partition": [3]})
-
-
-def _truncated(entry):
-    entry["maxWeight"] = 2
-
-
-# a tampered weight-2 cache entry -> (input, the expression computed afresh)
-CACHE_TAMPERS = {
-    "off-weight-term": (_off_weight, "P(2)", "1*X[2]\n"),
-    "truncated-class": (_truncated, "P(2)*P(2)", "1*X[2]^2\n"),
-}
-
-
-@pytest.mark.parametrize("tamper", list(CACHE_TAMPERS))
-def test_cache_with_a_bad_entry_is_recomputed(capsys, tmp_path, tamper):
-    edit, text, want = CACHE_TAMPERS[tamper]
-    cache = tmp_path / "cache.json"  # where the autouse fixture points COBORDLAB_CACHE
-    assert run(capsys, "express", text, "-p", "2") == (0, want, "")
-    good = json.loads(cache.read_text())
-    bad = json.loads(cache.read_text())
-    edit(bad["generators"]["2"])
-    cache.write_text(json.dumps(bad))
-    assert run(capsys, "express", text, "-p", "2") == (0, want, "")
-    assert json.loads(cache.read_text()) == good  # the rejected file was rewritten
+@pytest.mark.parametrize("argv", [["express", "P(6)*P(4)"], ["dimq", "-q", "4", "P(8)"]])
+def test_a_run_writes_nothing_under_home(tmp_path, argv):
+    env = dict(_subprocess_env(), HOME=str(tmp_path))
+    env.pop("COBORDLAB_CACHE", None)
+    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", *argv, "-p", "2"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_selftest_json(capsys):
@@ -314,9 +294,8 @@ def test_contract_check_survives_optimize_flag():
         "cli.dim_q_via_generators = lambda x, q, fam=None: -7\n"
         "sys.exit(cli.main(['dimq', 'P(4)', '-p', '2', '-q', '2']))\n"
     )
-    src = str(Path(cobordlab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "dimension disagreement" in proc.stderr
     assert proc.stdout == ""

@@ -17,11 +17,6 @@ import pytest
 from cobordlab.cli import main
 
 
-@pytest.fixture(autouse=True)
-def _isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("COBORDLAB_CACHE", str(tmp_path / "cache.json"))
-
-
 def output_digest(code: int, out: str, err: str) -> str:
     return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
 
@@ -160,6 +155,25 @@ GOLDEN = {
         "4fd236eb5693b339273d73ab375d5907bfdade3e4b395f49b9550d52a02ce67f",
     "dimq 'H(0,0)' -p 3 -q 3 --json":
         "94b8d4cc5f1098f3ea9e738315ed83d40ff500646010a932a02890e0f36a1174",
+    # --max-weight caps a variety's class outside class, as it caps raw input
+    "express 'P(8)' -p 2 --max-weight 7":
+        "7f7fab3d0fc0ef44da70db104f188fa0c9bd160a45160e069a01468924262f7a",
+    "express 'P(8)' -p 2 --max-weight 8":
+        "3a15674cdee0958c99b672a00372a0607cf0457eea322fd93c833a597398be04",
+    "express 'P(2)*P(4) + H(2,4)' -p 2 --max-weight 5 --json":
+        "5822adf02337beeebb3e7e2aec9536f6a7d0c1752bb6d6c2c5012caeac0bae57",
+    "dimq 'P(8)' -p 2 -q 2 --max-weight 1":
+        "f05d10d5e254e274098c565fa05948769516be9a815c37f9a1aa3c0c5018c33f",
+    "dimq '2.P(1)' -p 2 -q 2 --max-weight 0":
+        "5e49a9adfc3e295710c6f57f348ba05523f6c10d051e21919b770ea802ca473e",
+    "bound 'P(6)' -p 3 -q 3 --max-weight 5 --json":
+        "5822adf02337beeebb3e7e2aec9536f6a7d0c1752bb6d6c2c5012caeac0bae57",
+    "bound 'P(6)' -p 3 -q 3 --max-weight 6 --json":
+        "a7df19d8f576937ca4c39d4d162f5a239388bda8939fa3f47b49f015cb984e8f",
+    "realize 'P(4)' -p 2 -q 2 --max-weight 4 --json":
+        "038fc7d7aee072e8ee3bb1266bfbd5fb9acc99b5d98df77e0596c15d2f230ad7",
+    "realize 'P(6) + P(4)' -p 3 -q 3 --max-weight 5":
+        "5822adf02337beeebb3e7e2aec9536f6a7d0c1752bb6d6c2c5012caeac0bae57",
 }
 
 

@@ -1,7 +1,5 @@
 """Generator families, expression in generators, dim_q."""
 
-import json
-import os
 import random
 
 import hypothesis.strategies as st
@@ -10,7 +8,7 @@ from hypothesis import given, settings
 from reference import refines
 
 import cobordlab.partitions as pt
-from cobordlab.chow import HAtom, PAtom, chern_numbers
+from cobordlab.chow import HAtom, PAtom, atom_class, chern_numbers
 from cobordlab.cobordism import (
     GeneratorFamily,
     NotInLp,
@@ -95,7 +93,6 @@ def express_by_elimination(x: BPoly, family: GeneratorFamily) -> GenPoly | NotIn
     """Dense elimination at every weight: the reference route for express_in_generators."""
     result = GenPoly.zero(x.p)
     for weight, comp in sorted(x.weight_components().items()):
-        family.ensure(weight)
         outcome = _gauss_witness(dict(comp.terms), weight, family)
         if isinstance(outcome, tuple):
             return NotInLp(x.p, outcome)
@@ -178,72 +175,25 @@ def test_standard_family_memoized():
     assert standard_generators(2) is standard_generators(2)
 
 
-def test_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "cache.json")
-    fam_a = standard_generators(2, max_index=6, cache_path=path)
-    assert (tmp_path / "cache.json").exists()
-    fam_b = standard_generators(2, cache_path=path)
-    assert fam_b.gens  # loaded, not empty
-    for i in (2, 4, 5, 6):
-        assert fam_b.generator(i) == fam_a.generator(i)
+def _fresh_standard_family(p):
+    return GeneratorFamily(p, "standard", lambda i: atom_class(generator_atom(i, p), p))
 
 
-def test_cache_ignores_corrupt_file(tmp_path):
-    path = tmp_path / "cache.json"
-    path.write_text("{this is not json")
-    fam = standard_generators(2, max_index=4, cache_path=str(path))
-    assert fam.generator(4) == standard_generators(2).generator(4)
+def test_express_builds_only_the_generators_it_clears():
+    fam = _fresh_standard_family(2)
+    x = chern_numbers("P(40)*P(6)", 2)
+    assert express_in_generators(x, fam) == GenPoly(2, {(40, 6): 1})
+    assert sorted(fam.gens) == [6, 40]
 
 
-def test_cache_ignores_other_prime(tmp_path):
-    path = str(tmp_path / "cache.json")
-    standard_generators(2, max_index=6, cache_path=path)
-    fam3 = standard_generators(3, max_index=6, cache_path=path)
-    assert fam3.generator(5) == standard_generators(3).generator(5)
+def test_witness_search_builds_its_unknowns_on_demand():
+    fam = _fresh_standard_family(2)
+    assert express_in_generators(BPoly(2, {(2, 1, 1): 1}), fam) == NotInLp(2, (4,))
+    assert sorted(fam.gens) == [2, 4]
 
 
-def test_cache_rejected_entry_discards_the_whole_file(tmp_path):
-    path = tmp_path / "cache.json"
-    standard_generators(2, max_index=6, cache_path=str(path))
-    data = json.loads(path.read_text())
-    entry = data["generators"]["5"]
-    entry["terms"] = [t for t in entry["terms"] if t["partition"] != [5]]
-    path.write_text(json.dumps(data))
-    fam = GeneratorFamily(2, "standard", standard_generators(2).generator, str(path))
-    assert fam.gens == {}
-    assert fam._cached_up_to == -1
-    fam.ensure(6)
-    assert fam.generator(5) == standard_generators(2).generator(5)
-
-
-def test_cache_write_failure_keeps_the_old_file(tmp_path, monkeypatch):
-    path = tmp_path / "cache.json"
-    standard_generators(2, max_index=6, cache_path=str(path))
-    before = path.read_bytes()
-    real_fdopen = os.fdopen
-
-    class HalfWritten:
-        """A file that takes half of what is written to it, then fails."""
-
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, text):
-            self.fh.write(text[: len(text) // 2])
-            raise OSError("disk full")
-
-    monkeypatch.setattr(os, "fdopen", lambda fd, mode: HalfWritten(real_fdopen(fd, mode)))
-    with pytest.raises(OSError):
-        standard_generators(2, max_index=8, cache_path=str(path))
-    monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert [f.name for f in tmp_path.iterdir()] == ["cache.json"]
-    fam = GeneratorFamily(2, "standard", standard_generators(2).generator, str(path))
-    assert fam._cached_up_to == 6 and sorted(fam.gens) == [2, 4, 5, 6]
-    assert fam.generator(6) == standard_generators(2).generator(6)
+def test_cache_path_is_accepted_and_writes_nothing(tmp_path):
+    fam = standard_generators(2, 6, cache_path=str(tmp_path / "cache.json"))
+    assert fam is standard_generators(2)
+    assert {2, 4, 5, 6} <= set(fam.gens)
+    assert list(tmp_path.iterdir()) == []

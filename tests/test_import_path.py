@@ -3,8 +3,9 @@
 Importing cobordlab.cli must not load dataclasses (which brings inspect, ast,
 dis and tokenize), fractions (which brings decimal), tempfile (which brings
 shutil) or the acceptance checks: a CLI request would pay for them on every
-start.  rho, bound and selftest import what they need inside the function,
-so they run here in fresh processes too.
+start.  An express request must not load any of them either.  rho, bound
+and selftest import what they need inside the function, so they run here
+in fresh processes too.
 """
 
 import json
@@ -19,10 +20,8 @@ DEFERRED = ("dataclasses", "inspect", "fractions", "decimal", "tempfile", "cobor
 SRC = str(Path(cobordlab.__file__).resolve().parent.parent)
 
 
-def _python(*args, cache=None):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    if cache is not None:
-        env["COBORDLAB_CACHE"] = str(cache)
+def _python(*args, **env):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])), **env)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
@@ -51,19 +50,34 @@ def test_importing_the_cli_defers_the_heavy_modules_without_site_hooks():
     assert json.loads(proc.stdout) == []
 
 
-def test_deferred_imports_run_in_fresh_processes(tmp_path):
-    cache = tmp_path / "cache.json"
+# an express request that builds generators, run with -S so that no site
+# hook loads a deferred module first; the list goes to stderr after the output
+EXPRESS_CHECK = (
+    "import json, sys\n"
+    "from cobordlab.cli import main\n"
+    "code = main(['express', '-p', '5', 'P(48)*P(10) + P(58)'])\n"
+    f"print(json.dumps([code, sorted(m for m in {DEFERRED!r} if m in sys.modules)]), file=sys.stderr)\n"
+)
+
+
+def test_an_express_request_loads_no_deferred_module(tmp_path):
+    # an empty HOME: nothing saved by an earlier run can stand in for the work
+    proc = _python("-S", "-c", EXPRESS_CHECK, HOME=str(tmp_path))
+    assert proc.stdout == "1*X[58] + 1*X[48]*X[10]\n"
+    assert json.loads(proc.stderr) == [0, []]
+
+
+def test_deferred_imports_run_in_fresh_processes():
     proc = _python("-m", "cobordlab.cli", "rho", "-p", "2", "-q", "2", "--np-minus", "")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rho_2 = 2/5\n", "")
     proc = _python("-m", "cobordlab.cli", "rho", "-p", "3", "-q", "3", "--members", "6,8", "--json")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{\n  "rho": "1/4"\n}\n', "")
-    # the cache is cold, so this run also saves it through the deferred tempfile import
     proc = _python("-m", "cobordlab.cli", "bound", "-p", "2", "-q", "2", "P(4)", "--indices", "",
-                   "--parts", "0", "--milnor-d", "0", "--json", cache=cache)
+                   "--parts", "0", "--milnor-d", "0", "--json")
     assert proc.returncode == 0, proc.stderr
     blob = json.loads(proc.stdout)
     assert blob["ratio"]["bound"] == 2 and blob["milnor"] is False
-    proc = _python("-m", "cobordlab.cli", "selftest", "--json", cache=cache)
+    proc = _python("-m", "cobordlab.cli", "selftest", "--json")
     assert proc.returncode == 0, proc.stderr
     blob = json.loads(proc.stdout)
     assert (blob["passed"], blob["failed"]) == (12, 0)
