@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import cache
 
 from .chow import HAtom, PAtom, VExpr, VProduct, chern_numbers, make_h_atom
 from .cobordism import GeneratorFamily, dim_q_direct, express_required, generator_atom
@@ -209,8 +210,13 @@ def construct_action_H(n: int, m: int, G: CharacterGroup) -> HAct:
     return action
 
 
+@cache
 def construct_action_L(i: int, G: CharacterGroup) -> PAct | HAct:
-    """Action on the weight-i generator variety with fixed dimension floor(i/q)."""
+    """Action on the weight-i generator variety with fixed dimension floor(i/q).
+
+    Memoized per (i, G): actions are immutable records, so one instance
+    serves every monomial that uses the generator.
+    """
     atom = generator_atom(i, G.p)
     if isinstance(atom, PAtom):
         action: PAct | HAct = construct_action_P(atom.n, G)

@@ -171,11 +171,10 @@ def np_monomial_ratio_violations(p: int, q: int, max_weight: int) -> list[Partit
     Mathematically empty for every (p, q); the exhaustive scan is the
     machine check.  With p = q = 2 the threshold is ceil(2n/5).
     """
-    np_indices = IndexSet.np_minus(p)
-    rho = rho_q(np_indices, q)
+    rho = rho_q(IndexSet.np_minus(p), q)
     violations = []
     for n in range(1, max_weight + 1):
-        for beta in pt.partitions_of(n, parts=np_indices):
+        for beta in pt.np_partitions(n, p):
             if pt.pi_q(beta, q) < ceil(rho * n):
                 violations.append(beta)
     return violations

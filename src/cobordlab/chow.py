@@ -328,11 +328,34 @@ def atom_class(atom: Atom, p: int) -> BPoly:
     return _ATOM_CACHE[key]
 
 
+_PRODUCT_CACHE: dict[tuple, BPoly] = {}
+
+
+def product_class(atoms, p: int) -> BPoly:
+    """Exact mod-p class of a product of atoms, memoized per prime and atom multiset.
+
+    The class of a product does not depend on the order of its factors, so
+    the memo key holds the atoms sorted.  A one-atom product is the atom's
+    own class.
+    """
+    if len(atoms) == 1:
+        return atom_class(atoms[0], p)
+    key = (p, tuple(sorted(atoms, key=str)))
+    cls = _PRODUCT_CACHE.get(key)
+    if cls is None:
+        cls = BPoly.one(p)
+        for atom in key[1]:
+            cls = cls * atom_class(atom, p)
+        _PRODUCT_CACHE[key] = cls
+    return cls
+
+
 def chern_numbers(expr, p: int) -> BPoly:
     """Exact mod-p Chern-number class of a variety expression.
 
     Accepts a VExpr, a VProduct, an atom, or a string in the expression
-    grammar.
+    grammar.  The products' classes come from the product memo, and their
+    multiples are summed into one dict that is reduced mod p once.
     """
     if isinstance(expr, str):
         expr, _ = parse_variety(expr)
@@ -340,10 +363,9 @@ def chern_numbers(expr, p: int) -> BPoly:
         expr = VExpr(((1, VProduct((expr,))),))
     if isinstance(expr, VProduct):
         expr = VExpr(((1, expr),))
-    total = BPoly.zero(p)
+    pt.check_prime(p)
+    acc: dict[pt.Partition, int] = {}
     for mult, prod in expr.parts:
-        term = BPoly.one(p)
-        for atom in prod.atoms:
-            term = term * atom_class(atom, p)
-        total = total + term.scale(mult)
-    return total
+        for alpha, c in product_class(prod.atoms, p).terms.items():
+            acc[alpha] = acc.get(alpha, 0) + mult * c
+    return BPoly._trusted(p, acc)

@@ -8,9 +8,10 @@ single-part coefficient c_(i) is nonzero mod p.
 
 express_in_generators writes an exact class as a polynomial in a family.
 The solve is triangular: the monomial on l_beta only supports partitions
-refining beta, with an explicitly known diagonal entry, so clearing the
-coarsest support element first terminates, and it builds only the
-generators of the monomials it clears.  Non-membership is a first-class
+refining beta, with an explicitly known diagonal entry.  A strict
+refinement has more parts, so clearing the support one length at a time,
+fewest parts first, terminates, and it builds only the generators of the
+monomials it clears.  Non-membership is a first-class
 result: express returns a NotInLp value (an exception instance, raised by
 express_required for callers that need membership) whose witness partition
 is produced by a dense elimination with rows finest-first, so the reported
@@ -19,14 +20,13 @@ obstruction is the coarsest one.
 
 from __future__ import annotations
 
-import heapq
 import random
 from typing import Callable
 
 from . import partitions as pt
-from .chow import HAtom, PAtom, atom_class
-from .fpring import NEG_INF, BPoly, GenPoly
-from .partitions import IndexSet, Partition, in_np
+from .chow import HAtom, PAtom, atom_class, product_class
+from .fpring import BPoly, GenPoly
+from .partitions import Partition, in_np
 
 __all__ = [
     "NotInLp",
@@ -91,7 +91,9 @@ class GeneratorFamily:
 
     gens maps the index i to an exact homogeneous weight-i class whose
     single-part coefficient is nonzero.  Generators are built on first use
-    and kept in memory, as are monomial classes; ensure builds a range ahead.
+    and kept in memory, with their single-part coefficients, as are monomial
+    classes; ensure builds a range ahead.  Indices and monomials are checked
+    when they are first built, not on a memo hit.
     """
 
     def __init__(self, p: int, kind: str, make: Callable[[int], BPoly]):
@@ -99,16 +101,19 @@ class GeneratorFamily:
         self.kind = kind
         self._make = make
         self.gens: dict[int, BPoly] = {}
+        self._diagonals: dict[int, int] = {}
         self._monomials: dict[Partition, BPoly] = {}
 
     def generator(self, i: int) -> BPoly:
-        if not in_np(i, self.p):
-            raise ValueError(f"{i} is not a generator index for p={self.p}")
         if i not in self.gens:
+            if not in_np(i, self.p):
+                raise ValueError(f"{i} is not a generator index for p={self.p}")
             cls = self._make(i)
-            if cls.coefficient((i,)) == 0:
+            diag = cls.terms.get((i,), 0)
+            if diag == 0:
                 raise AssertionError(f"weight-{i} class fails the generator criterion")
             self.gens[i] = cls
+            self._diagonals[i] = diag
         return self.gens[i]
 
     def ensure(self, max_index: int) -> None:
@@ -118,19 +123,46 @@ class GeneratorFamily:
 
     def diagonal(self, i: int) -> int:
         """c_(i) of the weight-i generator."""
-        return self.generator(i).coefficient((i,))
+        if i not in self._diagonals:
+            self.generator(i)
+        return self._diagonals[i]
 
     def monomial_class(self, beta: Partition) -> BPoly:
+        """The class of the monomial l_beta; beta is checked on a memo miss."""
+        try:
+            return self._monomials[beta]
+        except (KeyError, TypeError):  # an unhashable beta is refused by the check
+            pass
         beta = pt.check_partition(beta)
-        if beta not in self._monomials:
-            out = BPoly.one(self.p)
-            for part in beta:
-                out = out * self.generator(part)
-            self._monomials[beta] = out
-        return self._monomials[beta]
+        cls = self._product(beta)
+        self._monomials[beta] = cls
+        return cls
+
+    def _product(self, beta: Partition) -> BPoly:
+        out = BPoly.one(self.p)
+        for part in beta:
+            out = out * self.generator(part)
+        return out
 
     def __repr__(self):
         return f"GeneratorFamily(p={self.p}, kind={self.kind!r}, known={sorted(self.gens)})"
+
+
+class _StandardFamily(GeneratorFamily):
+    """The family of the generator atoms, whose monomials are products of atoms.
+
+    A monomial's class is read from chow's product memo, which
+    chern_numbers shares, so a class realized from the standard
+    generators is multiplied out once.
+    """
+
+    def __init__(self, p: int):
+        super().__init__(p, "standard", lambda i: atom_class(generator_atom(i, p), p))
+
+    def _product(self, beta: Partition) -> BPoly:
+        for part in beta:
+            self.generator(part)  # builds it and checks the generator criterion
+        return product_class(tuple(generator_atom(part, self.p) for part in beta), self.p)
 
 
 _STANDARD: dict[int, GeneratorFamily] = {}
@@ -143,7 +175,7 @@ def standard_generators(p: int, max_index: int = 0, cache_path: str | None = Non
     nothing is read from or written to disk.
     """
     if p not in _STANDARD:
-        _STANDARD[p] = GeneratorFamily(p, "standard", lambda i: atom_class(generator_atom(i, p), p))
+        _STANDARD[p] = _StandardFamily(p)
     _STANDARD[p].ensure(max_index)
     return _STANDARD[p]
 
@@ -173,12 +205,14 @@ def perturbed_family(p: int, seed: int, max_index: int = 0) -> GeneratorFamily:
 
 
 def evaluate_gen_poly(gp: GenPoly, family: GeneratorFamily) -> BPoly:
+    """The class of a generator polynomial: its monomial classes summed into one dict."""
     if gp.p != family.p:
         raise ValueError("prime mismatch")
-    out = BPoly.zero(gp.p)
+    acc: dict[Partition, int] = {}
     for beta, coeff in gp.terms.items():
-        out = out + family.monomial_class(beta).scale(coeff)
-    return out
+        for alpha, c in family.monomial_class(beta).terms.items():
+            acc[alpha] = acc.get(alpha, 0) + coeff * c
+    return BPoly._trusted(gp.p, acc)
 
 
 def _gauss_witness(x_w: dict[Partition, int], weight: int, family: GeneratorFamily) -> dict[Partition, int] | Partition:
@@ -190,7 +224,7 @@ def _gauss_witness(x_w: dict[Partition, int], weight: int, family: GeneratorFami
     an inconsistency is reported at the coarsest possible row.
     """
     p = family.p
-    unknowns = pt.partitions_of(weight, parts=IndexSet.np_minus(p))
+    unknowns = pt.np_partitions(weight, p)
     columns = {beta: family.monomial_class(beta) for beta in unknowns}
     rows = sorted(pt.partitions_of(weight), key=pt.canonical_term_key, reverse=True)
     pivots: dict[Partition, tuple[dict, int]] = {}  # pivot unknown -> (row vector, rhs)
@@ -248,42 +282,47 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
     """Write an exact class as a polynomial in the family's generators.
 
     Returns a NotInLp verdict (not raised) when impossible.  The main path
-    clears the coarsest support element each step; a support element owning
-    a part outside N_p certifies failure, at which point the elimination
-    fallback pins down the witness.  Non-homogeneous classes are handled
-    one weight component at a time.
+    clears the support by number of parts, fewest first; a support element
+    owning a part outside N_p certifies failure, at which point the
+    elimination fallback pins down the witness.  Non-homogeneous classes are
+    handled one weight component at a time.
     """
     if x.p != family.p:
         raise ValueError("prime mismatch")
     p = x.p
     solution: dict[Partition, int] = {}
-    for weight, comp in sorted(x.weight_components().items()):
+    for weight, comp in x.weight_components().items():
         residual = dict(comp.terms)
-        # coarsest first; entries whose term has been cleared are skipped
-        heap = [(len(a), pt.canonical_term_key(a), a) for a in residual]
-        heapq.heapify(heap)
-        while residual:
-            alpha = heapq.heappop(heap)[2]
-            if alpha not in residual:
-                continue
-            if any(not in_np(part, p) for part in alpha):
-                outcome = _gauss_witness(dict(comp.terms), weight, family)
-                if isinstance(outcome, tuple):
-                    return NotInLp(p, outcome)
-                raise AssertionError("triangular solve stalled on a solvable system")
-            diag = 1
-            for part in alpha:
-                diag = (diag * family.diagonal(part)) % p
-            coeff = (residual[alpha] * pow(diag, -1, p)) % p
-            solution[alpha] = solution.get(alpha, 0) + coeff
-            for beta, c in family.monomial_class(alpha).terms.items():
-                nv = (residual.get(beta, 0) - coeff * c) % p
-                if nv:
-                    if beta not in residual:
-                        heapq.heappush(heap, (len(beta), pt.canonical_term_key(beta), beta))
-                    residual[beta] = nv
-                else:
-                    residual.pop(beta, None)
+        outside = pt.outside_np(weight, p)
+        # Clearing alpha zeroes it and changes only strict refinements of
+        # alpha, which have more parts; so within one length the order does
+        # not matter, and a bucket only grows while a shorter one is cleared.
+        by_length: list[list[Partition]] = [[] for _ in range(weight + 1)]
+        for alpha in residual:
+            by_length[len(alpha)].append(alpha)
+        for bucket in by_length:
+            for alpha in bucket:
+                r = residual.get(alpha)
+                if r is None:  # cleared since it was queued
+                    continue
+                if not outside.isdisjoint(alpha):
+                    outcome = _gauss_witness(dict(comp.terms), weight, family)
+                    if isinstance(outcome, tuple):
+                        return NotInLp(p, outcome)
+                    raise AssertionError("triangular solve stalled on a solvable system")
+                diag = 1
+                for part in alpha:
+                    diag = diag * family.diagonal(part) % p
+                coeff = r * pow(diag, -1, p) % p
+                solution[alpha] = coeff
+                for beta, c in family.monomial_class(alpha).terms.items():
+                    nv = (residual.get(beta, 0) - coeff * c) % p
+                    if nv:
+                        if beta not in residual:
+                            by_length[len(beta)].append(beta)
+                        residual[beta] = nv
+                    else:
+                        residual.pop(beta, None)
     return GenPoly._trusted(p, solution)
 
 
@@ -302,11 +341,7 @@ def express_required(x: BPoly, family: GeneratorFamily | None = None) -> GenPoly
 
 def dim_q_direct(x: BPoly, q: int):
     """Largest sum of floor(part/q) over the support; -inf for the zero class."""
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    if x.is_zero():
-        return NEG_INF
-    return max(pt.pi_q(alpha, q) for alpha in x.terms)
+    return pt.max_pi_q(x.terms, q)
 
 
 def dim_q_via_generators(x: BPoly, q: int, family: GeneratorFamily | None = None):
@@ -318,16 +353,17 @@ def dim_q_via_generators(x: BPoly, q: int, family: GeneratorFamily | None = None
 
 def random_gen_poly(rng: random.Random, p: int, top_weight: int, max_terms: int = 4) -> GenPoly:
     """Random polynomial in the generators with term weights up to top_weight."""
-    out = GenPoly.zero(p)
+    pt.check_prime(p)
+    terms: dict[Partition, int] = {}
     n_terms = rng.randint(1, max_terms)
     attempts = 0
     while n_terms > 0 and attempts < 200:
         attempts += 1
         w = rng.randint(1, top_weight)
-        choices = pt.partitions_of(w, parts=IndexSet.np_minus(p))
+        choices = pt.np_partitions(w, p)
         if not choices:
             continue
         beta = rng.choice(choices)
-        out = out + GenPoly.monomial(p, beta, rng.randrange(1, p))
+        terms[beta] = terms.get(beta, 0) + rng.randrange(1, p)
         n_terms -= 1
-    return out
+    return GenPoly._trusted(p, terms)

@@ -23,17 +23,16 @@ from __future__ import annotations
 from collections import Counter
 
 from . import partitions as pt
-from .partitions import Partition, canonical_order
-
-NEG_INF = float("-inf")
+from .partitions import NEG_INF, Partition, canonical_order
 
 
 def _normalize(terms: dict, p: int) -> dict:
+    """The terms with coefficients reduced mod p and zeros dropped; keys are kept as given."""
     out = {}
     for alpha, c in terms.items():
         c %= p
         if c:
-            out[tuple(alpha)] = c
+            out[alpha] = c
     return out
 
 
@@ -60,16 +59,21 @@ class _PartitionPoly:
     def __init__(self, p: int, terms: dict | None = None):
         pt.check_prime(p)
         self.p = p
-        self.terms = _normalize(terms or {}, p)
+        self.terms = _normalize({tuple(alpha): c for alpha, c in (terms or {}).items()}, p)
         for alpha in self.terms:
             pt.check_partition(alpha)
 
     @classmethod
     def _trusted(cls, p: int, terms: dict):
         """Build from valid partitions over a prime, skipping the checks."""
+        return cls._reduced(p, _normalize(terms, p))
+
+    @classmethod
+    def _reduced(cls, p: int, terms: dict):
+        """Wrap terms that are valid and already reduced mod p, without a copy."""
         obj = object.__new__(cls)
         obj.p = p
-        obj.terms = _normalize(terms, p)
+        obj.terms = terms
         return obj
 
     @classmethod
@@ -156,7 +160,7 @@ class BPoly(_PartitionPoly):
         comps: dict[int, dict] = {}
         for alpha, c in self.terms.items():
             comps.setdefault(sum(alpha), {})[alpha] = c
-        return {w: BPoly._trusted(self.p, t) for w, t in sorted(comps.items())}
+        return {w: BPoly._reduced(self.p, t) for w, t in sorted(comps.items())}
 
     def to_json_dict(self) -> dict:
         # class --json carries maxWeight; a BPoly is exact, so it is null unless class filters
@@ -178,7 +182,7 @@ class GenPoly(_PartitionPoly):
 
     def deg_q(self, q: int):
         """Degree where the symbol of index i counts floor(i/q); NEG_INF for zero."""
-        return max((pt.pi_q(b, q) for b in self.terms), default=NEG_INF)
+        return pt.max_pi_q(self.terms, q)
 
 
 def _format_terms(poly: _PartitionPoly) -> str:

@@ -11,10 +11,13 @@ canonical term order, and the Record base of the value types.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import attrgetter
 
 Partition = tuple[int, ...]
+
+# the value of an invariant that has no term to take a maximum over
+NEG_INF = float("-inf")
 
 # partitions_of and chow.atom_class refuse weights above this
 DEFAULT_WEIGHT_CAP = 64
@@ -46,6 +49,14 @@ def pi_q(alpha: Partition, q: int) -> int:
     return sum(a // q for a in alpha)
 
 
+def max_pi_q(partitions, q: int):
+    """Largest pi_q over the partitions, with q checked once; -inf for none."""
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    part_over_q = q.__rfloordiv__  # a -> a // q, without a Python-level call per part
+    return max((sum(map(part_over_q, alpha)) for alpha in partitions), default=NEG_INF)
+
+
 def partitions_of(n: int, parts=None) -> list[Partition]:
     """All partitions of n in canonical order, optionally with restricted parts.
 
@@ -62,6 +73,12 @@ def partitions_of(n: int, parts=None) -> list[Partition]:
     if parts is not None:
         allowed = tuple(v for v in range(n, 0, -1) if v in parts)
     return list(_enumerate(n, allowed))
+
+
+@cache
+def np_partitions(n: int, p: int) -> tuple[Partition, ...]:
+    """partitions_of(n, parts=IndexSet.np_minus(p)) as a tuple, memoized per (n, p)."""
+    return tuple(partitions_of(n, parts=IndexSet.np_minus(p)))
 
 
 # keyed by (n, allowed parts); the entry count is bounded so that a long
@@ -121,6 +138,12 @@ def is_power_of(n: int, p: int) -> bool:
 def in_np(i: int, p: int) -> bool:
     """Membership in the generator index set: i >= 1 and i+1 not a power of p."""
     return i >= 1 and not is_power_of(i + 1, p)
+
+
+@cache
+def outside_np(n: int, p: int) -> frozenset[int]:
+    """The indices 1..n that are not in N_p, memoized per (n, p)."""
+    return frozenset(i for i in range(1, n + 1) if not in_np(i, p))
 
 
 class Record:

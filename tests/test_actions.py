@@ -80,6 +80,10 @@ def test_construct_action_l():
     assert len(act.V) == 3 and len(act.W) == 5
     with pytest.raises(ValueError):
         construct_action_L(2, CharacterGroup.cyclic(3))  # 2 not in N_3
+    # memoized per (i, G): the same record, and a bad index still refused
+    assert construct_action_L(5, CharacterGroup.cyclic(2)) is act
+    with pytest.raises(ValueError):
+        construct_action_L(2, CharacterGroup.cyclic(3))
 
 
 @settings(deadline=None)

@@ -20,6 +20,7 @@ from reference import (
     tangent_kclass,
 )
 
+from cobordlab import chow
 from cobordlab.chow import (
     _h_class,
     _inverse_power_slice,
@@ -230,3 +231,21 @@ def test_kclass_rank_negate():
 def test_vexpr_dim_empty():
     assert VExpr(()).dim() == -1
     assert str(VExpr(())) == "0"
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_product_memo_matches_bpoly_products(p, monkeypatch):
+    monkeypatch.setattr(chow, "_PRODUCT_CACHE", {})
+    P2, H24 = atom_class(PAtom(2), p), atom_class(HAtom(2, 4), p)
+    want = P2 * H24
+    assert want == H24 * P2
+    for text in ("P(2)*H(2,4)", "H(2,4)*P(2)"):
+        assert chern_numbers(text, p) == want  # the first call fills the memo
+        assert chern_numbers(text, p) == want
+    assert len(chow._PRODUCT_CACHE) == 1  # one entry serves both factor orders
+    assert chern_numbers("2.P(2)*H(2,4) + H(2,4)*P(2)", p) == want.scale(3)
+
+
+def test_chern_numbers_checks_the_prime():
+    with pytest.raises(ValueError, match="not prime"):
+        chern_numbers("P(2)*P(2)", 4)

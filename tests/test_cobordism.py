@@ -197,3 +197,86 @@ def test_cache_path_is_accepted_and_writes_nothing(tmp_path):
     assert fam is standard_generators(2)
     assert {2, 4, 5, 6} <= set(fam.gens)
     assert list(tmp_path.iterdir()) == []
+
+
+def _member_and_off_ring(rng, p, fam):
+    """A seeded member, and it plus b_alpha where alpha has a part outside N_p."""
+    x = evaluate_gen_poly(random_gen_poly(rng, p, 9), fam)
+    w = rng.randint(2, 9)
+    e = rng.choice(sorted(pt.outside_np(w, p)))
+    alpha = tuple(sorted((e,) + rng.choice(pt.partitions_of(w - e)), reverse=True))
+    return x, x + BPoly.monomial(p, alpha, rng.randrange(1, p))
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("perturb", (False, True), ids=("standard", "perturbed"))
+def test_express_agrees_with_elimination_off_the_ring(p, perturb):
+    # the length-ordered solve hands a non-member over to the elimination at
+    # the length where it meets a part outside N_p; both routes must agree
+    fam = perturbed_family(p, 11) if perturb else standard_generators(p)
+    outcomes = set()
+    for seed in range(60):
+        for x in _member_and_off_ring(random.Random(seed), p, fam):
+            got = express_in_generators(x, fam)
+            assert got == express_by_elimination(x, fam), (seed, x)
+            outcomes.add(type(got))
+    assert outcomes == {GenPoly, NotInLp}
+
+
+def _product_of_generators(fam, beta):
+    out = BPoly.one(fam.p)
+    for part in beta:
+        out = out * fam.generator(part)
+    return out
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_monomial_classes_are_products_of_the_familys_own_generators(p):
+    std = standard_generators(p)
+    pert = perturbed_family(p, 7)
+    # a user family named "standard" whose generators are the perturbed ones
+    impostor = GeneratorFamily(p, "standard", pert.generator)
+    for fam in (std, _fresh_standard_family(p), pert, impostor):
+        for w in range(1, 11):
+            for beta in pt.np_partitions(w, p):
+                want = _product_of_generators(fam, beta)
+                assert fam.monomial_class(beta) == want, (fam, beta)
+                assert fam.monomial_class(beta) == want, (fam, beta)  # memo warm
+    assert any(impostor.monomial_class(b) != std.monomial_class(b)
+               for w in range(1, 11) for b in pt.np_partitions(w, p))
+
+
+def test_monomial_class_still_refuses_bad_input_once_warm():
+    fam = standard_generators(2)
+    for beta in pt.np_partitions(6, 2):
+        fam.monomial_class(beta)
+    for _ in range(2):
+        for bad in ((1, 2), (2, 4), (0,), [2, 2], (3,), (2, 1)):
+            with pytest.raises(ValueError):
+                fam.monomial_class(bad)
+
+
+def test_diagonal_builds_on_demand_and_refuses_bad_indices():
+    fam = _fresh_standard_family(3)
+    assert fam.diagonal(5) == 2  # 5 + 1 = 2 * 3
+    assert sorted(fam.gens) == [5]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            fam.diagonal(2)  # 3 is a power of 3
+
+
+def test_random_gen_poly_draws_as_the_chained_sum_did():
+    # the draws must not move: the acceptance checks are pinned to SEED
+    for p in (2, 3):
+        for seed in range(40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = random_gen_poly(rng, p, 16)
+            want = GenPoly.zero(p)
+            n_terms, attempts = ref.randint(1, 4), 0
+            while n_terms > 0 and attempts < 200:
+                attempts += 1
+                choices = pt.partitions_of(ref.randint(1, 16), parts=pt.IndexSet.np_minus(p))
+                if choices:
+                    want = want + GenPoly.monomial(p, ref.choice(choices), ref.randrange(1, p))
+                    n_terms -= 1
+            assert got == want and rng.getstate() == ref.getstate()

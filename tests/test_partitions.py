@@ -197,3 +197,26 @@ def test_canonical_term_key_order():
     everything = [a for n in range(4) for a in pt.partitions_of(n)]
     got = sorted(everything, key=pt.canonical_term_key)
     assert got == [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+
+
+def test_np_partitions_is_the_restricted_enumeration():
+    for p in (2, 3, 5):
+        for n in range(21):
+            got = pt.np_partitions(n, p)
+            assert isinstance(got, tuple) and got is pt.np_partitions(n, p)
+            assert list(got) == pt.partitions_of(n, parts=IndexSet.np_minus(p))
+            assert pt.outside_np(n, p) == {i for i in range(1, n + 1) if not pt.in_np(i, p)}
+    with pytest.raises(ValueError):
+        pt.np_partitions(pt.DEFAULT_WEIGHT_CAP + 1, 2)
+    with pytest.raises(ValueError):
+        pt.np_partitions(4, 4)
+
+
+def test_max_pi_q_checks_q_once_per_call():
+    ps = pt.partitions_of(7)
+    for q in (1, 2, 3, 8):
+        assert pt.max_pi_q(ps, q) == max(pt.pi_q(a, q) for a in ps)
+    assert pt.max_pi_q([], 2) == float("-inf")
+    for q in (0, -1):
+        with pytest.raises(ValueError):
+            pt.max_pi_q([], q)
