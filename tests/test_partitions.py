@@ -212,7 +212,7 @@ def test_np_partitions_is_the_restricted_enumeration():
         pt.np_partitions(4, 4)
 
 
-def test_max_pi_q_checks_q_once_per_call():
+def test_max_pi_q_values_and_q_check():
     ps = pt.partitions_of(7)
     for q in (1, 2, 3, 8):
         assert pt.max_pi_q(ps, q) == max(pt.pi_q(a, q) for a in ps)
