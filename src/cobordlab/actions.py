@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cache
+from functools import cache, lru_cache
 
 from .chow import HAtom, PAtom, VExpr, VProduct, chern_numbers, make_h_atom
 from .cobordism import GeneratorFamily, dim_q_direct, express_required, generator_atom
@@ -137,17 +137,8 @@ def fixed_dim(a: WeightedVariety):
     pairs (c, g), of dimension (mult_V(c) - 1) + (r - 1) where the fibre
     rank is r = mult_W(g), less one when g = c; empty unless r >= 1.
     """
-    if isinstance(a, PAct):
-        return max(Counter(a.weights).values()) - 1
-    if isinstance(a, HAct):
-        cv, cw = Counter(a.V), Counter(a.W)
-        best = NEG_INF
-        for c, mv in cv.items():
-            for g, mw in cw.items():
-                r = mw - (1 if g == c else 0)
-                if r >= 1:
-                    best = max(best, (mv - 1) + (r - 1))
-        return best
+    if isinstance(a, (PAct, HAct)):
+        return _atomic_fixed_dim(a)
     if isinstance(a, Product):
         total = 0
         for f in a.factors:
@@ -159,6 +150,21 @@ def fixed_dim(a: WeightedVariety):
     if isinstance(a, Disjoint):
         return max((fixed_dim(node) for _, node in a.parts), default=NEG_INF)
     raise TypeError(f"not an action node: {a!r}")
+
+
+# keyed by value, so equal actions built apart share an entry; bounded for long sessions
+@lru_cache(maxsize=1 << 12)
+def _atomic_fixed_dim(a: PAct | HAct):
+    if isinstance(a, PAct):
+        return max(Counter(a.weights).values()) - 1
+    cv, cw = Counter(a.V), Counter(a.W)
+    best = NEG_INF
+    for c, mv in cv.items():
+        for g, mw in cw.items():
+            r = mw - (1 if g == c else 0)
+            if r >= 1:
+                best = max(best, (mv - 1) + (r - 1))
+    return best
 
 
 def _character_multiset(dim_plus_one: int, G: CharacterGroup) -> tuple[Character, ...]:

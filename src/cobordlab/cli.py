@@ -254,6 +254,8 @@ def cmd_bound(args) -> int:
 
 def cmd_realize(args) -> int:
     q = check_order(args.prime, args.order)
+    if q == 1:
+        raise ValueError("order 1 is the trivial group, which fixes every point; realize needs q = p^k with k >= 1")
     x = load_class(args)
     fam = make_family(args)
     action, achieved = realize(x, CharacterGroup.cyclic(q), fam)

@@ -92,8 +92,8 @@ class GeneratorFamily:
     gens maps the index i to an exact homogeneous weight-i class whose
     single-part coefficient is nonzero.  Generators are built on first use
     and kept in memory, with their single-part coefficients, as are monomial
-    classes; ensure builds a range ahead.  Indices and monomials are checked
-    when they are first built, not on a memo hit.
+    classes and their clearing rows; ensure builds a range ahead.  Indices
+    and monomials are checked when they are first built, not on a memo hit.
     """
 
     def __init__(self, p: int, kind: str, make: Callable[[int], BPoly]):
@@ -103,6 +103,7 @@ class GeneratorFamily:
         self.gens: dict[int, BPoly] = {}
         self._diagonals: dict[int, int] = {}
         self._monomials: dict[Partition, BPoly] = {}
+        self._rows: dict[Partition, tuple[int, dict[Partition, int]]] = {}
 
     def generator(self, i: int) -> BPoly:
         if i not in self.gens:
@@ -138,11 +139,19 @@ class GeneratorFamily:
         self._monomials[beta] = cls
         return cls
 
+    def clearing_row(self, alpha: Partition) -> tuple[int, dict[Partition, int]]:
+        """(1 / c_alpha mod p, the terms dict itself) of l_alpha; c_alpha is a product of diagonals."""
+        row = self._rows.get(alpha)
+        if row is None:
+            terms = self.monomial_class(alpha).terms
+            row = self._rows[alpha] = (pow(terms[alpha], -1, self.p), terms)
+        return row
+
     def _product(self, beta: Partition) -> BPoly:
-        out = BPoly.one(self.p)
-        for part in beta:
-            out = out * self.generator(part)
-        return out
+        # the memoized prefix times the last generator: the same left-to-right product
+        if not beta:
+            return BPoly.one(self.p)
+        return self.monomial_class(beta[:-1]) * self.generator(beta[-1])
 
     def __repr__(self):
         return f"GeneratorFamily(p={self.p}, kind={self.kind!r}, known={sorted(self.gens)})"
@@ -290,39 +299,47 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
     if x.p != family.p:
         raise ValueError("prime mismatch")
     p = x.p
+    components: dict[int, dict[Partition, int]] = {}
+    for alpha, c in x.terms.items():
+        components.setdefault(sum(alpha), {})[alpha] = c
     solution: dict[Partition, int] = {}
-    for weight, comp in x.weight_components().items():
-        residual = dict(comp.terms)
+    for weight in sorted(components):
+        residual = components[weight]
         outside = pt.outside_np(weight, p)
         # Clearing alpha zeroes it and changes only strict refinements of
         # alpha, which have more parts; so within one length the order does
         # not matter, and a bucket only grows while a shorter one is cleared.
-        by_length: list[list[Partition]] = [[] for _ in range(weight + 1)]
+        by_length: dict[int, list[Partition]] = {}
         for alpha in residual:
-            by_length[len(alpha)].append(alpha)
-        for bucket in by_length:
+            by_length.setdefault(len(alpha), []).append(alpha)
+        length = 0
+        while by_length:
+            bucket = by_length.pop(length, ())
+            length += 1
             for alpha in bucket:
                 r = residual.get(alpha)
                 if r is None:  # cleared since it was queued
                     continue
                 if not outside.isdisjoint(alpha):
-                    outcome = _gauss_witness(dict(comp.terms), weight, family)
+                    x_w = {a: c for a, c in x.terms.items() if sum(a) == weight}  # residual is spent
+                    outcome = _gauss_witness(x_w, weight, family)
                     if isinstance(outcome, tuple):
                         return NotInLp(p, outcome)
                     raise AssertionError("triangular solve stalled on a solvable system")
-                diag = 1
-                for part in alpha:
-                    diag = diag * family.diagonal(part) % p
-                coeff = r * pow(diag, -1, p) % p
+                inv_diag, row = family.clearing_row(alpha)
+                coeff = r * inv_diag % p
                 solution[alpha] = coeff
-                for beta, c in family.monomial_class(alpha).terms.items():
-                    nv = (residual.get(beta, 0) - coeff * c) % p
-                    if nv:
-                        if beta not in residual:
-                            by_length[len(beta)].append(beta)
-                        residual[beta] = nv
+                for beta, c in row.items():
+                    old = residual.get(beta)
+                    if old is None:  # coeff and c are units, so the new entry is nonzero
+                        residual[beta] = -coeff * c % p
+                        by_length.setdefault(len(beta), []).append(beta)
                     else:
-                        residual.pop(beta, None)
+                        nv = (old - coeff * c) % p
+                        if nv:
+                            residual[beta] = nv
+                        else:
+                            del residual[beta]
     return GenPoly._trusted(p, solution)
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import lru_cache
 from math import comb
 
 from . import partitions as pt
@@ -75,12 +76,11 @@ def _elementary_symmetric(values: tuple[int, ...], p: int) -> list[int]:
 def _reduce_zeta(element: dict, weights: tuple[int, ...], p: int) -> dict:
     """Reduce mod the monic relation prod_j (zeta + w_j t), leaving zeta-degree <= n."""
     n = len(weights) - 1
-    es = _elementary_symmetric(weights, p)
     out = {k: v % p for k, v in element.items() if v % p}
-    while True:
-        high = [k for k in out if k[0] > n]
-        if not high:
-            return out
+    es = None
+    while high := [k for k in out if k[0] > n]:
+        if es is None:  # built only when some term has zeta-degree > n
+            es = _elementary_symmetric(weights, p)
         a, b = max(high)
         co = out.pop((a, b))
         for k in range(1, n + 2):
@@ -92,6 +92,7 @@ def _reduce_zeta(element: dict, weights: tuple[int, ...], p: int) -> dict:
                 out[key] = nv
             else:
                 out.pop(key, None)
+    return out
 
 
 def localization_check(p: int, weights, y, r: int) -> tuple[int, int]:
@@ -156,7 +157,7 @@ def _fixed_point_degrees(p: int, weights: tuple[int, ...], r: int) -> list[int]:
         inv_euler = [1] + [0] * (m - 1)
         for cp, k in mults.items():
             if cp != c:
-                series = _inverse_power(r * (cp - c), k, m, p)
+                series = _inverse_power(r * (cp - c) % p, k, m, p)
                 inv_euler = [sum(inv_euler[i] * series[j - i] for i in range(j + 1)) % p for j in range(m)]
         shift = -c * r
         for a in range(len(table)):
@@ -166,10 +167,12 @@ def _fixed_point_degrees(p: int, weights: tuple[int, ...], r: int) -> list[int]:
     return [d % p for d in table]
 
 
-def _inverse_power(v: int, k: int, m: int, p: int) -> list[int]:
-    """Coefficients of (xi + v)^(-k) below xi^m over F_p, for v a unit mod p."""
+# bounded: weights, and so k and m, come from outside in the CLI
+@lru_cache(maxsize=1 << 10)
+def _inverse_power(v: int, k: int, m: int, p: int) -> tuple[int, ...]:
+    """Coefficients of (xi + v)^(-k) below xi^m over F_p, for v a unit; callers reduce v mod p."""
     v_inv = pow(v, -1, p)
-    return [(-1) ** j * comb(k + j - 1, j) * pow(v_inv, k + j, p) % p for j in range(m)]
+    return tuple((-1) ** j * comb(k + j - 1, j) * pow(v_inv, k + j, p) % p for j in range(m))
 
 
 def localization_case_count(p: int, max_len: int) -> int:

@@ -49,12 +49,26 @@ def pi_q(alpha: Partition, q: int) -> int:
     return sum(a // q for a in alpha)
 
 
+# pi_q per q and partition; a q's table starts afresh past this size, so each stays bounded
+_PI_Q_LIMIT = 1 << 14
+_pi_q_tables: dict[int, dict[Partition, int]] = {}
+
+
 def max_pi_q(partitions, q: int):
     """Largest pi_q over the partitions, with q checked once; -inf for none."""
     if q < 1:
         raise ValueError("q must be a positive integer")
-    part_over_q = q.__rfloordiv__  # a -> a // q, without a Python-level call per part
-    return max((sum(map(part_over_q, alpha)) for alpha in partitions), default=NEG_INF)
+    table = _pi_q_tables.get(q)
+    if table is None or len(table) > _PI_Q_LIMIT:
+        table = _pi_q_tables[q] = {}
+    best = NEG_INF
+    for alpha in partitions:
+        v = table.get(alpha)
+        if v is None:
+            v = table[alpha] = sum(map(q.__rfloordiv__, alpha))
+        if v > best:
+            best = v
+    return best
 
 
 def partitions_of(n: int, parts=None) -> list[Partition]:

@@ -20,6 +20,8 @@ library route against an independent one.
 * The f-divided series over Ch(X)[t] (TRing, FDividedFamily, f_alpha_class,
   epsilon_r), the check of cobordlab.equivariant.f_poly.
 * Partition refinement, the check that monomial classes are triangular.
+* The fixed-locus dimension of an action node counted from its character
+  multisets on every call, the check of the memoized cobordlab.actions.fixed_dim.
 """
 
 from collections import Counter
@@ -27,6 +29,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from cobordlab import partitions as pt
+from cobordlab.actions import Disjoint, HAct, PAct, Product
 from cobordlab.chow import PAtom
 from cobordlab.equivariant import f_poly
 from cobordlab.fpring import BPoly
@@ -569,3 +572,27 @@ def refines(alpha: pt.Partition, beta: pt.Partition) -> bool:
         if refines(_multiset_minus(alpha, block), rest):
             return True
     return False
+
+
+# -- fixed-locus dimensions, unmemoized ---------------------------------------
+
+
+def reference_fixed_dim(a):
+    """fixed_dim with the Counter formulas evaluated afresh for every atomic factor."""
+    if isinstance(a, PAct):
+        return max(Counter(a.weights).values()) - 1
+    if isinstance(a, HAct):
+        cv, cw = Counter(a.V), Counter(a.W)
+        best = pt.NEG_INF
+        for c, mv in cv.items():
+            for g, mw in cw.items():
+                r = mw - (1 if g == c else 0)
+                if r >= 1:
+                    best = max(best, (mv - 1) + (r - 1))
+        return best
+    if isinstance(a, Product):
+        dims = [reference_fixed_dim(f) for f in a.factors]
+        return pt.NEG_INF if pt.NEG_INF in dims else sum(dims)
+    if isinstance(a, Disjoint):
+        return max((reference_fixed_dim(node) for _, node in a.parts), default=pt.NEG_INF)
+    raise TypeError(f"not an action node: {a!r}")

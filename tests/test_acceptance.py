@@ -6,6 +6,10 @@ delegates to the matching check in cobordlab.acceptance; the CLI selftest
 runs the same battery.
 """
 
+import hashlib
+import json
+import re
+
 from cobordlab import acceptance
 
 CTX = acceptance.SuiteContext()
@@ -75,6 +79,18 @@ def test_audit_pool_holds_every_constructed_action():
     assert acceptance.check_realize_achieves(ctx)[0]
     ok, detail = acceptance.check_action_soundness(ctx)
     assert ok and detail.startswith("781 distinct actions "), detail
+
+
+# sha256 of [name, ok, detail] for the twelve checks of a fresh run_all, with
+# the timing fields ("in 0ms", "in 0.1s") masked; it changes only when a
+# count or verdict in a detail string does
+SELFTEST_DIGEST = "345fce569975fd822d507027ebbb5c6a218633665ceea14ed1254c85b7f254df"
+TIMING = re.compile(r"\bin \d+(?:\.\d+)?m?s\b")
+
+
+def test_selftest_details_are_pinned():
+    rows = [[r.name, r.ok, TIMING.sub("in <t>", r.detail)] for r in acceptance.run_all()]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SELFTEST_DIGEST, rows
 
 
 def test_every_registered_check_is_covered():

@@ -1,12 +1,15 @@
 """Explicit diagonal actions and their fixed-locus dimensions."""
 
+import copy
 import json
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from reference import reference_fixed_dim
 
 import cobordlab.partitions as pt
+from cobordlab import acceptance
 from cobordlab.actions import (
     CharacterGroup,
     Disjoint,
@@ -108,6 +111,19 @@ def test_fixed_dim_combinators():
     empty = HAct(((0,),), ((0,),))
     assert fixed_dim(empty) == NEG_INF
     assert fixed_dim(Product((construct_action_P(4, g), empty))) == NEG_INF
+
+
+def test_memoized_fixed_dim_matches_the_counter_formula():
+    # the audit pool: every action the fixed-locus and realize checks build
+    ctx = acceptance.SuiteContext()
+    acceptance.check_fixed_locus_formulas(ctx)
+    acceptance.check_realize_achieves(ctx)
+    assert len(ctx.actions) > 1000
+    for action, _ in ctx.actions:
+        twin = copy.deepcopy(action)  # equal, with every action node rebuilt
+        assert twin == action and twin is not action
+        want = reference_fixed_dim(action)
+        assert fixed_dim(action) == fixed_dim(twin) == want, action
 
 
 def test_action_node_validation():

@@ -181,6 +181,14 @@ def test_order_must_be_a_power_of_p(capsys, argv):
     assert run(capsys, *argv, "-p", "2", "-q", "6") == (1, "", "error: order 6 is not a power of the prime 2\n")
 
 
+def test_realize_refuses_the_trivial_group(capsys):
+    # 1 = p^0 is an order dimq and bound accept, but no character group has it
+    assert run(capsys, "dimq", "P(4)", "-p", "3", "-q", "1")[:2] == (0, "dim_1 = 4 (direct) = 4 (via generators)\n")
+    code, out, err = run(capsys, "realize", "P(4)", "-p", "3", "-q", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: order 1 is the trivial group") and "invariant factor" not in err
+
+
 RAW_CEILING = (1, "", "error: raw class weight 17 exceeds 16; raise --max-weight\n")
 NOT_A_MEMBER = (2, "", "error: not in the mod-2 generator ring; obstruction at c_(1)\n")
 ZERO_CLASS = {

@@ -190,6 +190,28 @@ def test_reduce_zeta_relation():
     assert {z + t for z, t in a} == {2}
 
 
+def test_reduce_zeta_builds_the_relation_only_when_needed(monkeypatch):
+    built = []
+    real = equivariant._elementary_symmetric
+    monkeypatch.setattr(equivariant, "_elementary_symmetric", lambda w, p: built.append(w) or real(w, p))
+    assert _reduce_zeta({(1, 1): 4, (0, 2): 3}, (0, 1), 3) == {(1, 1): 1}
+    assert built == []
+    assert _reduce_zeta({(2, 0): 1}, (0, 1), 2) == {(1, 1): 1}
+    assert built == [(0, 1)]
+
+
+def test_inverse_power_is_a_memoized_tuple():
+    for p in (2, 3, 5, 7):
+        for v in range(1, p):
+            for k in range(1, 5):
+                for m in range(6):
+                    got = equivariant._inverse_power(v, k, m, p)
+                    v_inv = pow(v, -1, p)
+                    want = [(-1) ** j * comb(k + j - 1, j) * pow(v_inv, k + j, p) % p for j in range(m)]
+                    assert isinstance(got, tuple) and list(got) == want, (v, k, m, p)
+                    assert equivariant._inverse_power(v, k, m, p) is got
+
+
 def test_localization_hand_examples():
     assert localization_check(2, (0, 1), {(1, 0): 1}, 1) == (1, 1)
     assert localization_check(2, (0, 0), {(1, 0): 1}, 1) == (1, 1)

@@ -213,9 +213,12 @@ def test_np_partitions_is_the_restricted_enumeration():
 
 
 def test_max_pi_q_values_and_q_check():
-    ps = pt.partitions_of(7)
-    for q in (1, 2, 3, 8):
-        assert pt.max_pi_q(ps, q) == max(pt.pi_q(a, q) for a in ps)
+    # q changes between calls over the same partitions, so the memo must key on both
+    for n in (7, 9, 7):
+        ps = pt.partitions_of(n)
+        for q in (1, 2, 3, 8, 2, 1):
+            assert pt.max_pi_q(ps, q) == max(pt.pi_q(a, q) for a in ps)
+            assert [pt.max_pi_q([a], q) for a in ps] == [pt.pi_q(a, q) for a in ps]
     assert pt.max_pi_q([], 2) == float("-inf")
     for q in (0, -1):
         with pytest.raises(ValueError):
