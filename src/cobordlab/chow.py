@@ -20,7 +20,7 @@ from functools import cache
 from math import comb, factorial
 
 from . import partitions as pt
-from .fpring import BPoly
+from .fpring import BPoly, _accumulate, _convolve, _normalize
 
 
 # -- variety expressions ---------------------------------------------------
@@ -218,26 +218,26 @@ def _layer_table(p: int, s: int, digit: int) -> tuple[tuple[pt.Partition, int], 
 
 
 @cache
-def _layers_from(p: int, digits: tuple[int, ...], j: int, w: int) -> tuple[tuple[pt.Partition, int], ...]:
+def _layers_from(p: int, digits: tuple[int, ...], j: int, w: int) -> dict[pt.Partition, int]:
     """Nonzero terms built from digit layers j, j+1, ... of total weight p^j * w.
 
     Layer j contributes each of its parts p^j times; its weight s must be
     congruent to w mod p, and the layers above it make up (w - s) / p.
+    Distinct stacks give distinct partitions, and the coefficients are
+    products of nonzero layer factors, left unreduced.  The memo hands the
+    same dict to every caller, so it is only ever read.
     """
     if w == 0:
-        return (((), 1),)
+        return {(): 1}
     digit = digits[j] if j < len(digits) else 0
     rep = p**j
-    out = []
+    out: dict[pt.Partition, int] = {}
     for s in range(w % p, w + 1, p):
         rest = _layers_from(p, digits, j + 1, (w - s) // p)
-        if not rest:
-            continue
-        for lam, c in _layer_table(p, s, digit):
-            head = tuple(part for part in lam for _ in range(rep))
-            for alpha, c_rest in rest:
-                out.append((tuple(sorted(head + alpha, reverse=True)), c * c_rest % p))
-    return tuple(out)
+        if rest:
+            head = {tuple(part for part in lam for _ in range(rep)): c for lam, c in _layer_table(p, s, digit)}
+            _convolve(head, rest, out)
+    return out
 
 
 def _inverse_power_slice(p: int, k: int, w: int) -> BPoly:
@@ -258,7 +258,7 @@ def _inverse_power_slice(p: int, k: int, w: int) -> BPoly:
     while rest:
         rest, d = divmod(rest, p)
         digits.append(d)
-    return BPoly._trusted(p, dict(_layers_from(p, tuple(digits), 0, w)))
+    return BPoly._trusted(p, _layers_from(p, tuple(digits), 0, w))
 
 
 def _pn_class(p: int, n: int) -> BPoly:
@@ -293,17 +293,9 @@ def _h_class(p: int, n: int, m: int) -> BPoly:
         folded: dict[pt.Partition, int] = {}
         for i in range(max(0, d - a - m), d - a + 1):
             c = comb(i + 1, n - a) % p
-            if not c:
-                continue
-            extra = (i,) if i else ()
-            for beta, cb in B[d - a - i].items():
-                key = tuple(sorted(beta + extra, reverse=True))
-                folded[key] = folded.get(key, 0) + c * cb
-        C_a = [(gamma, c % p) for gamma, c in folded.items() if c % p]
-        for alpha, ca in A[a].items():
-            for gamma, cg in C_a:
-                key = tuple(sorted(alpha + gamma, reverse=True))
-                acc[key] = acc.get(key, 0) + ca * cg
+            if c:
+                _convolve({(i,) if i else (): c}, B[d - a - i], folded)
+        _convolve(A[a], _normalize(folded, p), acc)
     return BPoly._trusted(p, acc)
 
 
@@ -366,6 +358,5 @@ def chern_numbers(expr, p: int) -> BPoly:
     pt.check_prime(p)
     acc: dict[pt.Partition, int] = {}
     for mult, prod in expr.parts:
-        for alpha, c in product_class(prod.atoms, p).terms.items():
-            acc[alpha] = acc.get(alpha, 0) + mult * c
+        _accumulate(acc, product_class(prod.atoms, p).terms, mult)
     return BPoly._trusted(p, acc)

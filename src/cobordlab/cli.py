@@ -20,6 +20,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 
 from .actions import CharacterGroup, action_to_json, realize
 from .bounds import check_order, main_bound, milnor_divisibility_check, ratio_bound, small_fixed_divisibility
@@ -34,7 +35,7 @@ from .cobordism import (
 )
 from .equivariant import localization_check
 from .fpring import NEG_INF, BPoly, format_bpoly, format_genpoly
-from .partitions import IndexSet, rho_q
+from .partitions import IndexSet, check_prime, rho_q
 
 RAW_DEFAULT_WEIGHT = 16
 
@@ -53,8 +54,13 @@ class _Parser(argparse.ArgumentParser):
 _RAW_TOKEN = re.compile(r"\s*(?:(b\[)|(\d+)|([\]^*+]))")
 
 
-def parse_raw_bpoly(text: str, p: int) -> BPoly:
-    """Parse 'b[2]*b[1]^2 + b[4]' style input, including bare constants."""
+def parse_raw_bpoly(text: str, p: int, ceiling: int = RAW_DEFAULT_WEIGHT) -> BPoly:
+    """Parse 'b[2]*b[1]^2 + b[4]' style input, including bare constants.
+
+    Each term is held as its part multiplicities until the class's top
+    weight is known, so a class above the weight ceiling is refused before
+    any partition is written out.
+    """
     pos = 0
     tokens = []
     while pos < len(text):
@@ -79,7 +85,7 @@ def parse_raw_bpoly(text: str, p: int) -> BPoly:
         return tok
 
     def parse_factor():
-        # either a b[i]^e factor or a bare integer coefficient
+        # (i, e, 1) for a b[i]^e factor, (0, 0, c) for a bare integer coefficient c
         if peek() == "b[":
             take("b[")
             part = take()
@@ -92,33 +98,39 @@ def parse_raw_bpoly(text: str, p: int) -> BPoly:
                 exp = take()
                 if not isinstance(exp, int) or exp < 1:
                     raise ValueError("exponents are positive integers")
-            return [part] * exp, 1
+            return part, exp, 1
         tok = take()
         if not isinstance(tok, int):
             raise ValueError(f"raw class syntax error: unexpected {tok!r}")
-        return [], tok
+        return 0, 0, tok
 
-    terms: dict = {}
+    terms: dict = {}  # ((part, multiplicity), ...) largest part first -> coefficient
     while True:
         coeff = 1
-        parts: list[int] = []
+        mults: Counter = Counter()
         while True:
-            ps, c = parse_factor()
-            parts.extend(ps)
+            part, exp, c = parse_factor()
+            if part:
+                mults[part] += exp
             coeff *= c
             if peek() == "*":
                 take("*")
                 continue
             break
-        alpha = tuple(sorted(parts, reverse=True))
-        terms[alpha] = terms.get(alpha, 0) + coeff
+        key = tuple(sorted(mults.items(), reverse=True))
+        terms[key] = terms.get(key, 0) + coeff
         if peek() == "+":
             take("+")
             continue
         if peek() is None:
             break
         raise ValueError(f"raw class syntax error: unexpected {peek()!r}")
-    return BPoly(p, terms)
+    check_prime(p)
+    terms = {key: c for key, c in terms.items() if c % p}
+    top = max((sum(part * e for part, e in key) for key in terms), default=NEG_INF)
+    if top != NEG_INF and top > ceiling:
+        raise ValueError(f"raw class weight {top} exceeds {ceiling}; raise --max-weight")
+    return BPoly(p, {tuple(part for part, e in key for _ in range(e)): c for key, c in terms.items()})
 
 
 def is_raw_input(text: str) -> bool:
@@ -135,12 +147,7 @@ def load_class(args, ceiling: bool = True) -> BPoly:
         raise ValueError(f"--max-weight must be nonnegative, got {args.max_weight}")
     text = args.input
     if is_raw_input(text):
-        x = parse_raw_bpoly(text, args.prime)
-        ceiling = args.max_weight if args.max_weight is not None else RAW_DEFAULT_WEIGHT
-        top = x.top_weight()
-        if top != NEG_INF and top > ceiling:
-            raise ValueError(f"raw class weight {top} exceeds {ceiling}; raise --max-weight")
-        return x
+        return parse_raw_bpoly(text, args.prime, RAW_DEFAULT_WEIGHT if args.max_weight is None else args.max_weight)
     expr, notes = parse_variety(text)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
@@ -232,14 +239,15 @@ def cmd_bound(args) -> int:
     q = check_order(args.prime, args.order)
     x = load_class(args)
     fam = make_family(args)
-    out: dict = {"main": _json_dim(main_bound(x, q))}
-    lines = [f"main bound: {_dim_text(main_bound(x, q))}"]
+    bound = main_bound(x, q)
+    out: dict = {"main": _json_dim(bound)}
+    lines = [f"main bound: {_dim_text(bound)}"]
     if args.indices is not None:
         A = _parse_int_list(args.indices)
         report = ratio_bound(x, A, args.parts, q, fam)
         out["ratio"] = report.to_json_dict()
         lines.append(f"ratio bound (A={A}, s={args.parts}): {_dim_text(report.bound)}"
-                     + ("" if report.hypothesis_checked else " [hypothesis not met]"))
+                     + (" [hypothesis not met]" if report.certificate is None and not x.is_zero() else ""))
     if args.small_d is not None:
         verdict = small_fixed_divisibility(x, q, args.small_d, fam)
         out["smallFixed"] = verdict

@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import partitions as pt
 from .chow import HAtom, PAtom, atom_class, product_class
-from .fpring import BPoly, GenPoly
+from .fpring import BPoly, GenPoly, _accumulate, _weight_split
 from .partitions import Partition, in_np
 
 __all__ = [
@@ -91,9 +91,9 @@ class GeneratorFamily:
 
     gens maps the index i to an exact homogeneous weight-i class whose
     single-part coefficient is nonzero.  Generators are built on first use
-    and kept in memory, with their single-part coefficients, as are monomial
-    classes and their clearing rows; ensure builds a range ahead.  Indices
-    and monomials are checked when they are first built, not on a memo hit.
+    and kept in memory, as are monomial classes and their clearing rows;
+    ensure builds a range ahead.  Indices and monomials are checked when
+    they are first built, not on a memo hit.
     """
 
     def __init__(self, p: int, kind: str, make: Callable[[int], BPoly]):
@@ -101,7 +101,6 @@ class GeneratorFamily:
         self.kind = kind
         self._make = make
         self.gens: dict[int, BPoly] = {}
-        self._diagonals: dict[int, int] = {}
         self._monomials: dict[Partition, BPoly] = {}
         self._rows: dict[Partition, tuple[int, dict[Partition, int]]] = {}
 
@@ -110,11 +109,9 @@ class GeneratorFamily:
             if not in_np(i, self.p):
                 raise ValueError(f"{i} is not a generator index for p={self.p}")
             cls = self._make(i)
-            diag = cls.terms.get((i,), 0)
-            if diag == 0:
+            if (i,) not in cls.terms:  # a stored coefficient is nonzero mod p
                 raise AssertionError(f"weight-{i} class fails the generator criterion")
             self.gens[i] = cls
-            self._diagonals[i] = diag
         return self.gens[i]
 
     def ensure(self, max_index: int) -> None:
@@ -124,9 +121,7 @@ class GeneratorFamily:
 
     def diagonal(self, i: int) -> int:
         """c_(i) of the weight-i generator."""
-        if i not in self._diagonals:
-            self.generator(i)
-        return self._diagonals[i]
+        return self.generator(i).terms[(i,)]
 
     def monomial_class(self, beta: Partition) -> BPoly:
         """The class of the monomial l_beta; beta is checked on a memo miss."""
@@ -219,9 +214,18 @@ def evaluate_gen_poly(gp: GenPoly, family: GeneratorFamily) -> BPoly:
         raise ValueError("prime mismatch")
     acc: dict[Partition, int] = {}
     for beta, coeff in gp.terms.items():
-        for alpha, c in family.monomial_class(beta).terms.items():
-            acc[alpha] = acc.get(alpha, 0) + coeff * c
+        _accumulate(acc, family.monomial_class(beta).terms, coeff)
     return BPoly._trusted(gp.p, acc)
+
+
+def _subtract_row(vec: dict[Partition, int], c: int, row: dict[Partition, int], p: int) -> None:
+    """vec -= c * row over F_p in place, dropping the entries that cancel."""
+    for b, v in row.items():
+        nv = (vec.get(b, 0) - c * v) % p
+        if nv:
+            vec[b] = nv
+        else:
+            vec.pop(b, None)
 
 
 def _gauss_witness(x_w: dict[Partition, int], weight: int, family: GeneratorFamily) -> dict[Partition, int] | Partition:
@@ -245,17 +249,10 @@ def _gauss_witness(x_w: dict[Partition, int], weight: int, family: GeneratorFami
                 vec[beta] = c
         rhs = x_w.get(alpha, 0) % p
         for pivot, (pvec, prhs) in pivots.items():
-            c = vec.get(pivot, 0)
-            if not c:
-                continue
-            del vec[pivot]  # the stored row has an implied 1 there
-            for b, v in pvec.items():
-                nv = (vec.get(b, 0) - c * v) % p
-                if nv:
-                    vec[b] = nv
-                else:
-                    vec.pop(b, None)
-            rhs = (rhs - c * prhs) % p
+            c = vec.pop(pivot, 0)  # the stored row has an implied 1 there
+            if c:
+                _subtract_row(vec, c, pvec, p)
+                rhs = (rhs - c * prhs) % p
         if vec:
             pivot = min(vec, key=pt.canonical_term_key)
             inv = pow(vec.pop(pivot), -1, p)
@@ -263,17 +260,10 @@ def _gauss_witness(x_w: dict[Partition, int], weight: int, family: GeneratorFami
             prhs = (inv * rhs) % p
             # eager: clear the new pivot from every stored row
             for other, (ovec, orhs) in list(pivots.items()):
-                c = ovec.get(pivot, 0)
-                if not c:
-                    continue
-                del ovec[pivot]
-                for b, v in pvec.items():
-                    nv = (ovec.get(b, 0) - c * v) % p
-                    if nv:
-                        ovec[b] = nv
-                    else:
-                        ovec.pop(b, None)
-                pivots[other] = (ovec, (orhs - c * prhs) % p)
+                c = ovec.pop(pivot, 0)
+                if c:
+                    _subtract_row(ovec, c, pvec, p)
+                    pivots[other] = (ovec, (orhs - c * prhs) % p)
             pivots[pivot] = (pvec, prhs)
         elif rhs:
             return alpha
@@ -299,12 +289,8 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
     if x.p != family.p:
         raise ValueError("prime mismatch")
     p = x.p
-    components: dict[int, dict[Partition, int]] = {}
-    for alpha, c in x.terms.items():
-        components.setdefault(sum(alpha), {})[alpha] = c
     solution: dict[Partition, int] = {}
-    for weight in sorted(components):
-        residual = components[weight]
+    for weight, residual in _weight_split(x.terms).items():
         outside = pt.outside_np(weight, p)
         # Clearing alpha zeroes it and changes only strict refinements of
         # alpha, which have more parts; so within one length the order does
@@ -321,8 +307,7 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
                 if r is None:  # cleared since it was queued
                     continue
                 if not outside.isdisjoint(alpha):
-                    x_w = {a: c for a, c in x.terms.items() if sum(a) == weight}  # residual is spent
-                    outcome = _gauss_witness(x_w, weight, family)
+                    outcome = _gauss_witness(_weight_split(x.terms)[weight], weight, family)  # residual is spent
                     if isinstance(outcome, tuple):
                         return NotInLp(p, outcome)
                     raise AssertionError("triangular solve stalled on a solvable system")

@@ -36,16 +36,33 @@ def _normalize(terms: dict, p: int) -> dict:
     return out
 
 
-def _convolve(x: dict, y: dict) -> dict:
-    """Product of two partition-indexed term dicts: parts multiply by union.
+def _convolve(x: dict, y: dict, out: dict | None = None) -> dict:
+    """Add the product of two partition-indexed term dicts into out (a new dict by default).
 
-    Coefficients come out unreduced; the constructors reduce them mod p.
+    Parts multiply by union.  Coefficients come out unreduced; the
+    constructors reduce them mod p.
     """
-    out: dict[Partition, int] = {}
+    if out is None:
+        out = {}
     for beta, cb in x.items():
         for gamma, cg in y.items():
             u = tuple(sorted(beta + gamma, reverse=True))
             out[u] = out.get(u, 0) + cb * cg
+    return out
+
+
+def _weight_split(terms: dict) -> dict[int, dict]:
+    """The terms grouped by weight into new dicts, in increasing weight."""
+    comps: dict[int, dict] = {}
+    for alpha, c in terms.items():
+        comps.setdefault(sum(alpha), {})[alpha] = c
+    return dict(sorted(comps.items()))
+
+
+def _accumulate(out: dict, terms: dict, k: int = 1) -> dict:
+    """Add k times the terms into out, unreduced, and return out."""
+    for alpha, c in terms.items():
+        out[alpha] = out.get(alpha, 0) + k * c
     return out
 
 
@@ -105,10 +122,7 @@ class _PartitionPoly:
 
     def __add__(self, other):
         self._check_operand(other)
-        terms = dict(self.terms)
-        for alpha, c in other.terms.items():
-            terms[alpha] = terms.get(alpha, 0) + c
-        return self._trusted(self.p, terms)
+        return self._trusted(self.p, _accumulate(dict(self.terms), other.terms))
 
     def scale(self, k: int):
         k %= self.p
@@ -157,10 +171,7 @@ class BPoly(_PartitionPoly):
         return len(ws) <= 1
 
     def weight_components(self) -> dict[int, "BPoly"]:
-        comps: dict[int, dict] = {}
-        for alpha, c in self.terms.items():
-            comps.setdefault(sum(alpha), {})[alpha] = c
-        return {w: BPoly._reduced(self.p, t) for w, t in sorted(comps.items())}
+        return {w: BPoly._reduced(self.p, t) for w, t in _weight_split(self.terms).items()}
 
     def to_json_dict(self) -> dict:
         # class --json carries maxWeight; a BPoly is exact, so it is null unless class filters

@@ -94,6 +94,7 @@ def test_one_pass_milnor_class_matches_bpoly_products():
     [
         (2, 28, "ef5fd38d4b67af1713d9981822f6222efccc208db9df16c11035032a45aaf544"),
         (3, 29, "4f995b8b7400b3605a74e3cc82e32391977122693efce7f286ec83a39ad360a5"),
+        (5, 30, "613a6f45fad649fa8058e52daf6ac70418683dfcabf9394a1b135e2e1e30a5ef"),
     ],
 )
 def test_standard_generator_digest_is_pinned(p, w, digest):

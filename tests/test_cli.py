@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,27 @@ def test_raw_weight_ceiling(capsys):
     assert run(capsys, "class", "b[17]", "-p", "2")[0] == 1
     code, out, _ = run(capsys, "class", "b[17]", "-p", "2", "--max-weight", "17")
     assert code == 0 and out.strip() == "1*b[17]"
+    # the ceiling applies to the class's top weight, after terms cancel mod p
+    assert run(capsys, "class", "b[1]^20 + b[1]^20 + b[2]", "-p", "2") == (0, "1*b[2]\n", "")
+
+
+@pytest.mark.parametrize(
+    "text, result",
+    [
+        ("b[1]^1000000", (1, "", "error: raw class weight 1000000 exceeds 16; raise --max-weight\n")),
+        ("0*b[1]^1000000 + b[2]", (0, "1*X[2]\n", "")),  # a term that vanishes mod p is dropped unexpanded
+    ],
+)
+def test_raw_exponent_is_never_expanded_past_the_ceiling(capsys, text, result):
+    # the weight is read off (index, exponent), so no million-part partition is built
+    tracemalloc.start()
+    try:
+        got = run(capsys, "express", "-p", "2", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == result
+    assert peak < 1_000_000, peak
 
 
 def test_atom_weight_cap(capsys):

@@ -105,6 +105,8 @@ GOLDEN = {
         "7b6332a908a2575c5a4f4e606248f30f34d9f419fc451b7de4e9a71d0c364bcf",
     "bound 'P(8)' -p 2 -q 2 --indices 2,4 --parts 1":
         "0913057f8c9ba32cb3448188da59f976761e10747db3ce55ef837593d1e32784",
+    "bound 'P(8)' -p 2 -q 2 --indices 8 --parts 0":
+        "db8271f656f6359a09ae090f73d6f301c562b077e29ca1faf2e1194d1ccae0a9",
     "bound 'P(6)' -p 3 -q 3 --json":
         "a7df19d8f576937ca4c39d4d162f5a239388bda8939fa3f47b49f015cb984e8f",
     "bound 'P(12)' -p 3 -q 3 --small-d 1":
