@@ -3,7 +3,9 @@
 
 Checks lhs = rhs for every weight tuple up to the given length, every
 monomial of admissible degree, and every nonzero evaluation residue.  The
-case count grows like p^L * L^2, so lengths much beyond 6 get slow.
+case count grows like p^L * L^2, but both sides depend on the weights only
+as a multiset, so the work grows like C(p+L-1, L) * L^2: the p^L ordered
+tuples only share out their multiset's verdicts.
 """
 
 import argparse

@@ -9,13 +9,14 @@ single-part coefficient c_(i) is nonzero mod p.
 express_in_generators writes an exact class as a polynomial in a family.
 The solve is triangular: the monomial on l_beta only supports partitions
 refining beta, with an explicitly known diagonal entry.  A strict
-refinement has more parts, so clearing the support one length at a time,
-fewest parts first, terminates, and it builds only the generators of the
-monomials it clears.  Non-membership is a first-class
-result: express returns a NotInLp value (an exception instance, raised by
-express_required for callers that need membership) whose witness partition
-is produced by a dense elimination with rows finest-first, so the reported
-obstruction is the coarsest one.
+refinement has more parts and the same weight, so clearing the support one
+length at a time, fewest parts first, terminates, clears every weight
+component in the same pass, and builds only the generators of the
+monomials it clears.  Non-membership is a first-class result: express
+returns a NotInLp value (an exception instance, raised by express_required
+for callers that need membership) whose witness partition is produced by a
+dense elimination with rows finest-first, in the lightest weight component
+that fails, so the reported obstruction is the coarsest one there.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 
 from . import partitions as pt
 from .chow import HAtom, PAtom, atom_class, product_class
-from .fpring import BPoly, GenPoly, _accumulate, _weight_split
+from .fpring import BPoly, GenPoly, _accumulate
 from .partitions import Partition, in_np
 
 __all__ = [
@@ -281,51 +282,60 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
     """Write an exact class as a polynomial in the family's generators.
 
     Returns a NotInLp verdict (not raised) when impossible.  The main path
-    clears the support by number of parts, fewest first; a support element
-    owning a part outside N_p certifies failure, at which point the
-    elimination fallback pins down the witness.  Non-homogeneous classes are
-    handled one weight component at a time.
+    clears the support by number of parts, fewest first, all weights in one
+    pass: refinement keeps the weight, so the components never interact.  A
+    support element owning a part outside N_p certifies that its weight
+    fails; the other weights are still cleared, and the elimination fallback
+    pins down the witness of the lightest failing weight.
     """
     if x.p != family.p:
         raise ValueError("prime mismatch")
     p = x.p
+    residual = dict(x.terms)
+    top = max(residual, default=())  # holds the largest part, which refinement never exceeds
+    outside = pt.outside_np(top[0] if top else 0, p)
     solution: dict[Partition, int] = {}
-    for weight, residual in _weight_split(x.terms).items():
-        outside = pt.outside_np(weight, p)
-        # Clearing alpha zeroes it and changes only strict refinements of
-        # alpha, which have more parts; so within one length the order does
-        # not matter, and a bucket only grows while a shorter one is cleared.
-        by_length: dict[int, list[Partition]] = {}
-        for alpha in residual:
-            by_length.setdefault(len(alpha), []).append(alpha)
-        length = 0
-        while by_length:
-            bucket = by_length.pop(length, ())
-            length += 1
-            for alpha in bucket:
-                r = residual.get(alpha)
-                if r is None:  # cleared since it was queued
-                    continue
-                if not outside.isdisjoint(alpha):
-                    outcome = _gauss_witness(_weight_split(x.terms)[weight], weight, family)  # residual is spent
-                    if isinstance(outcome, tuple):
-                        return NotInLp(p, outcome)
-                    raise AssertionError("triangular solve stalled on a solvable system")
-                inv_diag, row = family.clearing_row(alpha)
-                coeff = r * inv_diag % p
-                solution[alpha] = coeff
-                for beta, c in row.items():
-                    old = residual.get(beta)
-                    if old is None:  # coeff and c are units, so the new entry is nonzero
-                        residual[beta] = -coeff * c % p
-                        by_length.setdefault(len(beta), []).append(beta)
+    failed: set[int] = set()  # weights whose support met a part outside N_p
+    # Clearing alpha zeroes it and changes only strict refinements of alpha,
+    # which have more parts; so within one length the order does not
+    # matter, and a bucket only grows while a shorter one is cleared.
+    by_length: dict[int, list[Partition]] = {}
+    for alpha in residual:
+        by_length.setdefault(len(alpha), []).append(alpha)
+    length = 0
+    while by_length:
+        bucket = by_length.pop(length, ())
+        length += 1
+        for alpha in bucket:
+            r = residual.get(alpha)
+            if r is None:  # cleared since it was queued
+                continue
+            if not outside.isdisjoint(alpha):
+                failed.add(sum(alpha))
+            if failed and sum(alpha) in failed:
+                continue
+            inv_diag, row = family.clearing_row(alpha)
+            coeff = r * inv_diag % p
+            solution[alpha] = coeff
+            for beta, c in row.items():
+                old = residual.get(beta)
+                if old is None:  # coeff and c are units, so the new entry is nonzero
+                    residual[beta] = -coeff * c % p
+                    by_length.setdefault(len(beta), []).append(beta)
+                else:
+                    nv = (old - coeff * c) % p
+                    if nv:
+                        residual[beta] = nv
                     else:
-                        nv = (old - coeff * c) % p
-                        if nv:
-                            residual[beta] = nv
-                        else:
-                            del residual[beta]
-    return GenPoly._trusted(p, solution)
+                        del residual[beta]
+    if failed:
+        weight = min(failed)
+        outcome = _gauss_witness({a: c for a, c in x.terms.items() if sum(a) == weight}, weight, family)
+        if isinstance(outcome, tuple):
+            return NotInLp(p, outcome)
+        raise AssertionError("triangular solve stalled on a solvable system")
+    # each alpha is solved once, with a unit coefficient
+    return GenPoly._reduced(p, solution)
 
 
 def express_required(x: BPoly, family: GeneratorFamily | None = None) -> GenPoly:

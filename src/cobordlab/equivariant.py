@@ -16,11 +16,12 @@ relation prod_j (zeta + w_j t); restriction to the component of the
 character c sends zeta to xi - c*t; the normal bundle to that component
 has Euler class prod_{c' != c} (xi + (c' - c) t)^(mult c').  These three
 conventions calibrate each other and are validated wholesale by the
-exhaustive sweep.  Each fixed component is a projective space, so its
-Chow ring is F_p[xi]/(xi^m) and its fixed-point degrees have a closed form
-(_fixed_point_degrees).  The entry points localization_check and
-localization_sweep_violations check that p is prime before any arithmetic
-mod p.
+exhaustive sweep, which evaluates each weight multiset once: both sides
+are symmetric in the weights.  Each fixed component is a projective space,
+so its Chow ring is F_p[xi]/(xi^m) and its fixed-point degrees have a
+closed form (_fixed_point_degrees).  The entry points localization_check
+and localization_sweep_violations check that p is prime before any
+arithmetic mod p.
 """
 
 from __future__ import annotations
@@ -185,19 +186,30 @@ def localization_sweep_violations(p: int, max_len: int = 5) -> list[tuple]:
 
     Covers every weight tuple of length <= max_len, every monomial
     zeta^a t^b with a + b <= n, every nonzero r.  Returns the failing
-    (weights, (a, b), r, lhs, rhs) tuples; must be empty.
+    (weights, (a, b), r, lhs, rhs) tuples in that order; must be empty.
+
+    Exact with one evaluation per weight multiset: both sides are symmetric
+    in the weights (the lhs reduces by their elementary symmetric functions,
+    the table reads their multiplicities), so every ordered tuple reports
+    its multiset's failing cells, in the order a per-tuple sweep finds them.
     """
     pt.check_prime(p)
     bad = []
     for length in range(1, max_len + 1):
+        n = length - 1
+        verdicts: dict[tuple[int, ...], list[tuple]] = {}  # sorted weights -> failing cells
         for weights in itertools.product(range(p), repeat=length):
-            tables = {r: _fixed_point_degrees(p, weights, r) for r in range(1, p)}
-            n = length - 1
-            for a in range(n + 1):
-                for b in range(n + 1 - a):
-                    lhs = _reduce_zeta({(a, b): 1}, weights, p).get((n, 0), 0)
-                    for r, table in tables.items():
-                        rhs = pow(r, b, p) * table[a] % p
-                        if lhs != rhs:
-                            bad.append((weights, (a, b), r, lhs, rhs))
+            key = tuple(sorted(weights))
+            cells = verdicts.get(key)
+            if cells is None:
+                cells = verdicts[key] = []
+                tables = {r: _fixed_point_degrees(p, key, r) for r in range(1, p)}
+                for a in range(n + 1):
+                    for b in range(n + 1 - a):
+                        lhs = _reduce_zeta({(a, b): 1}, key, p).get((n, 0), 0)
+                        for r, table in tables.items():
+                            rhs = pow(r, b, p) * table[a] % p
+                            if lhs != rhs:
+                                cells.append(((a, b), r, lhs, rhs))
+            bad.extend((weights,) + cell for cell in cells)
     return bad

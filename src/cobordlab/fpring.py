@@ -51,14 +51,6 @@ def _convolve(x: dict, y: dict, out: dict | None = None) -> dict:
     return out
 
 
-def _weight_split(terms: dict) -> dict[int, dict]:
-    """The terms grouped by weight into new dicts, in increasing weight."""
-    comps: dict[int, dict] = {}
-    for alpha, c in terms.items():
-        comps.setdefault(sum(alpha), {})[alpha] = c
-    return dict(sorted(comps.items()))
-
-
 def _accumulate(out: dict, terms: dict, k: int = 1) -> dict:
     """Add k times the terms into out, unreduced, and return out."""
     for alpha, c in terms.items():
@@ -171,7 +163,11 @@ class BPoly(_PartitionPoly):
         return len(ws) <= 1
 
     def weight_components(self) -> dict[int, "BPoly"]:
-        return {w: BPoly._reduced(self.p, t) for w, t in _weight_split(self.terms).items()}
+        """The terms grouped by weight, in increasing weight."""
+        comps: dict[int, dict] = {}
+        for alpha, c in self.terms.items():
+            comps.setdefault(sum(alpha), {})[alpha] = c
+        return {w: BPoly._reduced(self.p, comps[w]) for w in sorted(comps)}
 
     def to_json_dict(self) -> dict:
         # class --json carries maxWeight; a BPoly is exact, so it is null unless class filters

@@ -176,6 +176,10 @@ GOLDEN = {
         "038fc7d7aee072e8ee3bb1266bfbd5fb9acc99b5d98df77e0596c15d2f230ad7",
     "realize 'P(6) + P(4)' -p 3 -q 3 --max-weight 5":
         "5822adf02337beeebb3e7e2aec9536f6a7d0c1752bb6d6c2c5012caeac0bae57",
+    # two off-ring components: weight 7 fails at one part, weight 4 at three;
+    # the witness comes from the lighter weight
+    "express -p 2 'b[7] + b[2]*b[1]^2'":
+        "379a80e9a4ad8b036b27f38173bce679d34d58eb4d110ec315df77acf9f231c1",
 }
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from reference import refines
 
 import cobordlab.partitions as pt
+from cobordlab import cobordism
 from cobordlab.chow import HAtom, PAtom, atom_class, chern_numbers
 from cobordlab.cobordism import (
     GeneratorFamily,
@@ -199,12 +200,16 @@ def test_cache_path_is_accepted_and_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _off_ring_partition(rng, p, w):
+    """A random partition of w with a part outside N_p."""
+    e = rng.choice(sorted(pt.outside_np(w, p)))
+    return tuple(sorted((e,) + rng.choice(pt.partitions_of(w - e)), reverse=True))
+
+
 def _member_and_off_ring(rng, p, fam):
     """A seeded member, and it plus b_alpha where alpha has a part outside N_p."""
     x = evaluate_gen_poly(random_gen_poly(rng, p, 9), fam)
-    w = rng.randint(2, 9)
-    e = rng.choice(sorted(pt.outside_np(w, p)))
-    alpha = tuple(sorted((e,) + rng.choice(pt.partitions_of(w - e)), reverse=True))
+    alpha = _off_ring_partition(rng, p, rng.randint(2, 9))
     return x, x + BPoly.monomial(p, alpha, rng.randrange(1, p))
 
 
@@ -221,6 +226,42 @@ def test_express_agrees_with_elimination_off_the_ring(p, perturb):
             assert got == express_by_elimination(x, fam), (seed, x)
             outcomes.add(type(got))
     assert outcomes == {GenPoly, NotInLp}
+
+
+def test_the_lightest_failing_weight_gives_the_witness(monkeypatch):
+    # weight 7 meets the part 7 at one part, before weight 4 meets the part 1 at three
+    fam = standard_generators(2)
+    x = BPoly(2, {(7,): 1, (2, 1, 1): 1})
+    # members at weights 4 and 5 beside a non-member at weight 7
+    y = evaluate_gen_poly(GenPoly(2, {(5,): 1, (2, 2): 1}), fam) + BPoly(2, {(6, 1): 1})
+    assert express_by_elimination(x, fam) == NotInLp(2, (4,))
+    assert express_by_elimination(y, fam) == NotInLp(2, (6, 1))
+    eliminated = []
+    monkeypatch.setattr(cobordism, "_gauss_witness",
+                        lambda x_w, weight, family: eliminated.append(weight) or _gauss_witness(x_w, weight, family))
+    assert express_in_generators(x, fam) == NotInLp(2, (4,))
+    assert express_in_generators(y, fam) == NotInLp(2, (6, 1))
+    # only the lightest failing weight is eliminated; member weights are cleared by the triangular solve
+    assert eliminated == [4, 7]
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("perturb", (False, True), ids=("standard", "perturbed"))
+def test_express_agrees_with_elimination_with_two_off_ring_weights(p, perturb):
+    # a member plus b_alpha and b_gamma at two different weights, each with a part outside N_p
+    fam = perturbed_family(p, 11) if perturb else standard_generators(p)
+    heavier_is_shorter = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        x = evaluate_gen_poly(random_gen_poly(rng, p, 9), fam)
+        light, heavy = sorted(rng.sample(range(2, 10), 2))
+        alpha, gamma = _off_ring_partition(rng, p, light), _off_ring_partition(rng, p, heavy)
+        heavier_is_shorter += len(gamma) < len(alpha)
+        x = x + BPoly(p, {alpha: rng.randrange(1, p), gamma: rng.randrange(1, p)})
+        got = express_in_generators(x, fam)
+        assert isinstance(got, NotInLp), (seed, x)
+        assert got == express_by_elimination(x, fam), (seed, x)
+    assert heavier_is_shorter
 
 
 def _product_of_generators(fam, beta):

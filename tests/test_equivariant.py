@@ -284,6 +284,73 @@ def test_localization_sweep_catches_a_broken_convention(monkeypatch):
     assert bad == reference_sweep_violations(3, 3)
 
 
+def per_tuple_sweep_violations(p, max_len):
+    """The sweep evaluated afresh for every ordered weight tuple, through the library's two sides."""
+    bad = []
+    for weights, (a, b), r in every_case(p, max_len):
+        n = len(weights) - 1
+        lhs = _reduce_zeta({(a, b): 1}, weights, p).get((n, 0), 0)
+        rhs = pow(r, b, p) * equivariant._fixed_point_degrees(p, weights, r)[a] % p
+        if lhs != rhs:
+            bad.append((weights, (a, b), r, lhs, rhs))
+    return bad
+
+
+def test_both_sides_are_symmetric_in_the_weights():
+    # the sweep evaluates one weight multiset for all its orderings
+    cases = 0
+    for p, max_len in ((2, 6), (3, 5), (5, 4), (7, 3)):
+        for length in range(1, max_len + 1):
+            n = length - 1
+            for weights in itertools.product(range(p), repeat=length):
+                key = tuple(sorted(weights))
+                for r in range(1, p):
+                    assert _fixed_point_degrees(p, weights, r) == _fixed_point_degrees(p, key, r), (p, weights, r)
+                for a in range(length):
+                    for b in range(length - a):
+                        lhs = _reduce_zeta({(a, b): 1}, weights, p).get((n, 0), 0)
+                        assert lhs == _reduce_zeta({(a, b): 1}, key, p).get((n, 0), 0), (p, weights, (a, b))
+                cases += 1
+    assert cases == 126 + 363 + 780 + 399
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_localization_sweep_equals_the_per_tuple_sweep(p, monkeypatch):
+    assert localization_sweep_violations(p, 4) == per_tuple_sweep_violations(p, 4) == []
+    # a fault that keeps both sides symmetric fails the same cells on both routes
+    real_power = equivariant._inverse_power
+    monkeypatch.setattr(equivariant, "_inverse_power", lambda v, k, m, p: real_power(-v, k, m, p))
+    bad = localization_sweep_violations(p, 4)
+    assert bad == per_tuple_sweep_violations(p, 4)
+    assert bad or p == 2  # at p = 2, -v = v
+
+
+def test_localization_sweep_reports_every_ordering_of_a_failing_multiset(monkeypatch):
+    # T[a] + 1 for the one multiset {0, 1, 1} at p = 3, on both routes
+    broken = (0, 1, 1)
+    real_degrees = equivariant._fixed_point_degrees
+    real_localization = reference_localization
+
+    def degrees(p, weights, r):
+        table = real_degrees(p, weights, r)
+        return [(d + 1) % p for d in table] if tuple(sorted(weights)) == broken else table
+
+    def localization(p, weights, element, r):
+        lhs, rhs = real_localization(p, weights, element, r)
+        if tuple(sorted(weights)) == broken:
+            [(_, b)] = element
+            rhs = (rhs + pow(r, b, p)) % p
+        return lhs, rhs
+
+    monkeypatch.setattr(equivariant, "_fixed_point_degrees", degrees)
+    monkeypatch.setitem(globals(), "reference_localization", localization)
+    bad = localization_sweep_violations(3, 4)
+    assert bad == reference_sweep_violations(3, 4)
+    # every monomial and r fails, for the three orderings in product order
+    assert [case[0] for case in bad[::12]] == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    assert len(bad) == 3 * 6 * 2
+
+
 def test_localization_case_count():
     assert localization_case_count(2, 5) + localization_case_count(3, 5) == 9996
     assert localization_case_count(3, 6) == 39912
