@@ -18,7 +18,7 @@ import itertools
 from collections import Counter
 from functools import cache, lru_cache
 
-from .chow import HAtom, PAtom, VExpr, VProduct, chern_numbers, make_h_atom
+from .chow import HAtom, PAtom, VExpr, VProduct, _h_atom, _p_atom, chern_numbers
 from .cobordism import GeneratorFamily, dim_q_direct, express_required, generator_atom
 from .fpring import NEG_INF, BPoly
 from .partitions import Record
@@ -234,13 +234,13 @@ def construct_action_L(i: int, G: CharacterGroup) -> PAct | HAct:
 
 
 def underlying_variety(a: WeightedVariety) -> VExpr:
-    """The variety expression an action node acts on."""
+    """The variety expression an action node acts on, over interned atoms."""
 
     def atom(node) -> PAtom | HAtom:
         if isinstance(node, PAct):
-            return PAtom(len(node.weights) - 1)
+            return _p_atom(len(node.weights) - 1)
         if isinstance(node, HAct):
-            return make_h_atom(len(node.V) - 1, len(node.W) - 1)[0]
+            return _h_atom(len(node.V) - 1, len(node.W) - 1)
         raise TypeError(f"not an atomic action: {node!r}")
 
     if isinstance(a, (PAct, HAct)):

@@ -65,6 +65,20 @@ def make_h_atom(a: int, b: int) -> tuple[HAtom, bool]:
     return (HAtom(a, b), False) if a <= b else (HAtom(b, a), True)
 
 
+# The atoms the library derives from small ints (the generator atoms and the
+# atoms under an action) are interned: memo keys holding them match by identity.
+
+
+@cache
+def _p_atom(n: int) -> PAtom:
+    return PAtom(n)
+
+
+@cache
+def _h_atom(a: int, b: int) -> HAtom:
+    return make_h_atom(a, b)[0]
+
+
 class VProduct(pt.Record):
     __slots__ = ("atoms",)
 
@@ -323,21 +337,32 @@ def atom_class(atom: Atom, p: int) -> BPoly:
 _PRODUCT_CACHE: dict[tuple, BPoly] = {}
 
 
+def _atom_order(atom: Atom) -> tuple[int, ...]:
+    # the fields: (n,) for P(n) and (n, m) for H(n, m), distinct for distinct atoms
+    return atom._values(atom)
+
+
 def product_class(atoms, p: int) -> BPoly:
     """Exact mod-p class of a product of atoms, memoized per prime and atom multiset.
 
     The class of a product does not depend on the order of its factors, so
-    the memo key holds the atoms sorted.  A one-atom product is the atom's
-    own class.
+    the memo key holds the atoms sorted by their fields.  A new product is
+    the memoized product of all its sorted atoms but the last, times the
+    last atom's class: one convolution per product built.  A one-atom
+    product is the atom's own class.  The memo hands the same class to
+    every caller, so callers only ever read it.
     """
+    return _sorted_product(tuple(sorted(atoms, key=_atom_order)), p)
+
+
+def _sorted_product(atoms: tuple, p: int) -> BPoly:
+    """product_class of atoms already sorted into memo-key order."""
     if len(atoms) == 1:
         return atom_class(atoms[0], p)
-    key = (p, tuple(sorted(atoms, key=str)))
+    key = (p, atoms)
     cls = _PRODUCT_CACHE.get(key)
     if cls is None:
-        cls = BPoly.one(p)
-        for atom in key[1]:
-            cls = cls * atom_class(atom, p)
+        cls = _sorted_product(atoms[:-1], p) * atom_class(atoms[-1], p) if atoms else BPoly.one(p)
         _PRODUCT_CACHE[key] = cls
     return cls
 
@@ -347,7 +372,9 @@ def chern_numbers(expr, p: int) -> BPoly:
 
     Accepts a VExpr, a VProduct, an atom, or a string in the expression
     grammar.  The products' classes come from the product memo, and their
-    multiples are summed into one dict that is reduced mod p once.
+    multiples are summed into one dict that is reduced mod p once.  A single
+    product of multiplicity 1 is the memoized class itself, shared with
+    every other caller, which must not mutate it.
     """
     if isinstance(expr, str):
         expr, _ = parse_variety(expr)
@@ -356,6 +383,8 @@ def chern_numbers(expr, p: int) -> BPoly:
     if isinstance(expr, VProduct):
         expr = VExpr(((1, expr),))
     pt.check_prime(p)
+    if len(expr.parts) == 1 and expr.parts[0][0] == 1:
+        return product_class(expr.parts[0][1].atoms, p)
     acc: dict[pt.Partition, int] = {}
     for mult, prod in expr.parts:
         _accumulate(acc, product_class(prod.atoms, p).terms, mult)

@@ -22,10 +22,11 @@ that fails, so the reported obstruction is the coarsest one there.
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Callable
 
 from . import partitions as pt
-from .chow import HAtom, PAtom, atom_class, product_class
+from .chow import _h_atom, _p_atom, atom_class, product_class
 from .fpring import BPoly, GenPoly, _accumulate
 from .partitions import Partition, in_np
 
@@ -67,24 +68,26 @@ class NotInLp(Exception):
         return hash((self.p, self.witness))
 
 
+@cache
 def generator_atom(i: int, p: int):
-    """The variety atom carrying the weight-i generator.
+    """The variety atom carrying the weight-i generator, one interned record per (i, p).
 
     P^i works when p does not divide i+1.  Otherwise i+1 = k*p^s with k >= 2
     prime to p, and the Milnor hypersurface H(p^s, (k-1)p^s) has dimension i
-    with single-part Chern number binom(k*p^s, p^s) = k mod p, nonzero.
+    with single-part Chern number binom(k*p^s, p^s) = k mod p, nonzero.  An
+    index outside N_p raises on every call: the memo keeps no exception.
     """
     if not in_np(i, p):
         raise ValueError(f"{i} is not a generator index for p={p}")
     if (i + 1) % p:
-        return PAtom(i)
+        return _p_atom(i)
     rest = i + 1
     s = 0
     while rest % p == 0:
         rest //= p
         s += 1
     k = rest  # i + 1 = k * p^s, k >= 2 since i+1 is not a pure power
-    return HAtom(p**s, (k - 1) * p**s)
+    return _h_atom(p**s, (k - 1) * p**s)
 
 
 class GeneratorFamily:
@@ -210,9 +213,17 @@ def perturbed_family(p: int, seed: int, max_index: int = 0) -> GeneratorFamily:
 
 
 def evaluate_gen_poly(gp: GenPoly, family: GeneratorFamily) -> BPoly:
-    """The class of a generator polynomial: its monomial classes summed into one dict."""
+    """The class of a generator polynomial: its monomial classes summed into one dict.
+
+    A single monomial with coefficient 1 is the family's memoized class
+    itself, shared with every other caller, which must not mutate it.
+    """
     if gp.p != family.p:
         raise ValueError("prime mismatch")
+    if len(gp.terms) == 1:
+        (beta, coeff), = gp.terms.items()
+        if coeff == 1:
+            return family.monomial_class(beta)
     acc: dict[Partition, int] = {}
     for beta, coeff in gp.terms.items():
         _accumulate(acc, family.monomial_class(beta).terms, coeff)

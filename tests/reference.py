@@ -22,6 +22,10 @@ library route against an independent one.
 * Partition refinement, the check that monomial classes are triangular.
 * The fixed-locus dimension of an action node counted from its character
   multisets on every call, the check of the memoized cobordlab.actions.fixed_dim.
+* Products of atom classes multiplied left to right, the check of the
+  product memo cobordlab.chow.product_class; and the generator atoms and the
+  atoms under an action built as fresh records, the check of the interned
+  atoms.
 """
 
 from collections import Counter
@@ -30,7 +34,7 @@ from math import comb, factorial
 
 from cobordlab import partitions as pt
 from cobordlab.actions import Disjoint, HAct, PAct, Product
-from cobordlab.chow import PAtom
+from cobordlab.chow import PAtom, VExpr, VProduct, atom_class, make_h_atom
 from cobordlab.equivariant import f_poly
 from cobordlab.fpring import BPoly
 
@@ -596,3 +600,41 @@ def reference_fixed_dim(a):
     if isinstance(a, Disjoint):
         return max((reference_fixed_dim(node) for _, node in a.parts), default=pt.NEG_INF)
     raise TypeError(f"not an action node: {a!r}")
+
+
+# -- products and atoms, built afresh ----------------------------------------
+
+
+def reference_product(atoms, p: int) -> BPoly:
+    """The class of a product of atoms, multiplied left to right from the unit."""
+    cls = BPoly.one(p)
+    for atom in atoms:
+        cls = cls * atom_class(atom, p)
+    return cls
+
+
+def reference_generator_atom(i: int, p: int):
+    """The weight-i generator atom as a fresh record: P(i), or H(p^s, i+1-p^s) for the largest p^s dividing i+1."""
+    if not pt.in_np(i, p):
+        raise ValueError(f"{i} is not a generator index for p={p}")
+    if (i + 1) % p:
+        return PAtom(i)
+    q = p
+    while (i + 1) % (q * p) == 0:
+        q *= p
+    return make_h_atom(q, i + 1 - q)[0]
+
+
+def reference_underlying_variety(a) -> VExpr:
+    """The variety expression under an action node, with a fresh atom record per factor."""
+
+    def atom(node):
+        if isinstance(node, PAct):
+            return PAtom(len(node.weights) - 1)
+        return make_h_atom(len(node.V) - 1, len(node.W) - 1)[0]
+
+    if isinstance(a, (PAct, HAct)):
+        return VExpr(((1, VProduct((atom(a),))),))
+    if isinstance(a, Product):
+        return VExpr(((1, VProduct(tuple(atom(f) for f in a.factors))),))
+    return VExpr(tuple((mult, VProduct(tuple(atom(f) for f in node.factors))) for mult, node in a.parts))

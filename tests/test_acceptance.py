@@ -10,7 +10,7 @@ import hashlib
 import json
 import re
 
-from cobordlab import acceptance
+from cobordlab import acceptance, chow, cobordism
 
 CTX = acceptance.SuiteContext()
 
@@ -90,6 +90,25 @@ TIMING = re.compile(r"\bin \d+(?:\.\d+)?m?s\b")
 
 def test_selftest_details_are_pinned():
     rows = [[r.name, r.ok, TIMING.sub("in <t>", r.detail)] for r in acceptance.run_all()]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SELFTEST_DIGEST, rows
+
+
+def _shared_memo_terms():
+    # the classes chern_numbers, product_class and evaluate_gen_poly hand out
+    # without a copy: the atom and product memos and the standard monomials
+    memos = {"atom": chow._ATOM_CACHE, "product": chow._PRODUCT_CACHE}
+    memos.update((f"monomial p={p}", fam._monomials) for p, fam in cobordism._STANDARD.items())
+    return {(name, key): dict(cls.terms) for name, memo in memos.items() for key, cls in memo.items()}
+
+
+def test_shared_memos_are_not_mutated_by_a_selftest_run():
+    acceptance.run_all()
+    before = _shared_memo_terms()
+    rows = [[r.name, r.ok, TIMING.sub("in <t>", r.detail)] for r in acceptance.run_all()]
+    after = _shared_memo_terms()
+    # name the entries that changed: a diff of the whole memos is slow to print
+    changed = [key for key in before.keys() | after.keys() if before.get(key) != after.get(key)]
+    assert not changed, changed[:5]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SELFTEST_DIGEST, rows
 
 

@@ -6,7 +6,7 @@ import json
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from reference import reference_fixed_dim
+from reference import reference_fixed_dim, reference_generator_atom, reference_underlying_variety
 
 import cobordlab.partitions as pt
 from cobordlab import acceptance
@@ -154,6 +154,25 @@ def test_underlying_variety():
                 act = construct_action_L(i, g)
                 assert underlying_variety(act) == VExpr(((1, VProduct((generator_atom(i, p),))),)), (p, q, i)
                 assert fixed_dim(act) == i // q, (p, q, i)
+
+
+def test_interned_atoms_match_fresh_records():
+    # the soundness pool: every action the fixed-locus and realize checks build
+    ctx = acceptance.SuiteContext()
+    acceptance.check_fixed_locus_formulas(ctx)
+    acceptance.check_realize_achieves(ctx)
+    assert len(ctx.actions) > 1000
+    for action, _ in ctx.actions:
+        assert underlying_variety(action) == reference_underlying_variety(action), action
+    for p in (2, 3, 5, 7):
+        for i in range(65):
+            if pt.in_np(i, p):
+                atom = generator_atom(i, p)
+                assert atom == reference_generator_atom(i, p) and atom is generator_atom(i, p), (p, i)
+            else:
+                for _ in range(2):  # the memo keeps no exception
+                    with pytest.raises(ValueError, match="not a generator index"):
+                        generator_atom(i, p)
 
 
 def test_realize_product_example():

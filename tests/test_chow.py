@@ -1,7 +1,9 @@
 """Atom classes and variety expressions, checked against the reference Chow models and series engine."""
 
 import hashlib
+import itertools
 import json
+import random
 from math import comb
 
 import pytest
@@ -13,6 +15,7 @@ from reference import (
     cf_series,
     class_from_tangent,
     reference_h_class,
+    reference_product,
     reference_slice,
     series_inv,
     series_mul,
@@ -32,6 +35,7 @@ from cobordlab.chow import (
     chern_numbers,
     make_h_atom,
     parse_variety,
+    product_class,
 )
 from cobordlab.cobordism import generator_atom, standard_generators
 from cobordlab.fpring import BPoly
@@ -245,6 +249,29 @@ def test_product_memo_matches_bpoly_products(p, monkeypatch):
         assert chern_numbers(text, p) == want
     assert len(chow._PRODUCT_CACHE) == 1  # one entry serves both factor orders
     assert chern_numbers("2.P(2)*H(2,4) + H(2,4)*P(2)", p) == want.scale(3)
+
+
+# atoms of dimension at most 6, so that six of them multiply out quickly in
+# each of up to 720 orders
+SMALL_ATOMS = (*(PAtom(n) for n in range(7)), *(HAtom(n, m) for m in range(8) for n in range(m + 1) if n + m <= 7))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_product_class_matches_left_to_right_products_in_every_order(p, monkeypatch):
+    # a new product is the memoized product of its sorted prefix times the
+    # last atom; whatever order fills the memo, every order reads the same class
+    monkeypatch.setattr(chow, "_PRODUCT_CACHE", {})
+    assert product_class((), p) == BPoly.one(p)
+    # F_p[b] has no zero divisors, so products of nonzero classes stay nonzero
+    pool = [atom for atom in SMALL_ATOMS if not atom_class(atom, p).is_zero()]
+    rng = random.Random(1700 + p)
+    for size in range(7):
+        for _ in range(2):
+            atoms = [rng.choice(pool) for _ in range(size)]
+            for order in dict.fromkeys(itertools.permutations(atoms)):
+                assert product_class(order, p) == reference_product(order, p), (p, order)
+    assert product_class((HAtom(0, 0), PAtom(2)), p).is_zero()  # H(0,0) is empty
+    assert product_class([], p) == BPoly.one(p)
 
 
 def test_chern_numbers_checks_the_prime():

@@ -67,6 +67,28 @@ def test_an_express_request_loads_no_deferred_module(tmp_path):
     assert json.loads(proc.stderr) == [0, []]
 
 
+# the selftest's import, which perfbench times as the selftest set-up, loads
+# the package's own modules and nothing heavier; a new module shows up here,
+# import-time work inside a module only in that set-up time
+ACCEPTANCE_MODULES = [
+    "cobordlab", "cobordlab.acceptance", "cobordlab.actions", "cobordlab.bounds", "cobordlab.chow",
+    "cobordlab.cobordism", "cobordlab.equivariant", "cobordlab.fpring", "cobordlab.partitions",
+]
+ACCEPTANCE_CHECK = (
+    "import json, sys\n"
+    "before = set(sys.modules)\n"
+    "import cobordlab.acceptance\n"
+    "new = [m for m in sys.modules if m not in before]\n"
+    f"print(json.dumps([sorted(m for m in new if m.startswith('cobordlab')), sorted(m for m in {DEFERRED!r} if m in new)]))\n"
+)
+
+
+def test_importing_the_acceptance_checks_loads_only_the_package_modules():
+    proc = _python("-S", "-c", ACCEPTANCE_CHECK)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [ACCEPTANCE_MODULES, ["cobordlab.acceptance"]]
+
+
 def test_deferred_imports_run_in_fresh_processes():
     proc = _python("-m", "cobordlab.cli", "rho", "-p", "2", "-q", "2", "--np-minus", "")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rho_2 = 2/5\n", "")
