@@ -268,9 +268,8 @@ def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> 
         raise ValueError("realize needs the standard family: its atoms are the standard generator varieties")
     P = express_required(x, fam)
     parts = []
-    for beta in P.support():
-        node = Product(tuple(construct_action_L(part, G) for part in beta))
-        parts.append((P.terms[beta], node))
+    for beta, mult in P.sorted_terms():
+        parts.append((mult, Product(tuple(construct_action_L(part, G) for part in beta))))
     action = Disjoint(tuple(parts))
     achieved = fixed_dim(action)
     if achieved != dim_q_direct(x, G.q):

@@ -215,8 +215,8 @@ def _partitions_at_most(s: int, cap: int, max_part: int):
 
 
 @cache
-def _layer_table(p: int, s: int, digit: int) -> tuple[tuple[pt.Partition, int], ...]:
-    """Digit layers of weight s under a base-p digit of k-1, with their mod-p factors.
+def _layer_table(p: int, s: int, digit: int) -> tuple[tuple[int, int], ...]:
+    """Digit layers of weight s under a base-p digit of k-1, as packed keys with their mod-p factors.
 
     A layer is a partition with L <= p-1-digit parts; its factor is
     (-1)^L * L!/prod(mult!) * binom(digit+L, L), nonzero mod p by that bound.
@@ -227,29 +227,30 @@ def _layer_table(p: int, s: int, digit: int) -> tuple[tuple[pt.Partition, int], 
         c = comb(digit + L, L) * factorial(L)
         for mult in Counter(lam).values():
             c //= factorial(mult)
-        out.append((lam, (-c) % p if L % 2 else c % p))
+        out.append((pt.pack(lam), (-c) % p if L % 2 else c % p))
     return tuple(out)
 
 
 @cache
-def _layers_from(p: int, digits: tuple[int, ...], j: int, w: int) -> dict[pt.Partition, int]:
-    """Nonzero terms built from digit layers j, j+1, ... of total weight p^j * w.
+def _layers_from(p: int, digits: tuple[int, ...], j: int, w: int) -> dict[int, int]:
+    """Nonzero packed terms built from digit layers j, j+1, ... of total weight p^j * w.
 
-    Layer j contributes each of its parts p^j times; its weight s must be
+    Layer j contributes each of its parts p^j times, which multiplies every
+    field of its packed key by p^j; its weight s must be
     congruent to w mod p, and the layers above it make up (w - s) / p.
     Distinct stacks give distinct partitions, and the coefficients are
     products of nonzero layer factors, left unreduced.  The memo hands the
     same dict to every caller, so it is only ever read.
     """
     if w == 0:
-        return {(): 1}
+        return {0: 1}
     digit = digits[j] if j < len(digits) else 0
     rep = p**j
-    out: dict[pt.Partition, int] = {}
+    out: dict[int, int] = {}
     for s in range(w % p, w + 1, p):
         rest = _layers_from(p, digits, j + 1, (w - s) // p)
         if rest:
-            head = {tuple(part for part in lam for _ in range(rep)): c for lam, c in _layer_table(p, s, digit)}
+            head = {key * rep: c for key, c in _layer_table(p, s, digit)}
             _convolve(head, rest, out)
     return out
 
@@ -300,15 +301,15 @@ def _h_class(p: int, n: int, m: int) -> BPoly:
     d = n + m - 1
     if d < 0:
         return BPoly.zero(p)  # H(0,0) is empty
-    A = [_inverse_power_slice(p, n + 1, a).terms for a in range(n + 1)]
-    B = [_inverse_power_slice(p, m + 1, b).terms for b in range(m + 1)]
-    acc: dict[pt.Partition, int] = {}
+    A = [_inverse_power_slice(p, n + 1, a).packed for a in range(n + 1)]
+    B = [_inverse_power_slice(p, m + 1, b).packed for b in range(m + 1)]
+    acc: dict[int, int] = {}
     for a in range(min(n, d) + 1):
-        folded: dict[pt.Partition, int] = {}
+        folded: dict[int, int] = {}
         for i in range(max(0, d - a - m), d - a + 1):
             c = comb(i + 1, n - a) % p
             if c:
-                _convolve({(i,) if i else (): c}, B[d - a - i], folded)
+                _convolve({pt.pack((i,) if i else ()): c}, B[d - a - i], folded)
         _convolve(A[a], _normalize(folded, p), acc)
     return BPoly._trusted(p, acc)
 
@@ -385,7 +386,7 @@ def chern_numbers(expr, p: int) -> BPoly:
     pt.check_prime(p)
     if len(expr.parts) == 1 and expr.parts[0][0] == 1:
         return product_class(expr.parts[0][1].atoms, p)
-    acc: dict[pt.Partition, int] = {}
+    acc: dict[int, int] = {}
     for mult, prod in expr.parts:
-        _accumulate(acc, product_class(prod.atoms, p).terms, mult)
+        _accumulate(acc, product_class(prod.atoms, p).packed, mult)
     return BPoly._trusted(p, acc)

@@ -4,7 +4,9 @@ The image L_p of complex cobordism in F_p[b] is polynomial on classes l_i,
 one for each index i with i+1 not a power of p.  The standard family uses
 l_i = [P^i] when p does not divide i+1 and a Milnor hypersurface class
 otherwise.  A class is a polynomial generator in weight i exactly when its
-single-part coefficient c_(i) is nonzero mod p.
+single-part coefficient c_(i) is nonzero mod p.  Inside the solve a
+partition is its packed key (partitions.pack); the public methods take and
+return tuples.
 
 express_in_generators writes an exact class as a polynomial in a family.
 The solve is triangular: the monomial on l_beta only supports partitions
@@ -28,7 +30,7 @@ from typing import Callable
 from . import partitions as pt
 from .chow import _h_atom, _p_atom, atom_class, product_class
 from .fpring import BPoly, GenPoly, _accumulate
-from .partitions import Partition, in_np
+from .partitions import KEY_LIMIT, Partition, in_np
 
 __all__ = [
     "NotInLp",
@@ -95,9 +97,10 @@ class GeneratorFamily:
 
     gens maps the index i to an exact homogeneous weight-i class whose
     single-part coefficient is nonzero.  Generators are built on first use
-    and kept in memory, as are monomial classes and their clearing rows;
-    ensure builds a range ahead.  Indices and monomials are checked when
-    they are first built, not on a memo hit.
+    and kept in memory, as are monomial classes and their clearing rows,
+    both under packed keys; ensure builds a range ahead.  An index is
+    checked when its generator is first built, not on a memo hit; the
+    public monomial_class checks its partition on every call.
     """
 
     def __init__(self, p: int, kind: str, make: Callable[[int], BPoly]):
@@ -105,15 +108,15 @@ class GeneratorFamily:
         self.kind = kind
         self._make = make
         self.gens: dict[int, BPoly] = {}
-        self._monomials: dict[Partition, BPoly] = {}
-        self._rows: dict[Partition, tuple[int, dict[Partition, int]]] = {}
+        self._monomials: dict[int, BPoly] = {}
+        self._rows: dict[int, tuple[int, dict[int, int]]] = {}
 
     def generator(self, i: int) -> BPoly:
         if i not in self.gens:
             if not in_np(i, self.p):
                 raise ValueError(f"{i} is not a generator index for p={self.p}")
             cls = self._make(i)
-            if (i,) not in cls.terms:  # a stored coefficient is nonzero mod p
+            if pt.pack((i,)) not in cls.packed:  # a stored coefficient is nonzero mod p
                 raise AssertionError(f"weight-{i} class fails the generator criterion")
             self.gens[i] = cls
         return self.gens[i]
@@ -125,25 +128,25 @@ class GeneratorFamily:
 
     def diagonal(self, i: int) -> int:
         """c_(i) of the weight-i generator."""
-        return self.generator(i).terms[(i,)]
+        return self.generator(i).packed[pt.pack((i,))]
 
     def monomial_class(self, beta: Partition) -> BPoly:
-        """The class of the monomial l_beta; beta is checked on a memo miss."""
-        try:
-            return self._monomials[beta]
-        except (KeyError, TypeError):  # an unhashable beta is refused by the check
-            pass
-        beta = pt.check_partition(beta)
-        cls = self._product(beta)
-        self._monomials[beta] = cls
+        """The class of the monomial l_beta."""
+        return self._monomial(pt.pack(pt.check_partition(beta)))
+
+    def _monomial(self, key: int) -> BPoly:
+        """monomial_class under a packed key; the key is decoded only to build the class."""
+        cls = self._monomials.get(key)
+        if cls is None:
+            cls = self._monomials[key] = self._product(pt.unpack(key))
         return cls
 
-    def clearing_row(self, alpha: Partition) -> tuple[int, dict[Partition, int]]:
-        """(1 / c_alpha mod p, the terms dict itself) of l_alpha; c_alpha is a product of diagonals."""
-        row = self._rows.get(alpha)
+    def clearing_row(self, key: int) -> tuple[int, dict[int, int]]:
+        """(1 / c_alpha mod p, the packed terms themselves) of l_alpha; c_alpha is a product of diagonals."""
+        row = self._rows.get(key)
         if row is None:
-            terms = self.monomial_class(alpha).terms
-            row = self._rows[alpha] = (pow(terms[alpha], -1, self.p), terms)
+            terms = self._monomial(key).packed
+            row = self._rows[key] = (pow(terms[key], -1, self.p), terms)
         return row
 
     def _product(self, beta: Partition) -> BPoly:
@@ -220,17 +223,17 @@ def evaluate_gen_poly(gp: GenPoly, family: GeneratorFamily) -> BPoly:
     """
     if gp.p != family.p:
         raise ValueError("prime mismatch")
-    if len(gp.terms) == 1:
-        (beta, coeff), = gp.terms.items()
+    if len(gp.packed) == 1:
+        (beta, coeff), = gp.packed.items()
         if coeff == 1:
-            return family.monomial_class(beta)
-    acc: dict[Partition, int] = {}
-    for beta, coeff in gp.terms.items():
-        _accumulate(acc, family.monomial_class(beta).terms, coeff)
+            return family._monomial(beta)
+    acc: dict[int, int] = {}
+    for beta, coeff in gp.packed.items():
+        _accumulate(acc, family._monomial(beta).packed, coeff)
     return BPoly._trusted(gp.p, acc)
 
 
-def _subtract_row(vec: dict[Partition, int], c: int, row: dict[Partition, int], p: int) -> None:
+def _subtract_row(vec: dict[int, int], c: int, row: dict[int, int], p: int) -> None:
     """vec -= c * row over F_p in place, dropping the entries that cancel."""
     for b, v in row.items():
         nv = (vec.get(b, 0) - c * v) % p
@@ -240,23 +243,24 @@ def _subtract_row(vec: dict[Partition, int], c: int, row: dict[Partition, int], 
             vec.pop(b, None)
 
 
-def _gauss_witness(x_w: dict[Partition, int], weight: int, family: GeneratorFamily) -> dict[Partition, int] | Partition:
+def _gauss_witness(x_w: dict[int, int], weight: int, family: GeneratorFamily) -> dict[int, int] | int:
     """Solve the weight-w linear system by elimination, rows finest-first.
 
-    Returns the coefficient dict on success, or the witness partition of the
-    first inconsistent row.  Unknowns are the N_p-partitions of the weight;
-    rows are all partitions of the weight in ascending canonical order, so
-    an inconsistency is reported at the coarsest possible row.
+    x_w and the result are under packed keys.  Returns the coefficient dict
+    on success, or the witness key of the first inconsistent row.  Unknowns
+    are the N_p-partitions of the weight; rows are all partitions of the
+    weight finest first, in ascending key order (the reverse of canonical
+    order within a weight), so an inconsistency is reported at the coarsest
+    possible row.
     """
     p = family.p
-    unknowns = pt.np_partitions(weight, p)
-    columns = {beta: family.monomial_class(beta) for beta in unknowns}
-    rows = sorted(pt.partitions_of(weight), key=pt.canonical_term_key, reverse=True)
-    pivots: dict[Partition, tuple[dict, int]] = {}  # pivot unknown -> (row vector, rhs)
+    columns = {beta: family._monomial(beta).packed for beta in pt.np_keys(weight, p)}
+    rows = map(pt.pack, reversed(pt.partitions_of(weight)))
+    pivots: dict[int, tuple[dict, int]] = {}  # pivot unknown -> (row vector, rhs)
     for alpha in rows:
         vec = {}
-        for beta, cls in columns.items():
-            c = cls.terms.get(alpha, 0)
+        for beta, terms in columns.items():
+            c = terms.get(alpha, 0)
             if c:
                 vec[beta] = c
         rhs = x_w.get(alpha, 0) % p
@@ -266,7 +270,7 @@ def _gauss_witness(x_w: dict[Partition, int], weight: int, family: GeneratorFami
                 _subtract_row(vec, c, pvec, p)
                 rhs = (rhs - c * prhs) % p
         if vec:
-            pivot = min(vec, key=pt.canonical_term_key)
+            pivot = max(vec)  # the first in canonical order
             inv = pow(vec.pop(pivot), -1, p)
             pvec = {b: (inv * v) % p for b, v in vec.items()}
             prhs = (inv * rhs) % p
@@ -302,28 +306,36 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
     if x.p != family.p:
         raise ValueError("prime mismatch")
     p = x.p
-    residual = dict(x.terms)
-    top = max(residual, default=())  # holds the largest part, which refinement never exceeds
-    outside = pt.outside_np(top[0] if top else 0, p)
-    solution: dict[Partition, int] = {}
+    residual = dict(x.packed)
+    outside = pt.outside_mask(p)
+    field = KEY_LIMIT  # a key's field 0 is its number of parts
+    solution: dict[int, int] = {}
     failed: set[int] = set()  # weights whose support met a part outside N_p
     # Clearing alpha zeroes it and changes only strict refinements of alpha,
     # which have more parts; so within one length the order does not
     # matter, and a bucket only grows while a shorter one is cleared.
-    by_length: dict[int, list[Partition]] = {}
+    by_length: dict[int, list[int]] = {}
     for alpha in residual:
-        by_length.setdefault(len(alpha), []).append(alpha)
+        by_length.setdefault(alpha & field, []).append(alpha)
     length = 0
     while by_length:
+        if length > field:
+            # no partition has more parts than KEY_LIMIT: what is left was queued
+            # at a length already passed, by a row entry that does not refine
+            # the partition it clears (a stored zero in a shared class does that)
+            stale = next(iter(by_length.values()))[0]
+            raise AssertionError(f"clearing rows reach c_{pt.unpack(stale)} after its length was cleared")
         bucket = by_length.pop(length, ())
         length += 1
         for alpha in bucket:
             r = residual.get(alpha)
-            if r is None:  # cleared since it was queued
-                continue
-            if not outside.isdisjoint(alpha):
-                failed.add(sum(alpha))
-            if failed and sum(alpha) in failed:
+            if not r:
+                if r is None:  # cleared since it was queued
+                    continue
+                raise AssertionError(f"clearing rows left a stored zero at c_{pt.unpack(alpha)}")
+            if alpha & outside:
+                failed.add(pt.key_weight(alpha))
+            if failed and pt.key_weight(alpha) in failed:
                 continue
             inv_diag, row = family.clearing_row(alpha)
             coeff = r * inv_diag % p
@@ -332,7 +344,7 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
                 old = residual.get(beta)
                 if old is None:  # coeff and c are units, so the new entry is nonzero
                     residual[beta] = -coeff * c % p
-                    by_length.setdefault(len(beta), []).append(beta)
+                    by_length.setdefault(beta & field, []).append(beta)
                 else:
                     nv = (old - coeff * c) % p
                     if nv:
@@ -341,9 +353,9 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
                         del residual[beta]
     if failed:
         weight = min(failed)
-        outcome = _gauss_witness({a: c for a, c in x.terms.items() if sum(a) == weight}, weight, family)
-        if isinstance(outcome, tuple):
-            return NotInLp(p, outcome)
+        outcome = _gauss_witness({a: c for a, c in x.packed.items() if pt.key_weight(a) == weight}, weight, family)
+        if isinstance(outcome, int):
+            return NotInLp(p, pt.unpack(outcome))
         raise AssertionError("triangular solve stalled on a solvable system")
     # each alpha is solved once, with a unit coefficient
     return GenPoly._reduced(p, solution)
@@ -364,7 +376,7 @@ def express_required(x: BPoly, family: GeneratorFamily | None = None) -> GenPoly
 
 def dim_q_direct(x: BPoly, q: int):
     """Largest sum of floor(part/q) over the support; -inf for the zero class."""
-    return pt.max_pi_q(x.terms, q)
+    return pt.max_pi_q(x.packed, q)
 
 
 def dim_q_via_generators(x: BPoly, q: int, family: GeneratorFamily | None = None):
@@ -377,13 +389,13 @@ def dim_q_via_generators(x: BPoly, q: int, family: GeneratorFamily | None = None
 def random_gen_poly(rng: random.Random, p: int, top_weight: int, max_terms: int = 4) -> GenPoly:
     """Random polynomial in the generators with term weights up to top_weight."""
     pt.check_prime(p)
-    terms: dict[Partition, int] = {}
+    terms: dict[int, int] = {}
     n_terms = rng.randint(1, max_terms)
     attempts = 0
     while n_terms > 0 and attempts < 200:
         attempts += 1
         w = rng.randint(1, top_weight)
-        choices = pt.np_partitions(w, p)
+        choices = pt.np_keys(w, p)
         if not choices:
             continue
         beta = rng.choice(choices)

@@ -10,6 +10,13 @@ X_{i_1}...X_{i_k} is stored as the partition (i_1 >= ... >= i_k).  Both
 share one implementation of the arithmetic and differ only in their symbol
 and their JSON key.
 
+Terms are stored in packed, a dict from packed partition keys (see
+partitions.pack) to coefficients, so a product pair is one int addition.
+Partitions are tuples at the boundary: the constructors, coefficient,
+support, terms (a new tuple-keyed dict on each access), formatting and JSON.
+The packed keys hold weights up to partitions.KEY_LIMIT; a product whose
+top weights add up to more is refused with a ValueError.
+
 Validation happens at the boundary only.  The public constructors
 BPoly(...) and GenPoly(...), monomial, coefficient, from_json_dict and the
 CLI parsers check the prime and every partition.  Results that arithmetic
@@ -23,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import partitions as pt
-from .partitions import NEG_INF, Partition, canonical_order
+from .partitions import KEY_LIMIT, NEG_INF, Partition, canonical_order, key_weight
 
 
 def _normalize(terms: dict, p: int) -> dict:
@@ -37,16 +44,16 @@ def _normalize(terms: dict, p: int) -> dict:
 
 
 def _convolve(x: dict, y: dict, out: dict | None = None) -> dict:
-    """Add the product of two partition-indexed term dicts into out (a new dict by default).
+    """Add the product of two term dicts under packed keys into out (a new dict by default).
 
-    Parts multiply by union.  Coefficients come out unreduced; the
-    constructors reduce them mod p.
+    Parts multiply by union, which adds the keys.  Coefficients come out
+    unreduced; the constructors reduce them mod p.
     """
     if out is None:
         out = {}
     for beta, cb in x.items():
         for gamma, cg in y.items():
-            u = tuple(sorted(beta + gamma, reverse=True))
+            u = beta + gamma
             out[u] = out.get(u, 0) + cb * cg
     return out
 
@@ -61,29 +68,33 @@ def _accumulate(out: dict, terms: dict, k: int = 1) -> dict:
 class _PartitionPoly:
     """Mod-p linear combination of monomials indexed by partitions."""
 
-    __slots__ = ("p", "terms")
+    __slots__ = ("p", "packed")
     _symbol = ""  # the monomial's factor symbol when printed
     _json_key = ""  # the key of a term's partition in the JSON form
 
     def __init__(self, p: int, terms: dict | None = None):
         pt.check_prime(p)
         self.p = p
-        self.terms = _normalize({tuple(alpha): c for alpha, c in (terms or {}).items()}, p)
-        for alpha in self.terms:
-            pt.check_partition(alpha)
+        terms = _normalize({tuple(alpha): c for alpha, c in (terms or {}).items()}, p)
+        self.packed = {pt.pack(pt.check_partition(alpha)): c for alpha, c in terms.items()}
 
     @classmethod
-    def _trusted(cls, p: int, terms: dict):
-        """Build from valid partitions over a prime, skipping the checks."""
-        return cls._reduced(p, _normalize(terms, p))
+    def _trusted(cls, p: int, packed: dict):
+        """Build from valid packed keys over a prime, skipping the checks."""
+        return cls._reduced(p, _normalize(packed, p))
 
     @classmethod
-    def _reduced(cls, p: int, terms: dict):
-        """Wrap terms that are valid and already reduced mod p, without a copy."""
+    def _reduced(cls, p: int, packed: dict):
+        """Wrap packed terms that are valid and already reduced mod p, without a copy."""
         obj = object.__new__(cls)
         obj.p = p
-        obj.terms = terms
+        obj.packed = packed
         return obj
+
+    @property
+    def terms(self) -> dict:
+        """The terms under tuple partitions, in a new dict on each access."""
+        return {pt.unpack(key): c for key, c in self.packed.items()}
 
     @classmethod
     def zero(cls, p: int):
@@ -98,13 +109,22 @@ class _PartitionPoly:
         return cls(p, {tuple(alpha): coeff})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def support(self) -> list[Partition]:
-        return canonical_order(self.terms)
+        return [alpha for alpha, _ in self.sorted_terms()]
+
+    def sorted_terms(self) -> list[tuple[Partition, int]]:
+        """(partition, coefficient) pairs in support order."""
+        return [(pt.unpack(key), self.packed[key]) for key in canonical_order(self.packed)]
 
     def coefficient(self, alpha) -> int:
-        return self.terms.get(pt.check_partition(tuple(alpha)), 0)
+        alpha = pt.check_partition(tuple(alpha))
+        return self.packed.get(pt.pack(alpha), 0) if sum(alpha) <= KEY_LIMIT else 0
+
+    def top_weight(self):
+        """Largest weight in the support; NEG_INF for zero."""
+        return max(map(key_weight, self.packed), default=NEG_INF)
 
     def _check_operand(self, other) -> None:
         if type(other) is not type(self):
@@ -114,21 +134,24 @@ class _PartitionPoly:
 
     def __add__(self, other):
         self._check_operand(other)
-        return self._trusted(self.p, _accumulate(dict(self.terms), other.terms))
+        return self._trusted(self.p, _accumulate(dict(self.packed), other.packed))
 
     def scale(self, k: int):
         k %= self.p
-        return self._trusted(self.p, {a: k * c for a, c in self.terms.items()})
+        return self._trusted(self.p, {a: k * c for a, c in self.packed.items()})
 
     def __mul__(self, other):
         self._check_operand(other)
-        return self._trusted(self.p, _convolve(self.terms, other.terms))
+        w = self.top_weight() + other.top_weight()
+        if w > KEY_LIMIT:
+            raise ValueError(f"product weight {w} exceeds the packed-key limit {KEY_LIMIT}")
+        return self._trusted(self.p, _convolve(self.packed, other.packed))
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.p == other.p and self.terms == other.terms
+        return type(other) is type(self) and self.p == other.p and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.p, frozenset(self.terms.items())))
+        return hash((self.p, frozenset(self.packed.items())))
 
     def __repr__(self):
         return f"{type(self).__name__}(p={self.p}, {_format_terms(self)})"
@@ -137,8 +160,7 @@ class _PartitionPoly:
         return {
             "p": self.p,
             "terms": [
-                {self._json_key: list(alpha), "coeff": self.terms[alpha]}
-                for alpha in self.support()
+                {self._json_key: list(alpha), "coeff": c} for alpha, c in self.sorted_terms()
             ],
         }
 
@@ -154,19 +176,14 @@ class BPoly(_PartitionPoly):
     _symbol = "b"
     _json_key = "partition"
 
-    def top_weight(self):
-        """Largest weight in the support; NEG_INF for zero."""
-        return max((sum(a) for a in self.terms), default=NEG_INF)
-
     def is_homogeneous(self) -> bool:
-        ws = {sum(a) for a in self.terms}
-        return len(ws) <= 1
+        return len(set(map(key_weight, self.packed))) <= 1
 
     def weight_components(self) -> dict[int, "BPoly"]:
         """The terms grouped by weight, in increasing weight."""
         comps: dict[int, dict] = {}
-        for alpha, c in self.terms.items():
-            comps.setdefault(sum(alpha), {})[alpha] = c
+        for key, c in self.packed.items():
+            comps.setdefault(key_weight(key), {})[key] = c
         return {w: BPoly._reduced(self.p, comps[w]) for w in sorted(comps)}
 
     def to_json_dict(self) -> dict:
@@ -189,7 +206,7 @@ class GenPoly(_PartitionPoly):
 
     def deg_q(self, q: int):
         """Degree where the symbol of index i counts floor(i/q); NEG_INF for zero."""
-        return pt.max_pi_q(self.terms, q)
+        return pt.max_pi_q(self.packed, q)
 
 
 def _format_terms(poly: _PartitionPoly) -> str:
@@ -198,11 +215,11 @@ def _format_terms(poly: _PartitionPoly) -> str:
     if poly.is_zero():
         return "0"
     chunks = []
-    for alpha in poly.support():
+    for alpha, c in poly.sorted_terms():
         # Counter keeps first-seen order, so the parts stay largest first
         factors = [f"{symbol}[{part}]" + (f"^{mult}" if mult > 1 else "")
                    for part, mult in Counter(alpha).items()]
-        chunks.append(f"{poly.terms[alpha]}*{'*'.join(factors)}" if factors else f"{poly.terms[alpha]}")
+        chunks.append(f"{c}*{'*'.join(factors)}" if factors else f"{c}")
     return " + ".join(chunks)
 
 

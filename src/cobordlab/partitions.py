@@ -4,15 +4,16 @@ A partition is a tuple of weakly decreasing positive integers; () is the
 empty partition.  Canonical enumeration order is descending lexicographic,
 so partitions_of(4) runs (4,), (3,1), (2,2), (2,1,1), (1,1,1,1).
 
-Besides enumeration this module provides the floor-sum statistic pi_q, the
-generator index sets N_p, the exact ratio rho_q of an index set, the
-canonical term order, and the Record base of the value types.
+Besides enumeration this module provides the packed integer keys that
+stand for partitions inside the term kernel and their canonical order, the
+floor-sum statistic pi_q, the generator index sets N_p, the exact ratio
+rho_q of an index set, and the Record base of the value types.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from operator import attrgetter
+from operator import attrgetter, mul
 
 Partition = tuple[int, ...]
 
@@ -49,23 +50,71 @@ def pi_q(alpha: Partition, q: int) -> int:
     return sum(a // q for a in alpha)
 
 
-# pi_q per q and partition; a q's table starts afresh past this size, so each stays bounded
+# -- packed partition keys ----------------------------------------------------
+#
+# Inside the term kernel a partition is one int, its packed key: field 0
+# holds the number of parts, field 1 the weight and field i + 1 the
+# multiplicity of part i, each field KEY_BITS = 8 bits wide, so the fields
+# are the bytes of the key's little-endian form.  The union of two
+# partitions is then the sum of their keys.  No field exceeds the weight, so
+# the keys of weight at most KEY_LIMIT never carry from one field into the
+# next; pack and the products of fpring refuse anything heavier.  Within one
+# weight, the canonical order is descending key order.
+
+KEY_BITS = 8
+KEY_LIMIT = (1 << KEY_BITS) - 1  # the largest weight a key holds, and the field mask
+
+
+def pack(alpha: Partition) -> int:
+    """The packed key of a partition; a ValueError above the weight KEY_LIMIT."""
+    w = sum(alpha)
+    if w > KEY_LIMIT:
+        raise ValueError(f"weight {w} exceeds the packed-key limit {KEY_LIMIT}")
+    key = len(alpha) | w << KEY_BITS
+    for part in alpha:
+        key += 1 << KEY_BITS * (part + 1)
+    return key
+
+
+def _fields(key: int) -> bytes:
+    """The fields of a packed key: byte i + 1 is the multiplicity of part i."""
+    return key.to_bytes((key.bit_length() + 7) // 8, "little")
+
+
+def unpack(key: int) -> Partition:
+    """The partition of a packed key, largest part first."""
+    fields = _fields(key)
+    out: list[int] = []
+    for part in range(len(fields) - 2, 0, -1):
+        out += [part] * fields[part + 1]
+    return tuple(out)
+
+
+def key_weight(key: int) -> int:
+    """The weight of a packed key: its field 1."""
+    return key >> KEY_BITS & KEY_LIMIT
+
+
+# per q: floor(i/q) for the parts i >= q, and pi_q per packed key; a q's
+# table starts afresh past this size, so each stays bounded
 _PI_Q_LIMIT = 1 << 14
-_pi_q_tables: dict[int, dict[Partition, int]] = {}
+_pi_q_tables: dict[int, tuple[tuple[int, ...], dict[int, int]]] = {}
 
 
-def max_pi_q(partitions, q: int):
-    """Largest pi_q over the partitions, with q checked once; -inf for none."""
+def max_pi_q(keys, q: int):
+    """Largest pi_q over packed keys, with q checked once; -inf for none."""
     if q < 1:
         raise ValueError("q must be a positive integer")
-    table = _pi_q_tables.get(q)
-    if table is None or len(table) > _PI_Q_LIMIT:
-        table = _pi_q_tables[q] = {}
+    entry = _pi_q_tables.get(q)
+    if entry is None or len(entry[1]) > _PI_Q_LIMIT:
+        entry = _pi_q_tables[q] = (tuple(i // q for i in range(q, KEY_LIMIT + 1)), {})
+    floors, table = entry
     best = NEG_INF
-    for alpha in partitions:
-        v = table.get(alpha)
+    for key in keys:
+        v = table.get(key)
         if v is None:
-            v = table[alpha] = sum(map(q.__rfloordiv__, alpha))
+            # the multiplicities of the parts q, q+1, ... times their floors
+            v = table[key] = sum(map(mul, _fields(key)[q + 1:], floors))
         if v > best:
             best = v
     return best
@@ -93,6 +142,12 @@ def partitions_of(n: int, parts=None) -> list[Partition]:
 def np_partitions(n: int, p: int) -> tuple[Partition, ...]:
     """partitions_of(n, parts=IndexSet.np_minus(p)) as a tuple, memoized per (n, p)."""
     return tuple(partitions_of(n, parts=IndexSet.np_minus(p)))
+
+
+@cache
+def np_keys(n: int, p: int) -> tuple[int, ...]:
+    """np_partitions(n, p) as packed keys, memoized per (n, p)."""
+    return tuple(map(pack, np_partitions(n, p)))
 
 
 # keyed by (n, allowed parts); the entry count is bounded so that a long
@@ -158,6 +213,12 @@ def in_np(i: int, p: int) -> bool:
 def outside_np(n: int, p: int) -> frozenset[int]:
     """The indices 1..n that are not in N_p, memoized per (n, p)."""
     return frozenset(i for i in range(1, n + 1) if not in_np(i, p))
+
+
+@cache
+def outside_mask(p: int) -> int:
+    """The key fields of the parts outside N_p: a packed key meets the mask iff it owns such a part."""
+    return sum(KEY_LIMIT << KEY_BITS * (i + 1) for i in outside_np(KEY_LIMIT, p))
 
 
 class Record:
@@ -287,21 +348,12 @@ def rho_q(index_set: IndexSet, q: int):
     return best
 
 
-def canonical_term_key(alpha: Partition):
-    """Sort key ordering partitions by weight, then canonical order within weight."""
-    return (sum(alpha), tuple(-a for a in alpha))
-
-
-def canonical_order(terms) -> list[Partition]:
-    """The partitions sorted by canonical_term_key, without a Python key function.
-
-    Within one weight no partition is a proper prefix of another, so there the
-    canonical order is descending tuple order.
-    """
-    by_weight: dict[int, list[Partition]] = {}
-    for alpha in terms:
-        by_weight.setdefault(sum(alpha), []).append(alpha)
-    out: list[Partition] = []
+def canonical_order(keys) -> list[int]:
+    """Packed keys by weight, then in canonical order within a weight: descending key order."""
+    by_weight: dict[int, list[int]] = {}
+    for key in keys:
+        by_weight.setdefault(key >> KEY_BITS & KEY_LIMIT, []).append(key)
+    out: list[int] = []
     for w in sorted(by_weight):
         out += sorted(by_weight[w], reverse=True)
     return out

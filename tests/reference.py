@@ -22,6 +22,9 @@ library route against an independent one.
 * Partition refinement, the check that monomial classes are triangular.
 * The fixed-locus dimension of an action node counted from its character
   multisets on every call, the check of the memoized cobordlab.actions.fixed_dim.
+* The term kernel on tuple partitions (a union is a sorted concatenation)
+  and the canonical sort key of a tuple partition, the check of the packed
+  keys that cobordlab.fpring and cobordlab.partitions work on.
 * Products of atom classes multiplied left to right, the check of the
   product memo cobordlab.chow.product_class; and the generator atoms and the
   atoms under an action built as fresh records, the check of the interned
@@ -71,6 +74,32 @@ def reference_h_class(p: int, n: int, m: int) -> BPoly:
                 inner = inner + (A[a] * B[d - i - a]).scale(c)
         total = total + (inner * BPoly.monomial(p, (i,)) if i else inner)
     return total
+
+
+# -- the term kernel on tuple partitions ----------------------------------------
+
+
+def canonical_term_key(alpha: pt.Partition):
+    """Sort key ordering partitions by weight, then canonical order within weight."""
+    return (sum(alpha), tuple(-a for a in alpha))
+
+
+def tuple_convolve(x: dict, y: dict, out: dict | None = None) -> dict:
+    """Add the product of two tuple-keyed term dicts into out, unreduced: parts multiply by union."""
+    if out is None:
+        out = {}
+    for beta, cb in x.items():
+        for gamma, cg in y.items():
+            u = tuple(sorted(beta + gamma, reverse=True))
+            out[u] = out.get(u, 0) + cb * cg
+    return out
+
+
+def tuple_accumulate(out: dict, terms: dict, k: int = 1) -> dict:
+    """Add k times the tuple-keyed terms into out, unreduced, and return out."""
+    for alpha, c in terms.items():
+        out[alpha] = out.get(alpha, 0) + k * c
+    return out
 
 
 # -- truncated Chow rings, atom models and split K-classes ---------------------

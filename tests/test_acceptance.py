@@ -98,7 +98,8 @@ def _shared_memo_terms():
     # without a copy: the atom and product memos and the standard monomials
     memos = {"atom": chow._ATOM_CACHE, "product": chow._PRODUCT_CACHE}
     memos.update((f"monomial p={p}", fam._monomials) for p, fam in cobordism._STANDARD.items())
-    return {(name, key): dict(cls.terms) for name, memo in memos.items() for key, cls in memo.items()}
+    # the stored packed terms themselves, not the tuple-keyed copy .terms returns
+    return {(name, key): dict(cls.packed) for name, memo in memos.items() for key, cls in memo.items()}
 
 
 def test_shared_memos_are_not_mutated_by_a_selftest_run():

@@ -190,6 +190,16 @@ def test_atom_weight_cap(capsys):
     assert code == 0 and out.startswith("1*b[40]*b[30] + ")
 
 
+def test_packed_key_weight_limit(capsys):
+    # classes are stored under packed keys that hold weights up to 255
+    code, out, _ = run(capsys, "class", "-p", "2", "*".join(["P(2)"] * 127))
+    assert code == 0 and out == "1*b[2]^127\n"
+    assert run(capsys, "class", "-p", "2", "*".join(["P(2)"] * 130)) == (
+        1, "", "error: product weight 256 exceeds the packed-key limit 255\n")
+    assert run(capsys, "class", "-p", "2", "b[1]^256", "--max-weight", "256") == (
+        1, "", "error: weight 256 exceeds the packed-key limit 255\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

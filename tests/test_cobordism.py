@@ -1,12 +1,17 @@
 """Generator families, expression in generators, dim_q."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 from reference import refines
 
+import cobordlab
 import cobordlab.partitions as pt
 from cobordlab import cobordism
 from cobordlab.chow import HAtom, PAtom, atom_class, chern_numbers
@@ -94,11 +99,11 @@ def express_by_elimination(x: BPoly, family: GeneratorFamily) -> GenPoly | NotIn
     """Dense elimination at every weight: the reference route for express_in_generators."""
     result = GenPoly.zero(x.p)
     for weight, comp in sorted(x.weight_components().items()):
-        outcome = _gauss_witness(dict(comp.terms), weight, family)
-        if isinstance(outcome, tuple):
-            return NotInLp(x.p, outcome)
+        outcome = _gauss_witness(dict(comp.packed), weight, family)
+        if isinstance(outcome, int):
+            return NotInLp(x.p, pt.unpack(outcome))
         for beta, coeff in outcome.items():
-            result = result + GenPoly.monomial(x.p, beta, coeff)
+            result = result + GenPoly.monomial(x.p, pt.unpack(beta), coeff)
     return result
 
 
@@ -321,3 +326,30 @@ def test_random_gen_poly_draws_as_the_chained_sum_did():
                     want = want + GenPoly.monomial(p, ref.choice(choices), ref.randrange(1, p))
                     n_terms -= 1
             assert got == want and rng.getstate() == ref.getstate()
+
+
+# A stored zero in a shared clearing row: at a partition that does not refine
+# (4,2) it used to send the solve into an endless loop, at a strict refinement
+# it would be "solved" with coefficient 0.  Both now end in an internal
+# assertion naming the partition, and the CLI exits 3.
+STORED_ZERO = """
+import sys
+import cobordlab.partitions as pt
+from cobordlab import cli
+from cobordlab.cobordism import standard_generators
+standard_generators(2).monomial_class((4, 2)).packed[pt.pack({at})] = 0
+sys.exit(cli.main(["express", "-p", "2", "b[4]*b[2] + b[2]^3"]))
+"""
+
+
+@pytest.mark.parametrize("at, message", [
+    ((6,), "clearing rows reach c_(6,) after its length was cleared"),
+    ((3, 1, 1, 1), "clearing rows left a stored zero at c_(3, 1, 1, 1)"),
+])
+def test_a_stored_zero_in_a_clearing_row_stops_the_solve(at, message):
+    src = str(Path(cobordlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", STORED_ZERO.format(at=at)], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr == f"internal assertion failed: {message}\n"

@@ -1,13 +1,18 @@
 """BPoly / GenPoly ring semantics, exactness, and serialization."""
 
 import json
+import random
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from cobordlab.fpring import NEG_INF, BPoly, GenPoly, format_bpoly, format_genpoly
-from cobordlab.partitions import canonical_term_key, is_partition
+from reference import canonical_term_key, tuple_accumulate, tuple_convolve
+
+import cobordlab.partitions as pt
+from cobordlab.chow import chern_numbers
+from cobordlab.fpring import NEG_INF, BPoly, GenPoly, _accumulate, _convolve, format_bpoly, format_genpoly
+from cobordlab.partitions import is_partition
 
 partition_st = st.lists(st.integers(1, 6), min_size=0, max_size=4).map(
     lambda v: tuple(sorted(v, reverse=True))
@@ -175,3 +180,75 @@ def test_genpoly_arithmetic_and_format():
 def test_genpoly_json_roundtrip():
     P = GenPoly(5, {(4, 1): 3, (): 2})
     assert GenPoly.from_json_dict(P.to_json_dict()) == P
+
+
+# -- the packed kernel against the tuple reference ----------------------------
+
+
+def _random_terms(rng: random.Random, p: int, top: int) -> dict:
+    terms = {}
+    for _ in range(rng.randint(0, 12)):
+        w = rng.randint(0, top)
+        alpha = rng.choice(pt.partitions_of(w))
+        terms[alpha] = rng.randrange(-p, 3 * p)  # unreduced, zeros included
+    return terms
+
+
+def _packed(terms: dict) -> dict:
+    return {pt.pack(alpha): c for alpha, c in terms.items()}
+
+
+def _unpacked(packed: dict) -> dict:
+    return {pt.unpack(key): c for key, c in packed.items()}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_packed_kernel_matches_the_tuple_kernel(p):
+    rng = random.Random(p)
+    for _ in range(200):
+        x, y = _random_terms(rng, p, 14), _random_terms(rng, p, 14)
+        assert _unpacked(_convolve(_packed(x), _packed(y))) == tuple_convolve(x, y)
+        k = rng.randrange(-p, p)
+        assert _unpacked(_accumulate(_packed(x), _packed(y), k)) == tuple_accumulate(dict(x), y, k)
+        a, b = BPoly(p, x), BPoly(p, y)
+        want = {alpha: c % p for alpha, c in tuple_convolve(a.terms, b.terms).items() if c % p}
+        assert (a * b).terms == want
+        assert (a + b.scale(k)).terms == {alpha: c % p for alpha, c in tuple_accumulate(a.terms, b.terms, k).items()
+                                          if c % p}
+
+
+def test_products_past_the_key_limit_are_refused():
+    limit = pt.KEY_LIMIT
+    a = BPoly(2, {(limit - 100,): 1, (1,): 1})
+    b = BPoly(2, {(50, 50): 1})
+    assert (a * b).top_weight() == limit
+    with pytest.raises(ValueError, match=f"product weight {limit + 1} exceeds the packed-key limit {limit}"):
+        a * BPoly(2, {(101,): 1})
+    assert (a * BPoly.zero(2)).is_zero()  # a zero factor has no weight to add
+    with pytest.raises(ValueError, match="exceeds the packed-key limit"):
+        BPoly(3, {(1,) * (limit + 1): 1})
+    with pytest.raises(ValueError, match="exceeds the packed-key limit"):
+        GenPoly.monomial(3, (limit, 1))
+    assert a.coefficient((limit + 1,)) == 0  # exact classes answer everywhere
+
+
+def test_terms_are_tuple_keyed_copies():
+    x = BPoly(3, {(2, 1): 1, (4,): 2, (): 1})
+    assert x.terms == {(2, 1): 1, (4,): 2, (): 1}
+    assert all(type(alpha) is tuple for alpha in x.terms)
+    got = x.terms
+    got[(6,)] = 0
+    got.clear()
+    assert x.terms == {(2, 1): 1, (4,): 2, (): 1}
+    assert x.support() == [(), (2, 1), (4,)]
+    assert x.coefficient([4]) == 2
+
+
+def test_a_memoized_class_survives_a_caller_mutating_its_terms():
+    # the shared classes are handed out without a copy; what .terms returns is a copy
+    x = chern_numbers("P(4)*P(2)", 2)
+    want = dict(x.packed)
+    x.terms.setdefault((), 0)
+    x.terms[(6,)] = 0
+    assert chern_numbers("P(4)*P(2)", 2) is x
+    assert x.packed == want

@@ -1,11 +1,12 @@
 """Partition calculus: enumeration, pi_q, rho_q, and the reference refinement order."""
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
-from reference import refines, sub_multisets
+from reference import canonical_term_key, refines, sub_multisets
 
 import cobordlab.partitions as pt
 from cobordlab.partitions import IndexSet, rho_q
@@ -195,7 +196,7 @@ def test_rho_is_the_min_ratio(members, q):
 
 def test_canonical_term_key_order():
     everything = [a for n in range(4) for a in pt.partitions_of(n)]
-    got = sorted(everything, key=pt.canonical_term_key)
+    got = sorted(everything, key=canonical_term_key)
     assert got == [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
 
 
@@ -217,9 +218,75 @@ def test_max_pi_q_values_and_q_check():
     for n in (7, 9, 7):
         ps = pt.partitions_of(n)
         for q in (1, 2, 3, 8, 2, 1):
-            assert pt.max_pi_q(ps, q) == max(pt.pi_q(a, q) for a in ps)
-            assert [pt.max_pi_q([a], q) for a in ps] == [pt.pi_q(a, q) for a in ps]
+            assert pt.max_pi_q(map(pt.pack, ps), q) == max(pt.pi_q(a, q) for a in ps)
+            assert [pt.max_pi_q([pt.pack(a)], q) for a in ps] == [pt.pi_q(a, q) for a in ps]
     assert pt.max_pi_q([], 2) == float("-inf")
     for q in (0, -1):
         with pytest.raises(ValueError):
             pt.max_pi_q([], q)
+
+
+# -- packed keys ---------------------------------------------------------------
+
+
+def _seeded_partitions(seed: int, count: int) -> list:
+    """Random partitions with parts up to 127 (the single part of H(64,64)'s
+    class) and weights up to the packed-key limit."""
+    rng = random.Random(seed)
+    out = [(127,), (127, 127, 1), (1,) * pt.KEY_LIMIT, (pt.KEY_LIMIT,)]
+    while len(out) < count:
+        parts, room = [], rng.randint(1, pt.KEY_LIMIT)
+        while room:
+            parts.append(rng.randint(1, min(127, room)))
+            room -= parts[-1]
+        out.append(tuple(sorted(parts, reverse=True)))
+    return out
+
+
+def test_packed_keys_round_trip():
+    small = [a for n in range(21) for a in pt.partitions_of(n)]
+    keys = [pt.pack(a) for a in small]
+    assert len(set(keys)) == len(small)
+    assert [pt.unpack(k) for k in keys] == small
+    for alpha in _seeded_partitions(1, 500):
+        assert pt.unpack(pt.pack(alpha)) == alpha
+
+
+def test_packed_key_statistics_agree_with_the_tuple():
+    for alpha in [a for n in range(13) for a in pt.partitions_of(n)] + _seeded_partitions(2, 300):
+        key = pt.pack(alpha)
+        assert key & pt.KEY_LIMIT == len(alpha)  # field 0
+        assert pt.key_weight(key) == sum(alpha)
+        # the top part's field holds the key's highest set bit
+        assert max((key.bit_length() - 1) // pt.KEY_BITS - 1, 0) == (alpha[0] if alpha else 0)
+        for p in (2, 3, 5):
+            assert bool(key & pt.outside_mask(p)) == any(not pt.in_np(part, p) for part in alpha)
+        for q in (1, 2, 3, 4, 9):
+            assert pt.max_pi_q([key], q) == pt.pi_q(alpha, q)
+
+
+def test_union_is_key_addition():
+    rng = random.Random(3)
+    pool = _seeded_partitions(4, 200)
+    for _ in range(300):
+        a, b = rng.sample(pool, 2)
+        if sum(a) + sum(b) <= pt.KEY_LIMIT:
+            assert pt.pack(a) + pt.pack(b) == pt.pack(tuple(sorted(a + b, reverse=True)))
+
+
+def test_packed_order_is_the_canonical_order():
+    everything = [a for n in range(17) for a in pt.partitions_of(n)]
+    random.Random(5).shuffle(everything)
+    got = [pt.unpack(k) for k in pt.canonical_order(map(pt.pack, everything))]
+    assert got == sorted(everything, key=canonical_term_key)
+    # within one weight, canonical order is descending key order
+    for n in range(23):
+        keys = [pt.pack(a) for a in pt.partitions_of(n)]
+        assert keys == sorted(keys, reverse=True)
+
+
+def test_pack_refuses_weights_past_the_limit():
+    assert pt.unpack(pt.pack((1,) * pt.KEY_LIMIT)) == (1,) * pt.KEY_LIMIT
+    for alpha in [(1,) * (pt.KEY_LIMIT + 1), (pt.KEY_LIMIT + 1,), (200, 56)]:
+        with pytest.raises(ValueError, match="exceeds the packed-key limit"):
+            pt.pack(alpha)
