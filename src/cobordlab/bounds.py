@@ -138,7 +138,7 @@ def small_fixed_divisibility(x: BPoly, q: int, d: int, fam: GeneratorFamily | No
         raise ValueError(f"precondition n >= (2q-1)d fails: {n} < {(2 * q - 1) * d}")
     P = express_required(x, fam)
     need = n - (2 * q - 1) * d
-    return all(_low_part_weight(beta, q) >= need for beta in P.support())
+    return all(_low_part_weight(beta, q) >= need for beta in P.terms)
 
 
 def milnor_exponent(n: int, d: int) -> int:
@@ -162,7 +162,7 @@ def milnor_divisibility_check(x: BPoly, d: int, fam: GeneratorFamily | None = No
     if need <= 0:
         return True
     P = express_required(x, fam)
-    return all(sum(1 for part in beta if part == 5) >= need for beta in P.support())
+    return all(sum(1 for part in beta if part == 5) >= need for beta in P.terms)
 
 
 def np_monomial_ratio_violations(p: int, q: int, max_weight: int) -> list[Partition]:

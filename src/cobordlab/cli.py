@@ -35,7 +35,7 @@ from .cobordism import (
 )
 from .equivariant import localization_check
 from .fpring import NEG_INF, BPoly, format_bpoly, format_genpoly
-from .partitions import IndexSet, check_prime, key_weight, rho_q
+from .partitions import IndexSet, check_prime, rho_q
 
 RAW_DEFAULT_WEIGHT = 16
 
@@ -199,7 +199,7 @@ def cmd_class(args) -> int:
     shown = None  # the JSON's maxWeight: set when --max-weight filters a variety's class
     if args.max_weight is not None and not is_raw_input(args.input):
         shown = args.max_weight
-        x = BPoly._reduced(x.p, {key: c for key, c in x.packed.items() if key_weight(key) <= shown})
+        x = BPoly(x.p, {alpha: c for alpha, c in x.terms.items() if sum(alpha) <= shown})
     emit(args, dict(x.to_json_dict(), maxWeight=shown), format_bpoly(x))
     return 0
 

@@ -6,7 +6,7 @@ of the indexing partitions.  Every BPoly is exact: an unstored coefficient
 is zero.
 
 GenPoly models polynomials in abstract generator symbols; a monomial
-X_{i_1}...X_{i_k} is stored as the partition (i_1 >= ... >= i_k).  Both
+X_{i_1}...X_{i_k} is indexed by the partition (i_1 >= ... >= i_k).  Both
 share one implementation of the arithmetic and differ only in their symbol
 and their JSON key.
 
@@ -198,7 +198,7 @@ class BPoly(_PartitionPoly):
 
 
 class GenPoly(_PartitionPoly):
-    """Mod-p polynomial in generator symbols, monomials stored as partitions."""
+    """Mod-p polynomial in generator symbols, monomials indexed by partitions."""
 
     __slots__ = ()
     _symbol = "X"

@@ -352,7 +352,7 @@ def canonical_order(keys) -> list[int]:
     """Packed keys by weight, then in canonical order within a weight: descending key order."""
     by_weight: dict[int, list[int]] = {}
     for key in keys:
-        by_weight.setdefault(key >> KEY_BITS & KEY_LIMIT, []).append(key)
+        by_weight.setdefault(key_weight(key), []).append(key)
     out: list[int] = []
     for w in sorted(by_weight):
         out += sorted(by_weight[w], reverse=True)
