@@ -19,7 +19,7 @@ from collections import Counter
 from functools import cache, lru_cache
 
 from .chow import HAtom, PAtom, VExpr, VProduct, _h_atom, _p_atom, chern_numbers
-from .cobordism import GeneratorFamily, dim_q_direct, express_required, generator_atom
+from .cobordism import GeneratorFamily, _StandardFamily, dim_q_direct, express_required, generator_atom
 from .fpring import NEG_INF, BPoly
 from .partitions import Record
 
@@ -255,7 +255,8 @@ def underlying_variety(a: WeightedVariety) -> VExpr:
 def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> tuple[Disjoint, object]:
     """An explicit action on a variety with class x whose fixed locus achieves dim_q.
 
-    Expresses x in the standard generators and takes the disjoint union,
+    Expresses x in the standard generators (fam, if given, must be the
+    family standard_generators returns) and takes the disjoint union,
     with the expression's coefficients as multiplicities, of products of
     per-generator actions.  Checks both halves of the contract: the
     achieved dimension equals dim_q(x) and the underlying variety's class
@@ -264,7 +265,7 @@ def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> 
     p = x.p
     if G.p != p:
         raise ValueError("character group prime mismatch")
-    if fam is not None and not fam.kind.startswith("standard"):
+    if fam is not None and not isinstance(fam, _StandardFamily):
         raise ValueError("realize needs the standard family: its atoms are the standard generator varieties")
     P = express_required(x, fam)
     parts = []

@@ -17,7 +17,7 @@ from math import ceil
 from . import partitions as pt
 from .cobordism import GeneratorFamily, dim_q_direct, express_required
 from .fpring import NEG_INF, BPoly
-from .partitions import IndexSet, Partition, Record, in_np, rho_q
+from .partitions import IndexSet, Partition, Record, rho_q
 
 
 def check_order(p: int, q: int) -> int:
@@ -36,25 +36,6 @@ def main_bound(x: BPoly, q: int):
     """
     check_order(x.p, q)
     return dim_q_direct(x, q)
-
-
-def np_complement(A, p: int) -> IndexSet:
-    """N_p minus the given index collection, as an IndexSet."""
-    if isinstance(A, IndexSet):
-        if A.members is not None:
-            return IndexSet.np_minus(p, excluded=A.members)
-        if A.p != p:
-            raise ValueError("index set belongs to a different prime")
-        return IndexSet.finite({e for e in A.excluded if in_np(e, p)})
-    return IndexSet.np_minus(p, excluded=frozenset(A))
-
-
-def _describe_indices(A) -> object:
-    if isinstance(A, IndexSet):
-        if A.members is not None:
-            return sorted(A.members)
-        return {"cofiniteInNp": True, "excluded": sorted(A.excluded)}
-    return sorted(set(A))
 
 
 class BoundReport(Record):
@@ -82,7 +63,7 @@ class BoundReport(Record):
 
 
 def ratio_bound(x: BPoly, A, s: int, q: int, fam: GeneratorFamily | None = None) -> BoundReport:
-    """Ratio-type bound from a monomial with few factors in the index set A.
+    """Ratio-type bound from a monomial with few factors in the index set A, a collection of ints.
 
     For homogeneous x of weight n: if its generator expression contains a
     monomial with at most s parts lying in A, then any order-q fixed locus
@@ -93,7 +74,7 @@ def ratio_bound(x: BPoly, A, s: int, q: int, fam: GeneratorFamily | None = None)
     check_order(p, q)
     if s < 0:
         raise ValueError("s must be nonnegative")
-    inputs = {"p": p, "q": q, "s": s, "A": _describe_indices(A), "weight": None}
+    inputs = {"p": p, "q": q, "s": s, "A": sorted(set(A)), "weight": None}
     if x.is_zero():
         return BoundReport(NEG_INF, "zero class: no constraint", None, inputs)
     if not x.is_homogeneous():
@@ -110,7 +91,7 @@ def ratio_bound(x: BPoly, A, s: int, q: int, fam: GeneratorFamily | None = None)
         return BoundReport(
             NEG_INF, f"no monomial with at most {s} factors indexed in A", None, inputs
         )
-    rho = rho_q(np_complement(A, p), q)
+    rho = rho_q(IndexSet.np_minus(p, excluded=frozenset(A)), q)
     bound = ceil(rho * (n - (q - 1) * s))
     return BoundReport(
         bound, f"monomial with at most {s} factors indexed in A", certificate, inputs

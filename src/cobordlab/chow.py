@@ -32,9 +32,6 @@ class PAtom(pt.Record):
     def __init__(self, n: int):
         object.__setattr__(self, "n", n)
 
-    def dim(self) -> int:
-        return self.n
-
     def __str__(self):
         return f"P({self.n})"
 
@@ -47,9 +44,6 @@ class HAtom(pt.Record):
         object.__setattr__(self, "m", m)
         if n > m:
             raise ValueError("HAtom stores n <= m; use make_h_atom to normalize")
-
-    def dim(self) -> int:
-        return self.n + self.m - 1
 
     def __str__(self):
         return f"H({self.n},{self.m})"
@@ -85,9 +79,6 @@ class VProduct(pt.Record):
     def __init__(self, atoms: tuple[Atom, ...]):
         object.__setattr__(self, "atoms", atoms)
 
-    def dim(self) -> int:
-        return sum(a.dim() for a in self.atoms)
-
     def __str__(self):
         return "*".join(str(a) for a in self.atoms)
 
@@ -99,10 +90,6 @@ class VExpr(pt.Record):
 
     def __init__(self, parts: tuple[tuple[int, VProduct], ...]):
         object.__setattr__(self, "parts", parts)
-
-    def dim(self) -> int:
-        """Top dimension across components; -1 for the empty expression."""
-        return max((prod.dim() for _, prod in self.parts), default=-1)
 
     def __str__(self):
         if not self.parts:

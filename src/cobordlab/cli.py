@@ -9,9 +9,8 @@ class's weight (raw input defaults to 16); in class it filters instead.
 
 Exit codes: 0 ok, 1 usage or input error, 2 not in the generator ring where
 membership is required, 3 internal assertion failure (including a failing
-selftest).  Generators are built in memory as a request needs them;
---cache and the COBORDLAB_CACHE environment variable are accepted and
-ignored.
+selftest).  Generators are built in memory as a request needs them; the
+COBORDLAB_CACHE environment variable is ignored.
 """
 
 from __future__ import annotations
@@ -341,7 +340,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         if family:
             sp.add_argument("--family", default="standard", help="standard or perturbed(SEED)")
-            sp.add_argument("--cache", default=None, help="ignored: generators are built in memory, no cache file")
 
     sp = sub.add_parser("class", help="mod-p class of a variety expression")
     common(sp)

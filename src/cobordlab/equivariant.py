@@ -14,14 +14,15 @@ the restriction times the inverse Euler class of the normal bundle.  The
 model: the ambient equivariant ring is F_p[zeta, t] modulo the monic
 relation prod_j (zeta + w_j t); restriction to the component of the
 character c sends zeta to xi - c*t; the normal bundle to that component
-has Euler class prod_{c' != c} (xi + (c' - c) t)^(mult c').  These three
-conventions calibrate each other and are validated wholesale by the
-exhaustive sweep, which evaluates each weight multiset once: both sides
-are symmetric in the weights.  Each fixed component is a projective space,
-so its Chow ring is F_p[xi]/(xi^m) and its fixed-point degrees have a
-closed form (_fixed_point_degrees).  The entry points localization_check
-and localization_sweep_violations check that p is prime before any
-arithmetic mod p.
+has Euler class prod_{c' != c} (xi + (c' - c) t)^(mult c').  A class of
+degree at most n never meets the relation, so its ordinary degree is its
+coefficient at zeta^n t^0.  These three conventions calibrate each other
+and are validated wholesale by the exhaustive sweep, which evaluates each
+weight multiset once: both sides are symmetric in the weights.  Each
+fixed component is a projective space, so its Chow ring is F_p[xi]/(xi^m)
+and its fixed-point degrees have a closed form (_fixed_point_degrees).
+The entry points localization_check and localization_sweep_violations
+check that p is prime before any arithmetic mod p.
 """
 
 from __future__ import annotations
@@ -66,40 +67,11 @@ def f_poly(p: int, i: int) -> XTPoly:
     return out
 
 
-def _elementary_symmetric(values: tuple[int, ...], p: int) -> list[int]:
-    es = [1] + [0] * len(values)
-    for w in values:
-        for k in range(len(values), 0, -1):
-            es[k] = (es[k] + w * es[k - 1]) % p
-    return es
-
-
-def _reduce_zeta(element: dict, weights: tuple[int, ...], p: int) -> dict:
-    """Reduce mod the monic relation prod_j (zeta + w_j t), leaving zeta-degree <= n."""
-    n = len(weights) - 1
-    out = {k: v % p for k, v in element.items() if v % p}
-    es = None
-    while high := [k for k in out if k[0] > n]:
-        if es is None:  # built only when some term has zeta-degree > n
-            es = _elementary_symmetric(weights, p)
-        a, b = max(high)
-        co = out.pop((a, b))
-        for k in range(1, n + 2):
-            if es[k] == 0:
-                continue
-            key = (a - k, b + k)
-            nv = (out.get(key, 0) - co * es[k]) % p
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-    return out
-
-
 def localization_check(p: int, weights, y, r: int) -> tuple[int, int]:
     """Both sides of the fixed-point degree identity; they must agree.
 
-    lhs: the ordinary degree of y at t = 0 on P^n.  rhs: the sum over
+    lhs: the ordinary degree of y at t = 0 on P^n, which is y's coefficient
+    at zeta^n t^0 once its degree is known to be at most n.  rhs: the sum over
     characters c present in the weights of the degree, on that fixed
     component, of epsilon_r(inverse Euler of its normal bundle) times
     epsilon_r(y restricted).  p must be prime and r nonzero mod p.  y is a
@@ -123,7 +95,7 @@ def localization_check(p: int, weights, y, r: int) -> tuple[int, int]:
     if any(a < 0 or b < 0 for a, b in element):
         raise ValueError("exponents of y must be nonnegative")
 
-    lhs = _reduce_zeta(element, weights, p).get((n, 0), 0)
+    lhs = element.get((n, 0), 0)
 
     table = _fixed_point_degrees(p, weights, r)
     rhs = sum(co * pow(r, b, p) * table[a] for (a, b), co in element.items()) % p
@@ -189,9 +161,9 @@ def localization_sweep_violations(p: int, max_len: int = 5) -> list[tuple]:
     (weights, (a, b), r, lhs, rhs) tuples in that order; must be empty.
 
     Exact with one evaluation per weight multiset: both sides are symmetric
-    in the weights (the lhs reduces by their elementary symmetric functions,
-    the table reads their multiplicities), so every ordered tuple reports
-    its multiset's failing cells, in the order a per-tuple sweep finds them.
+    in the weights (the lhs does not read them, the table reads their
+    multiplicities), so every ordered tuple reports its multiset's failing
+    cells, in the order a per-tuple sweep finds them.
     """
     pt.check_prime(p)
     bad = []
@@ -206,7 +178,7 @@ def localization_sweep_violations(p: int, max_len: int = 5) -> list[tuple]:
                 tables = {r: _fixed_point_degrees(p, key, r) for r in range(1, p)}
                 for a in range(n + 1):
                     for b in range(n + 1 - a):
-                        lhs = _reduce_zeta({(a, b): 1}, key, p).get((n, 0), 0)
+                        lhs = int((a, b) == (n, 0))
                         for r, table in tables.items():
                             rhs = pow(r, b, p) * table[a] % p
                             if lhs != rhs:

@@ -18,11 +18,11 @@ The packed keys hold weights up to partitions.KEY_LIMIT; a product whose
 top weights add up to more is refused with a ValueError.
 
 Validation happens at the boundary only.  The public constructors
-BPoly(...) and GenPoly(...), monomial, coefficient, from_json_dict and the
-CLI parsers check the prime and every partition.  Results that arithmetic
-builds from already-valid operands (sums, scalings, products, weight
-components) go through the private _trusted constructor, which still
-reduces mod p and drops zeros, but skips those checks.
+BPoly(...) and GenPoly(...), monomial, coefficient and the CLI parsers
+check the prime and every partition.  Results that arithmetic builds from
+already-valid operands (sums, scalings, products) go through the private
+_trusted constructor, which still reduces mod p and drops zeros, but skips
+those checks.
 """
 
 from __future__ import annotations
@@ -164,10 +164,6 @@ class _PartitionPoly:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict):
-        return cls(data["p"], {tuple(t[cls._json_key]): t["coeff"] for t in data["terms"]})
-
 
 class BPoly(_PartitionPoly):
     """Mod-p linear combination of b-monomials indexed by partitions."""
@@ -179,22 +175,9 @@ class BPoly(_PartitionPoly):
     def is_homogeneous(self) -> bool:
         return len(set(map(key_weight, self.packed))) <= 1
 
-    def weight_components(self) -> dict[int, "BPoly"]:
-        """The terms grouped by weight, in increasing weight."""
-        comps: dict[int, dict] = {}
-        for key, c in self.packed.items():
-            comps.setdefault(key_weight(key), {})[key] = c
-        return {w: BPoly._reduced(self.p, comps[w]) for w in sorted(comps)}
-
     def to_json_dict(self) -> dict:
         # class --json carries maxWeight; a BPoly is exact, so it is null unless class filters
         return {"maxWeight": None, **super().to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BPoly":
-        if data.get("maxWeight") is not None:
-            raise ValueError(f"truncated class (maxWeight {data['maxWeight']}); only exact classes are read")
-        return super().from_json_dict(data)
 
 
 class GenPoly(_PartitionPoly):

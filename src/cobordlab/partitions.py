@@ -128,10 +128,6 @@ def partitions_of(n: int, parts=None) -> list[Partition]:
     """
     if n > DEFAULT_WEIGHT_CAP:
         raise ValueError(f"weight {n} exceeds cap {DEFAULT_WEIGHT_CAP}")
-    if n < 0:
-        return []
-    if n == 0:
-        return [()]
     allowed = None
     if parts is not None:
         allowed = tuple(v for v in range(n, 0, -1) if v in parts)

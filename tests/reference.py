@@ -29,6 +29,13 @@ library route against an independent one.
   product memo cobordlab.chow.product_class; and the generator atoms and the
   atoms under an action built as fresh records, the check of the interned
   atoms.
+* The reduction of a class on P(V) modulo its monic relation, through the
+  elementary symmetric functions of the weights: the left side of the
+  localization identity the way the equivariant ring defines it, the check
+  of the closed form in cobordlab.equivariant.
+* Membership by dense elimination on tuple partitions, rows finest first,
+  the check of the triangular solve and of the witness in
+  cobordlab.cobordism.
 """
 
 from collections import Counter
@@ -667,3 +674,80 @@ def reference_underlying_variety(a) -> VExpr:
     if isinstance(a, Product):
         return VExpr(((1, VProduct(tuple(atom(f) for f in a.factors))),))
     return VExpr(tuple((mult, VProduct(tuple(atom(f) for f in node.factors))) for mult, node in a.parts))
+
+
+# -- the relation of P(V) ---------------------------------------------------------
+
+
+def elementary_symmetric(values: tuple[int, ...], p: int) -> list[int]:
+    """e_0, ..., e_k of the values, mod p."""
+    es = [1] + [0] * len(values)
+    for w in values:
+        for k in range(len(values), 0, -1):
+            es[k] = (es[k] + w * es[k - 1]) % p
+    return es
+
+
+def reduce_zeta(element: dict, weights: tuple[int, ...], p: int) -> dict:
+    """Reduce {(zeta_degree, t_degree): coefficient} mod the monic relation prod_j (zeta + w_j t).
+
+    The result has zeta-degree at most n = len(weights) - 1, so its ordinary
+    degree on P^n is its coefficient at (n, 0).
+    """
+    n = len(weights) - 1
+    es = elementary_symmetric(weights, p)
+    out = {k: v % p for k, v in element.items() if v % p}
+    while high := [k for k in out if k[0] > n]:
+        a, b = max(high)
+        co = out.pop((a, b))
+        for k in range(1, n + 2):
+            if es[k] == 0:
+                continue
+            key = (a - k, b + k)
+            nv = (out.get(key, 0) - co * es[k]) % p
+            if nv:
+                out[key] = nv
+            else:
+                out.pop(key, None)
+    return out
+
+
+# -- membership by dense elimination ------------------------------------------------
+
+
+def reference_elimination(x_w: dict, weight: int, family) -> dict | pt.Partition:
+    """Solve sum_beta y_beta [l_beta] = x_w in one weight by forward elimination.
+
+    x_w maps partitions of the weight to coefficients.  The unknowns are the
+    N_p-partitions beta of the weight, each column read from
+    family.monomial_class(beta); the rows are all partitions of the weight
+    in ascending tuple order, so finest first.  Returns the solution as
+    {beta: y_beta}, or the witness: the first row that is inconsistent with
+    the rows before it.
+    """
+    p = family.p
+    columns = {beta: family.monomial_class(beta).terms
+               for beta in pt.partitions_of(weight) if all(pt.in_np(part, p) for part in beta)}
+    pivots = []  # (unknown, row with a 1 there and 0 at every earlier pivot, rhs), in the order found
+    for alpha in sorted(pt.partitions_of(weight)):
+        row = {beta: terms.get(alpha, 0) % p for beta, terms in columns.items()}
+        rhs = x_w.get(alpha, 0) % p
+        for pivot, prow, prhs in pivots:
+            c = row[pivot]
+            if c:
+                row = {beta: (v - c * prow[beta]) % p for beta, v in row.items()}
+                rhs = (rhs - c * prhs) % p
+        pivot = next((beta for beta, v in row.items() if v), None)
+        if pivot is None:
+            if rhs:
+                return alpha
+            continue
+        inv = pow(row[pivot], -1, p)
+        pivots.append((pivot, {beta: v * inv % p for beta, v in row.items()}, rhs * inv % p))
+    # back-substitution, last pivot first; the unknowns without a pivot are zero
+    solution: dict = {}
+    for pivot, prow, prhs in reversed(pivots):
+        value = (prhs - sum(v * solution.get(beta, 0) for beta, v in prow.items() if beta != pivot)) % p
+        if value:
+            solution[pivot] = value
+    return solution

@@ -26,6 +26,7 @@ from cobordlab.actions import (
 )
 from cobordlab.chow import VExpr, VProduct, chern_numbers
 from cobordlab.cobordism import (
+    GeneratorFamily,
     NotInLp,
     dim_q_direct,
     evaluate_gen_poly,
@@ -216,6 +217,10 @@ def test_realize_rejections():
         realize(BPoly(2, {(2,): 1}), CharacterGroup.cyclic(3))
     with pytest.raises(ValueError):
         realize(BPoly(2, {(2,): 1}), g2, perturbed_family(2, 5))
+    # the perturbed generators under the label "standard" are still not the standard atoms
+    impostor = GeneratorFamily(2, "standard", perturbed_family(2, 5).generator)
+    with pytest.raises(ValueError, match="realize needs the standard family"):
+        realize(chern_numbers("P(4)*P(2) + P(6)", 2), g2, impostor)
 
 
 def test_action_to_json_shapes():

@@ -11,7 +11,6 @@ from cobordlab.bounds import (
     main_bound,
     milnor_divisibility_check,
     milnor_exponent,
-    np_complement,
     np_monomial_ratio_violations,
     ratio_bound,
     small_fixed_divisibility,
@@ -25,7 +24,6 @@ from cobordlab.cobordism import (
     standard_generators,
 )
 from cobordlab.fpring import NEG_INF, BPoly, GenPoly
-from cobordlab.partitions import IndexSet
 
 
 def _member(p, terms):
@@ -39,16 +37,6 @@ def test_main_bound_examples():
     assert main_bound(BPoly.zero(2), 2) == NEG_INF
     with pytest.raises(ValueError):
         main_bound(p4, 3)  # not a power of 2
-
-
-def test_np_complement_forms():
-    c = np_complement([5], 2)
-    assert 2 in c and 9 in c and 5 not in c and 3 not in c
-    assert np_complement(IndexSet.finite({5}), 2).excluded == frozenset({5})
-    back = np_complement(IndexSet.np_minus(2, {4, 7}), 2)
-    assert back.members == frozenset({4})  # 7 was never in N_2
-    with pytest.raises(ValueError):
-        np_complement(IndexSet.np_minus(3), 2)
 
 
 def test_ratio_bound_p4():

@@ -174,8 +174,8 @@ def test_parse_variety_roundtrip():
     expr, notes = parse_variety(text)
     assert notes == []
     assert str(expr) == text
-    assert expr.dim() == 9
     assert expr.parts[0][0] == 2
+    assert str(VExpr(())) == "0"
 
 
 def test_parse_variety_normalizes_h():
@@ -231,11 +231,6 @@ def test_kclass_rank_negate():
     t = tangent_kclass(PAtom(3), 2)
     assert t.rank() == 3
     assert t.negate().rank() == -3
-
-
-def test_vexpr_dim_empty():
-    assert VExpr(()).dim() == -1
-    assert str(VExpr(())) == "0"
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

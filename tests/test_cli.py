@@ -296,12 +296,17 @@ def test_a_tampered_cache_file_changes_no_answer(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("COBORDLAB_CACHE", str(cache))
     assert run(capsys, "express", "P(4)", "-p", "2") == (0, "1*X[4]\n", "")
     monkeypatch.delenv("COBORDLAB_CACHE")
-    assert run(capsys, "express", "P(4)", "-p", "2", "--cache", str(cache)) == (0, "1*X[4]\n", "")
+    # --cache is not an option: a usage error like any unknown one
+    code, out, err = run(capsys, "express", "P(4)", "-p", "2", "--cache", str(cache))
+    assert (code, out) == (1, "") and f"error: unrecognized arguments: --cache {cache}\n" in err
     assert cache.read_bytes() == before
 
 
-def test_an_unwritable_cache_path_is_ignored(capsys):
-    assert run(capsys, "express", "P(40)", "-p", "2", "--cache", "/dev/null/x") == (0, "1*X[40]\n", "")
+def test_an_unwritable_cache_path_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("COBORDLAB_CACHE", "/dev/null/x")
+    assert run(capsys, "express", "P(40)", "-p", "2") == (0, "1*X[40]\n", "")
+    code, out, err = run(capsys, "express", "P(40)", "-p", "2", "--cache", "/dev/null/x")
+    assert (code, out) == (1, "") and "error: unrecognized arguments: --cache /dev/null/x\n" in err
 
 
 @pytest.mark.parametrize("argv", [["express", "P(6)*P(4)"], ["dimq", "-q", "4", "P(8)"]])

@@ -9,7 +9,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from reference import refines
+from reference import reference_elimination, refines
 
 import cobordlab
 import cobordlab.partitions as pt
@@ -96,15 +96,17 @@ def test_express_roundtrip(seed, p, perturb):
 
 
 def express_by_elimination(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInLp:
-    """Dense elimination at every weight: the reference route for express_in_generators."""
-    result = GenPoly.zero(x.p)
-    for weight, comp in sorted(x.weight_components().items()):
-        outcome = _gauss_witness(dict(comp.packed), weight, family)
-        if isinstance(outcome, int):
-            return NotInLp(x.p, pt.unpack(outcome))
-        for beta, coeff in outcome.items():
-            result = result + GenPoly.monomial(x.p, pt.unpack(beta), coeff)
-    return result
+    """Dense elimination at every weight, lightest first: the reference route for express_in_generators."""
+    components: dict[int, dict] = {}
+    for alpha, c in x.terms.items():
+        components.setdefault(sum(alpha), {})[alpha] = c
+    solution = {}
+    for weight in sorted(components):
+        outcome = reference_elimination(components[weight], weight, family)
+        if isinstance(outcome, tuple):
+            return NotInLp(x.p, outcome)
+        solution.update(outcome)
+    return GenPoly(x.p, solution)
 
 
 @settings(deadline=None)
@@ -123,6 +125,20 @@ def test_not_in_lp_witness():
     assert express_by_elimination(BPoly(2, {(2, 1, 1): 1}), fam) == NotInLp(2, (4,))
     assert express_in_generators(BPoly(2, {(1,): 1}), fam) == NotInLp(2, (1,))
     assert "c_(4)" in str(NotInLp(2, (4,)))
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_every_single_monomial_gets_the_reference_verdict(p):
+    # each b-monomial of weight <= 10 on its own: members solve alike, non-members give one witness
+    fam = standard_generators(p)
+    non_members = 0
+    for w in range(1, 11):
+        for alpha in pt.partitions_of(w):
+            x = BPoly.monomial(p, alpha)
+            got = express_in_generators(x, fam)
+            assert got == express_by_elimination(x, fam), alpha
+            non_members += isinstance(got, NotInLp)
+    assert non_members > 100
 
 
 def test_membership_positive_cases():

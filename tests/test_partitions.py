@@ -47,6 +47,9 @@ def test_partitions_of_restricted_parts():
 def test_partitions_of_edges():
     assert pt.partitions_of(0) == [()]
     assert pt.partitions_of(-3) == []
+    n2 = IndexSet.np_minus(2)
+    assert pt.partitions_of(0, parts=n2) == [()]
+    assert pt.partitions_of(-3, parts=n2) == []
     with pytest.raises(ValueError):
         pt.partitions_of(pt.DEFAULT_WEIGHT_CAP + 1)
 
