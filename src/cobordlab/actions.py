@@ -171,12 +171,16 @@ def _character_multiset(dim_plus_one: int, G: CharacterGroup) -> tuple[Character
     """Weights of a (dim_plus_one)-dimensional representation, sorted.
 
     Writing dim_plus_one = q*a + r with 1 <= r <= q, the first r characters
-    get multiplicity a + 1 and the rest get a.
+    of G.characters() get multiplicity a + 1 and the rest get a.  Only the
+    first n = min(q, dim_plus_one) are built: every digit of the first n
+    is below n, so the product over ranges cut at n lists them first.
     """
     a, r = divmod(dim_plus_one - 1, G.q)
     r += 1
+    n = min(G.q, dim_plus_one)
+    chars = itertools.product(*(range(min(f, n)) for f in G.invariant_factors))
     weights = []
-    for idx, ch in enumerate(G.characters()):
+    for idx, ch in enumerate(itertools.islice(chars, n)):
         weights.extend([ch] * (a + 1 if idx < r else a))
     return tuple(sorted(weights))
 

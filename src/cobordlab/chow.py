@@ -358,18 +358,14 @@ def _sorted_product(atoms: tuple, p: int) -> BPoly:
 def chern_numbers(expr, p: int) -> BPoly:
     """Exact mod-p Chern-number class of a variety expression.
 
-    Accepts a VExpr, a VProduct, an atom, or a string in the expression
-    grammar.  The products' classes come from the product memo, and their
-    multiples are summed into one dict that is reduced mod p once.  A single
-    product of multiplicity 1 is the memoized class itself, shared with
-    every other caller, which must not mutate it.
+    Accepts a VExpr or a string in the expression grammar.  The products'
+    classes come from the product memo, and their multiples are summed into
+    one dict that is reduced mod p once.  A single product of multiplicity 1
+    is the memoized class itself, shared with every other caller, which
+    must not mutate it.
     """
     if isinstance(expr, str):
         expr, _ = parse_variety(expr)
-    if isinstance(expr, (PAtom, HAtom)):
-        expr = VExpr(((1, VProduct((expr,))),))
-    if isinstance(expr, VProduct):
-        expr = VExpr(((1, expr),))
     pt.check_prime(p)
     if len(expr.parts) == 1 and expr.parts[0][0] == 1:
         return product_class(expr.parts[0][1].atoms, p)

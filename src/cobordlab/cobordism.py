@@ -97,19 +97,17 @@ class GeneratorFamily:
 
     gens maps the index i to an exact homogeneous weight-i class whose
     single-part coefficient is nonzero.  Generators are built on first use
-    and kept in memory, as are monomial classes and their clearing rows,
-    both under packed keys; ensure builds a range ahead.  An index is
-    checked when its generator is first built, not on a memo hit; the
-    public monomial_class checks its partition on every call.
+    and kept in memory, as are monomial classes under packed keys; ensure
+    builds a range ahead.  An index is checked when its generator is first
+    built, not on a memo hit; the public monomial_class checks its
+    partition on every call.
     """
 
-    def __init__(self, p: int, kind: str, make: Callable[[int], BPoly]):
+    def __init__(self, p: int, make: Callable[[int], BPoly]):
         self.p = p
-        self.kind = kind
         self._make = make
         self.gens: dict[int, BPoly] = {}
         self._monomials: dict[int, BPoly] = {}
-        self._rows: dict[int, tuple[int, dict[int, int]]] = {}
 
     def generator(self, i: int) -> BPoly:
         if i not in self.gens:
@@ -141,14 +139,6 @@ class GeneratorFamily:
             cls = self._monomials[key] = self._product(pt.unpack(key))
         return cls
 
-    def clearing_row(self, key: int) -> tuple[int, dict[int, int]]:
-        """(1 / c_alpha mod p, the packed terms themselves) of l_alpha; c_alpha is a product of diagonals."""
-        row = self._rows.get(key)
-        if row is None:
-            terms = self._monomial(key).packed
-            row = self._rows[key] = (pow(terms[key], -1, self.p), terms)
-        return row
-
     def _product(self, beta: Partition) -> BPoly:
         # the memoized prefix times the last generator: the same left-to-right product
         if not beta:
@@ -156,7 +146,7 @@ class GeneratorFamily:
         return self.monomial_class(beta[:-1]) * self.generator(beta[-1])
 
     def __repr__(self):
-        return f"GeneratorFamily(p={self.p}, kind={self.kind!r}, known={sorted(self.gens)})"
+        return f"GeneratorFamily(p={self.p}, known={sorted(self.gens)})"
 
 
 class _StandardFamily(GeneratorFamily):
@@ -168,7 +158,7 @@ class _StandardFamily(GeneratorFamily):
     """
 
     def __init__(self, p: int):
-        super().__init__(p, "standard", lambda i: atom_class(generator_atom(i, p), p))
+        super().__init__(p, lambda i: atom_class(generator_atom(i, p), p))
 
     def _product(self, beta: Partition) -> BPoly:
         for part in beta:
@@ -210,7 +200,7 @@ def perturbed_family(p: int, seed: int, max_index: int = 0) -> GeneratorFamily:
             cls = cls + std.monomial_class(beta).scale(coeff)
         return cls
 
-    fam = GeneratorFamily(p, f"perturbed-{seed}", make)
+    fam = GeneratorFamily(p, make)
     fam.ensure(max_index)
     return fam
 
@@ -243,14 +233,14 @@ def _subtract_row(vec: dict[int, int], c: int, row: dict[int, int], p: int) -> N
             vec.pop(b, None)
 
 
-def _gauss_witness(x_w: dict[int, int], weight: int, family: GeneratorFamily) -> dict[int, int] | int:
-    """Solve the weight-w linear system by elimination, rows finest-first.
+def _gauss_witness(x_w: dict[int, int], weight: int, family: GeneratorFamily) -> int | None:
+    """The witness of the weight-w linear system, by elimination rows finest-first.
 
-    x_w and the result are under packed keys.  Returns the coefficient dict
-    on success, or the witness key of the first inconsistent row.  Unknowns
-    are the N_p-partitions of the weight; rows are all partitions of the
-    weight finest first, in ascending key order (the reverse of canonical
-    order within a weight), so an inconsistency is reported at the coarsest
+    x_w is under packed keys.  Returns the key of the first inconsistent
+    row, or None when the system is solvable.  Unknowns are the
+    N_p-partitions of the weight; rows are all partitions of the weight
+    finest first, in ascending key order (the reverse of canonical order
+    within a weight), so an inconsistency is reported at the coarsest
     possible row.
     """
     p = family.p
@@ -274,7 +264,7 @@ def _gauss_witness(x_w: dict[int, int], weight: int, family: GeneratorFamily) ->
             inv = pow(vec.pop(pivot), -1, p)
             pvec = {b: (inv * v) % p for b, v in vec.items()}
             prhs = (inv * rhs) % p
-            # eager: clear the new pivot from every stored row
+            # eager: clear the new pivot from every stored row (measured faster than forward-only)
             for other, (ovec, orhs) in list(pivots.items()):
                 c = ovec.pop(pivot, 0)
                 if c:
@@ -283,14 +273,7 @@ def _gauss_witness(x_w: dict[int, int], weight: int, family: GeneratorFamily) ->
             pivots[pivot] = (pvec, prhs)
         elif rhs:
             return alpha
-    # free unknowns are zero, so each pivot reads off its rhs directly
-    solution = {}
-    for pivot, (pvec, prhs) in pivots.items():
-        if any(pvec.values()):
-            raise AssertionError("elimination left a non-pivot entry")
-        if prhs:
-            solution[pivot] = prhs
-    return solution
+    return None
 
 
 def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInLp:
@@ -337,8 +320,8 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
                 failed.add(pt.key_weight(alpha))
             if failed and pt.key_weight(alpha) in failed:
                 continue
-            inv_diag, row = family.clearing_row(alpha)
-            coeff = r * inv_diag % p
+            row = family._monomial(alpha).packed
+            coeff = r * pow(row[alpha], -1, p) % p  # c_alpha of l_alpha, a product of diagonals
             solution[alpha] = coeff
             for beta, c in row.items():
                 old = residual.get(beta)
@@ -353,10 +336,10 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
                         del residual[beta]
     if failed:
         weight = min(failed)
-        outcome = _gauss_witness({a: c for a, c in x.packed.items() if pt.key_weight(a) == weight}, weight, family)
-        if isinstance(outcome, int):
-            return NotInLp(p, pt.unpack(outcome))
-        raise AssertionError("triangular solve stalled on a solvable system")
+        witness = _gauss_witness({a: c for a, c in x.packed.items() if pt.key_weight(a) == weight}, weight, family)
+        if witness is None:
+            raise AssertionError("triangular solve stalled on a solvable system")
+        return NotInLp(p, pt.unpack(witness))
     # each alpha is solved once, with a unit coefficient
     return GenPoly._reduced(p, solution)
 

@@ -23,8 +23,8 @@ NEG_INF = float("-inf")
 # partitions_of and chow.atom_class refuse weights above this
 DEFAULT_WEIGHT_CAP = 64
 
-# large safety margin for the rho_q residue scan; the scan always terminates
-# long before this because every residue class meets a cofinite index set
+# safety margin for the rho_q residue scan, which stops at its first ratio 0
+# or once every residue class mod q has met the cofinite index set
 _RHO_SCAN_LIMIT = 10**6
 
 
@@ -316,7 +316,7 @@ def rho_q(index_set: IndexSet, q: int):
     For an empty set the value is 1/q.  For a cofinite set the infimum is
     attained on the smallest member of some residue class mod q, because
     a -> a/(aq+r) is increasing in a; scanning residue classes up to their
-    first members is exact.
+    first members is exact, and the scan stops early at a ratio of 0.
     """
     # imported here, so that importing the package does not load fractions
     # and decimal; of the CLI subcommands only rho and bound get this far
@@ -331,7 +331,7 @@ def rho_q(index_set: IndexSet, q: int):
     best = None
     seen_residues: set[int] = set()
     i = 1
-    while len(seen_residues) < q:
+    while len(seen_residues) < q and best != 0:  # no member beats a ratio of 0
         if i > _RHO_SCAN_LIMIT:
             raise AssertionError("rho_q residue scan failed to terminate")
         r = i % q

@@ -11,6 +11,7 @@ from reference import reference_fixed_dim, reference_generator_atom, reference_u
 import cobordlab.partitions as pt
 from cobordlab import acceptance
 from cobordlab.actions import (
+    _character_multiset,
     CharacterGroup,
     Disjoint,
     HAct,
@@ -45,6 +46,18 @@ def test_character_group_basics():
     assert mixed.p == 2 and mixed.q == 8
     assert len(set(mixed.characters())) == 8
     assert all(len(c) == 2 for c in mixed.characters())
+
+
+@pytest.mark.parametrize("factors", [(2, 4), (3, 9), (2, 2, 2), (5, 5), (4,)])
+def test_character_multiset_matches_the_full_character_list(factors):
+    # the multiset reads only the first characters; the full list gives the first r one more each
+    G = CharacterGroup(factors)
+    for d in range(3 * G.q):
+        a, r = divmod(d - 1, G.q)
+        weights = []
+        for idx, ch in enumerate(G.characters()):
+            weights.extend([ch] * (a + 1 if idx <= r else a))
+        assert _character_multiset(d, G) == tuple(sorted(weights)), d
 
 
 def test_character_group_validation():
@@ -217,8 +230,8 @@ def test_realize_rejections():
         realize(BPoly(2, {(2,): 1}), CharacterGroup.cyclic(3))
     with pytest.raises(ValueError):
         realize(BPoly(2, {(2,): 1}), g2, perturbed_family(2, 5))
-    # the perturbed generators under the label "standard" are still not the standard atoms
-    impostor = GeneratorFamily(2, "standard", perturbed_family(2, 5).generator)
+    # a plain family over the perturbed generators is still not the standard family
+    impostor = GeneratorFamily(2, perturbed_family(2, 5).generator)
     with pytest.raises(ValueError, match="realize needs the standard family"):
         realize(chern_numbers("P(4)*P(2) + P(6)", 2), g2, impostor)
 

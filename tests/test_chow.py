@@ -159,10 +159,9 @@ def test_chern_numbers_disjoint_union_adds():
 
 def test_chern_numbers_accepts_many_input_forms():
     x = chern_numbers("H(2,4)", 2)
-    assert chern_numbers(HAtom(2, 4), 2) == x
-    assert chern_numbers(VProduct((HAtom(2, 4),)), 2) == x
     expr, _ = parse_variety("H(2,4)")
     assert chern_numbers(expr, 2) == x
+    assert chern_numbers(VExpr(((1, VProduct((HAtom(2, 4),))),)), 2) == x
 
 
 def test_point_class_is_one():

@@ -99,6 +99,36 @@ def test_rho_outputs(capsys):
     assert code == 1
 
 
+def test_rho_stops_at_a_ratio_of_zero(capsys):
+    # q = 2^20 has more residues than the scan limit, but the first member already has ratio 0
+    assert run(capsys, "rho", "-p", "2", "-q", "1048576", "--np-minus", "") == (0, "rho_1048576 = 0\n", "")
+    code, out, _ = run(capsys, "bound", "-p", "2", "-q", "1048576", "P(4)", "--indices", "")
+    assert code == 0
+    assert "main bound: 0\n" in out and "ratio bound (A=[], s=0): 0\n" in out
+
+
+REALIZE_LARGE_ORDER = [
+    (["-p", "2", "-q", "1073741824", "P(4)"], '"weights": [[0], [1], [2], [3], [4]]'),
+    (["-p", "3", "-q", "3486784401", "H(3,6)"], '"V": [[0], [1], [2], [3]]'),
+]
+
+
+@pytest.mark.parametrize("argv, weights", REALIZE_LARGE_ORDER, ids=("2^30", "3^20"))
+def test_realize_with_a_large_order_lists_only_the_characters_it_uses(argv, weights):
+    resource = pytest.importorskip("resource")
+    gib = 1 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+
+    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", "realize", *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=30, preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    first, action = proc.stdout.splitlines()
+    assert first == "achieved fixed dimension 0"
+    assert weights in action
+
+
 def test_localize(capsys):
     code, out, _ = run(capsys, "localize", "-p", "2", "--weights", "0,1", "--zeta", "1", "--json")
     assert code == 0
