@@ -15,30 +15,33 @@ class in the generator ring.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from functools import cache, lru_cache
 
 from .chow import HAtom, PAtom, VExpr, VProduct, _h_atom, _p_atom, chern_numbers
 from .cobordism import GeneratorFamily, _StandardFamily, dim_q_direct, express_required, generator_atom
 from .fpring import NEG_INF, BPoly
-from .partitions import Record
+from .partitions import Record, is_prime
 
 Character = tuple[int, ...]
 
 
-def _prime_power_root(f: int) -> tuple[int, int]:
-    """(p, r) with f = p^r, r >= 1."""
-    if f < 2:
-        raise ValueError(f"invariant factor {f} is not a prime power")
-    p = next(d for d in range(2, f + 1) if f % d == 0)
-    r = 0
-    rest = f
-    while rest % p == 0:
-        rest //= p
-        r += 1
-    if rest != 1:
-        raise ValueError(f"invariant factor {f} is not a prime power")
-    return p, r
+def _prime_of(f: int) -> int:
+    """The prime p with f = p^r, r >= 1.
+
+    Only the exact integer root of f of the highest order can be p, so that
+    one candidate goes to is_prime and no divisor of f is searched for.
+    """
+    for k in range(max(f, 2).bit_length() - 1, 0, -1):
+        r = 1 << -(-f.bit_length() // k)  # above the k-th root: Newton steps go down to its floor
+        while (s := ((k - 1) * r + f // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == f:
+            if is_prime(r):
+                return r
+            break
+    raise ValueError(f"invariant factor {f} is not a prime power")
 
 
 class CharacterGroup(Record):
@@ -50,7 +53,7 @@ class CharacterGroup(Record):
         object.__setattr__(self, "invariant_factors", invariant_factors)
         if not invariant_factors:
             raise ValueError("at least one invariant factor is required")
-        primes = {_prime_power_root(f)[0] for f in invariant_factors}
+        primes = {_prime_of(f) for f in invariant_factors}
         if len(primes) != 1:
             raise ValueError("all invariant factors must be powers of one prime")
 
@@ -60,18 +63,11 @@ class CharacterGroup(Record):
 
     @property
     def p(self) -> int:
-        return _prime_power_root(self.invariant_factors[0])[0]
+        return _prime_of(self.invariant_factors[0])
 
     @property
     def q(self) -> int:
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
-
-    def characters(self) -> list[Character]:
-        """All characters in a fixed deterministic order."""
-        return list(itertools.product(*(range(f) for f in self.invariant_factors)))
+        return math.prod(self.invariant_factors)
 
 
 class PAct(Record):
@@ -140,13 +136,7 @@ def fixed_dim(a: WeightedVariety):
     if isinstance(a, (PAct, HAct)):
         return _atomic_fixed_dim(a)
     if isinstance(a, Product):
-        total = 0
-        for f in a.factors:
-            d = fixed_dim(f)
-            if d == NEG_INF:
-                return NEG_INF
-            total += d
-        return total
+        return sum(map(fixed_dim, a.factors))
     if isinstance(a, Disjoint):
         return max((fixed_dim(node) for _, node in a.parts), default=NEG_INF)
     raise TypeError(f"not an action node: {a!r}")
@@ -171,9 +161,9 @@ def _character_multiset(dim_plus_one: int, G: CharacterGroup) -> tuple[Character
     """Weights of a (dim_plus_one)-dimensional representation, sorted.
 
     Writing dim_plus_one = q*a + r with 1 <= r <= q, the first r characters
-    of G.characters() get multiplicity a + 1 and the rest get a.  Only the
-    first n = min(q, dim_plus_one) are built: every digit of the first n
-    is below n, so the product over ranges cut at n lists them first.
+    of G, in product-over-ranges order, get multiplicity a + 1, the rest a.
+    Only the first n = min(q, dim_plus_one) are built: every digit of the
+    first n is below n, so the product over ranges cut at n lists them first.
     """
     a, r = divmod(dim_plus_one - 1, G.q)
     r += 1

@@ -3,8 +3,8 @@
 Variety expressions are disjoint unions, with multiplicities, of products of
 two kinds of atoms: projective spaces P(n) and Milnor hypersurfaces H(n, m)
 (the smooth (1,1)-divisor in P^n x P^m, canonically ordered n <= m).
-parse_variety reads the expression grammar, and chern_numbers maps an
-expression to its mod-p Chern-number class as a BPoly.
+parse_variety reads the expression grammar on Scanner, the token cursor the
+raw b[...] grammar shares, and chern_numbers maps an expression to its class.
 
 Atom classes come from one closed form: the coefficients of the inverse
 powers (sum_i b_i x^i)^(-k) are multinomial, which gives P^n directly and
@@ -100,20 +100,44 @@ class VExpr(pt.Record):
         return " + ".join(chunks)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([PH*+,().])|(\S))")
+_TOKEN = re.compile(r"\s*(?:(\d+|b\[|[\]PH*+,().^])|(\S))")
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.group(3):
-            raise ValueError(f"bad character in expression: {text[pos:]!r}")
-        tokens.append(m.group(1) or m.group(2))
-        pos = m.end()
-    tokens.append(None)
-    return tokens
+class Scanner:
+    """Cursor over the tokens of both input grammars, variety and raw b[...].
+
+    A token is an unsigned integer or a symbol of either grammar, and the
+    list ends in None.  Whitespace may come before any token and at the end.
+    """
+
+    def __init__(self, text: str):
+        self.tokens: list[str | None] = []
+        for m in _TOKEN.finditer(text):
+            if m.group(2):
+                raise ValueError(f"bad character in expression: {text[m.start():]!r}")
+            self.tokens.append(m.group(1))
+        self.tokens.append(None)
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos]
+
+    def take(self, expected: str | None = None) -> str | None:
+        tok = self.tokens[self.pos]
+        if expected is not None and tok != expected:
+            raise ValueError(f"expected {expected!r} at token {tok!r}")
+        self.pos += 1
+        return tok
+
+    def uint(self) -> int:
+        tok = self.take()
+        if tok is None or not tok.isdigit():
+            raise ValueError(f"expected integer, got {tok!r}")
+        return int(tok)
+
+    def end(self) -> None:
+        if self.peek() is not None:
+            raise ValueError(f"trailing input at {self.peek()!r}")
 
 
 def parse_variety(text: str) -> tuple[VExpr, list[str]]:
@@ -121,42 +145,22 @@ def parse_variety(text: str) -> tuple[VExpr, list[str]]:
 
     Returns the expression and any normalization notes (H index swaps).
     """
-    tokens = _tokenize(text)
-    pos = 0
+    tokens = Scanner(text)
     notes: list[str] = []
 
-    def peek():
-        return tokens[pos]
-
-    def take(expected=None):
-        nonlocal pos
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r} at token {tok!r}")
-        pos += 1
-        return tok
-
-    def parse_uint():
-        tok = take()
-        if tok is None or not tok.isdigit():
-            raise ValueError(f"expected integer, got {tok!r}")
-        return int(tok)
-
     def parse_atom():
-        tok = take()
+        tok = tokens.take()
         if tok == "P":
-            take("(")
-            n = parse_uint()
-            take(")")
-            if n < 0:
-                raise ValueError("P(n) needs n >= 0")
+            tokens.take("(")
+            n = tokens.uint()
+            tokens.take(")")
             return PAtom(n)
         if tok == "H":
-            take("(")
-            a = parse_uint()
-            take(",")
-            b = parse_uint()
-            take(")")
+            tokens.take("(")
+            a = tokens.uint()
+            tokens.take(",")
+            b = tokens.uint()
+            tokens.take(")")
             atom, swapped = make_h_atom(a, b)
             if swapped:
                 notes.append(f"H({a},{b}) normalized to H({b},{a})")
@@ -165,23 +169,22 @@ def parse_variety(text: str) -> tuple[VExpr, list[str]]:
 
     def parse_term():
         mult = 1
-        if peek() is not None and peek().isdigit():
-            mult = parse_uint()
-            take(".")
+        if tokens.peek() is not None and tokens.peek().isdigit():
+            mult = tokens.uint()
+            tokens.take(".")
             if mult < 1:
                 raise ValueError("multiplicity must be positive")
         atoms = [parse_atom()]
-        while peek() == "*":
-            take("*")
+        while tokens.peek() == "*":
+            tokens.take()
             atoms.append(parse_atom())
         return mult, VProduct(tuple(atoms))
 
     parts = [parse_term()]
-    while peek() == "+":
-        take("+")
+    while tokens.peek() == "+":
+        tokens.take()
         parts.append(parse_term())
-    if peek() is not None:
-        raise ValueError(f"trailing input at {peek()!r}")
+    tokens.end()
     return VExpr(tuple(parts)), notes
 
 

@@ -23,7 +23,7 @@ from collections import Counter
 
 from .actions import CharacterGroup, action_to_json, realize
 from .bounds import check_order, main_bound, milnor_divisibility_check, ratio_bound, small_fixed_divisibility
-from .chow import chern_numbers, parse_variety
+from .chow import Scanner, chern_numbers, parse_variety
 from .cobordism import (
     NotInLp,
     dim_q_direct,
@@ -50,9 +50,6 @@ class _Parser(argparse.ArgumentParser):
 # -- input parsing ----------------------------------------------------------
 
 
-_RAW_TOKEN = re.compile(r"\s*(?:(b\[)|(\d+)|([\]^*+]))")
-
-
 def parse_raw_bpoly(text: str, p: int, ceiling: int = RAW_DEFAULT_WEIGHT) -> BPoly:
     """Parse 'b[2]*b[1]^2 + b[4]' style input, including bare constants.
 
@@ -60,70 +57,36 @@ def parse_raw_bpoly(text: str, p: int, ceiling: int = RAW_DEFAULT_WEIGHT) -> BPo
     weight is known, so a class above the weight ceiling is refused before
     any partition is written out.
     """
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _RAW_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"raw class syntax error at position {pos}: {text[pos:]!r}")
-            break
-        pos = m.end()
-        tokens.append(m.group(1) or m.group(3) or int(m.group(2)))
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal idx
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"raw class syntax error: expected {expected!r}, got {tok!r}")
-        idx += 1
-        return tok
-
-    def parse_factor():
-        # (i, e, 1) for a b[i]^e factor, (0, 0, c) for a bare integer coefficient c
-        if peek() == "b[":
-            take("b[")
-            part = take()
-            if not isinstance(part, int) or part < 1:
-                raise ValueError("b[...] wants a positive integer index")
-            take("]")
-            exp = 1
-            if peek() == "^":
-                take("^")
-                exp = take()
-                if not isinstance(exp, int) or exp < 1:
-                    raise ValueError("exponents are positive integers")
-            return part, exp, 1
-        tok = take()
-        if not isinstance(tok, int):
-            raise ValueError(f"raw class syntax error: unexpected {tok!r}")
-        return 0, 0, tok
-
+    tokens = Scanner(text)
     terms: dict = {}  # ((part, multiplicity), ...) largest part first -> coefficient
     while True:
         coeff = 1
         mults: Counter = Counter()
         while True:
-            part, exp, c = parse_factor()
-            if part:
+            if tokens.peek() == "b[":
+                tokens.take()
+                part = tokens.uint()
+                if part < 1:
+                    raise ValueError("b[...] wants a positive integer index")
+                tokens.take("]")
+                exp = 1
+                if tokens.peek() == "^":
+                    tokens.take()
+                    exp = tokens.uint()
+                    if exp < 1:
+                        raise ValueError("exponents are positive integers")
                 mults[part] += exp
-            coeff *= c
-            if peek() == "*":
-                take("*")
-                continue
-            break
+            else:
+                coeff *= tokens.uint()
+            if tokens.peek() != "*":
+                break
+            tokens.take()
         key = tuple(sorted(mults.items(), reverse=True))
         terms[key] = terms.get(key, 0) + coeff
-        if peek() == "+":
-            take("+")
-            continue
-        if peek() is None:
+        if tokens.peek() != "+":
             break
-        raise ValueError(f"raw class syntax error: unexpected {peek()!r}")
+        tokens.take()
+    tokens.end()
     check_prime(p)
     terms = {key: c for key, c in terms.items() if c % p}
     top = max((sum(part * e for part, e in key) for key in terms), default=NEG_INF)

@@ -36,8 +36,12 @@ library route against an independent one.
 * Membership by dense elimination on tuple partitions, rows finest first,
   the check of the triangular solve and of the witness in
   cobordlab.cobordism.
+* A raw b[...] parser with its own tokenizer and token loop, the check of
+  cobordlab.cli.parse_raw_bpoly on the scanner it shares with the variety
+  grammar.
 """
 
+import re
 from collections import Counter
 from functools import lru_cache
 from math import comb, factorial
@@ -751,3 +755,88 @@ def reference_elimination(x_w: dict, weight: int, family) -> dict | pt.Partition
         if value:
             solution[pivot] = value
     return solution
+
+
+# -- raw class input on its own tokenizer ---------------------------------------------
+
+
+_RAW_TOKEN = re.compile(r"\s*(?:(b\[)|(\d+)|([\]^*+]))")
+
+
+def reference_parse_raw_bpoly(text: str, p: int, ceiling: int = 16) -> BPoly:
+    """Parse 'b[2]*b[1]^2 + b[4]' style input, including bare constants.
+
+    Each term is held as its part multiplicities until the class's top
+    weight is known, so a class above the weight ceiling is refused before
+    any partition is written out.
+    """
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        m = _RAW_TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ValueError(f"raw class syntax error at position {pos}: {text[pos:]!r}")
+            break
+        pos = m.end()
+        tokens.append(m.group(1) or m.group(3) or int(m.group(2)))
+    idx = 0
+
+    def peek():
+        return tokens[idx] if idx < len(tokens) else None
+
+    def take(expected=None):
+        nonlocal idx
+        tok = peek()
+        if tok is None or (expected is not None and tok != expected):
+            raise ValueError(f"raw class syntax error: expected {expected!r}, got {tok!r}")
+        idx += 1
+        return tok
+
+    def parse_factor():
+        # (i, e, 1) for a b[i]^e factor, (0, 0, c) for a bare integer coefficient c
+        if peek() == "b[":
+            take("b[")
+            part = take()
+            if not isinstance(part, int) or part < 1:
+                raise ValueError("b[...] wants a positive integer index")
+            take("]")
+            exp = 1
+            if peek() == "^":
+                take("^")
+                exp = take()
+                if not isinstance(exp, int) or exp < 1:
+                    raise ValueError("exponents are positive integers")
+            return part, exp, 1
+        tok = take()
+        if not isinstance(tok, int):
+            raise ValueError(f"raw class syntax error: unexpected {tok!r}")
+        return 0, 0, tok
+
+    terms: dict = {}  # ((part, multiplicity), ...) largest part first -> coefficient
+    while True:
+        coeff = 1
+        mults: Counter = Counter()
+        while True:
+            part, exp, c = parse_factor()
+            if part:
+                mults[part] += exp
+            coeff *= c
+            if peek() == "*":
+                take("*")
+                continue
+            break
+        key = tuple(sorted(mults.items(), reverse=True))
+        terms[key] = terms.get(key, 0) + coeff
+        if peek() == "+":
+            take("+")
+            continue
+        if peek() is None:
+            break
+        raise ValueError(f"raw class syntax error: unexpected {peek()!r}")
+    pt.check_prime(p)
+    terms = {key: c for key, c in terms.items() if c % p}
+    top = max((sum(part * e for part, e in key) for key in terms), default=pt.NEG_INF)
+    if top != pt.NEG_INF and top > ceiling:
+        raise ValueError(f"raw class weight {top} exceeds {ceiling}; raise --max-weight")
+    return BPoly(p, {tuple(part for part, e in key for _ in range(e)): c for key, c in terms.items()})

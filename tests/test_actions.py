@@ -1,6 +1,7 @@
 """Explicit diagonal actions and their fixed-locus dimensions."""
 
 import copy
+import itertools
 import json
 
 import hypothesis.strategies as st
@@ -12,6 +13,7 @@ import cobordlab.partitions as pt
 from cobordlab import acceptance
 from cobordlab.actions import (
     _character_multiset,
+    _prime_of,
     CharacterGroup,
     Disjoint,
     HAct,
@@ -38,14 +40,34 @@ from cobordlab.cobordism import (
 from cobordlab.fpring import NEG_INF, BPoly, GenPoly
 
 
+def all_characters(G):
+    """Every character of G, in the order the product over each factor's range gives."""
+    return list(itertools.product(*(range(f) for f in G.invariant_factors)))
+
+
 def test_character_group_basics():
     g = CharacterGroup.cyclic(8)
     assert g.p == 2 and g.q == 8
-    assert len(g.characters()) == 8
+    assert len(all_characters(g)) == 8
     mixed = CharacterGroup((2, 4))
     assert mixed.p == 2 and mixed.q == 8
-    assert len(set(mixed.characters())) == 8
-    assert all(len(c) == 2 for c in mixed.characters())
+    assert len(set(all_characters(mixed))) == 8
+    assert all(len(c) == 2 for c in all_characters(mixed))
+
+
+@pytest.mark.parametrize(
+    "f, p",
+    [(2, 2), (3, 3), (8, 2), (9, 3), (64, 2), (125, 5), (2**61, 2), (3**40, 3), (2147483647, 2147483647),
+     (2147483647**2, 2147483647), (2147483647**3, 2147483647), (2**4000, 2)],
+)
+def test_prime_of_a_prime_power(f, p):
+    assert _prime_of(f) == p
+
+
+@pytest.mark.parametrize("f", [0, 1, 6, 12, 36, -4, -8, 2**31 * 3, 2147483647**2 * 3, 7**5 * 11, 6**20])
+def test_prime_of_rejects_what_is_not_a_prime_power(f):
+    with pytest.raises(ValueError, match="not a prime power"):
+        _prime_of(f)
 
 
 @pytest.mark.parametrize("factors", [(2, 4), (3, 9), (2, 2, 2), (5, 5), (4,)])
@@ -55,7 +77,7 @@ def test_character_multiset_matches_the_full_character_list(factors):
     for d in range(3 * G.q):
         a, r = divmod(d - 1, G.q)
         weights = []
-        for idx, ch in enumerate(G.characters()):
+        for idx, ch in enumerate(all_characters(G)):
             weights.extend([ch] * (a + 1 if idx <= r else a))
         assert _character_multiset(d, G) == tuple(sorted(weights)), d
 

@@ -2,12 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from reference import reference_parse_raw_bpoly
 
 import cobordlab
 from cobordlab.cli import is_raw_input, main, parse_raw_bpoly
@@ -110,16 +112,20 @@ def test_rho_stops_at_a_ratio_of_zero(capsys):
 REALIZE_LARGE_ORDER = [
     (["-p", "2", "-q", "1073741824", "P(4)"], '"weights": [[0], [1], [2], [3], [4]]'),
     (["-p", "3", "-q", "3486784401", "H(3,6)"], '"V": [[0], [1], [2], [3]]'),
+    # a large prime p: the prime of q is its root of highest order, so no divisor of q is searched for
+    (["-p", "2147483647", "-q", "2147483647", "P(4)"], '"weights": [[0], [1], [2], [3], [4]]'),
+    (["-p", "2147483647", "-q", "4611686014132420609", "P(4)"], '"weights": [[0], [1], [2], [3], [4]]'),
 ]
 
 
-@pytest.mark.parametrize("argv, weights", REALIZE_LARGE_ORDER, ids=("2^30", "3^20"))
+@pytest.mark.parametrize("argv, weights", REALIZE_LARGE_ORDER, ids=("2^30", "3^20", "p", "p^2"))
 def test_realize_with_a_large_order_lists_only_the_characters_it_uses(argv, weights):
     resource = pytest.importorskip("resource")
     gib = 1 << 30
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
+        resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
 
     proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", "realize", *argv], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=30, preexec_fn=limit_memory)
@@ -172,10 +178,54 @@ def test_raw_parser():
     assert parse_raw_bpoly("b[1]*b[1]", 3) == BPoly(3, {(1, 1): 1})
     # output format parses back in
     assert parse_raw_bpoly("1*b[4] + 1*b[2]^2", 2) == BPoly(2, {(4,): 1, (2, 2): 1})
-    with pytest.raises(ValueError):
-        parse_raw_bpoly("b[2]^0", 2)
-    with pytest.raises(ValueError):
-        parse_raw_bpoly("b[2] + ", 2)
+    for bad in ["b[2]^0", "b[2] + ", "b[1]b[2]", "b[]", "b [2]", "b[2]]", "2*", "+", ""]:
+        with pytest.raises(ValueError):
+            parse_raw_bpoly(bad, 2)
+
+
+def _raw_strings(rng: random.Random, count: int):
+    """Valid raw classes, strings over the raw alphabet, and one-character mutations of valid ones."""
+    alphabet = "b[]^*+ 0123456789P(."
+
+    def valid():
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            factors = [str(rng.randint(0, 12))] if rng.random() < 0.3 else []
+            for _ in range(rng.randint(0 if factors else 1, 3)):
+                exp = f"^{rng.randint(1, 4)}" if rng.random() < 0.4 else ""
+                factors.append(f"b[{rng.randint(1, 9)}]{exp}")
+            terms.append(rng.choice(["*", " * "]).join(factors))
+        return rng.choice(["+", " + "]).join(terms) + rng.choice(["", " "])
+
+    for _ in range(count):
+        text = valid()
+        yield text
+        yield "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        i = rng.randrange(len(text) + 1)
+        yield text[:i] + rng.choice(["", *alphabet]) + text[i + 1:]
+
+
+def _parsed_terms(parse, text):
+    try:
+        return parse(text, 5, 40).terms
+    except ValueError:
+        return ValueError
+
+
+def test_raw_parser_matches_its_own_tokenizer_reference():
+    texts = list(_raw_strings(random.Random(2024), 2000))
+    outcomes = [_parsed_terms(parse_raw_bpoly, text) for text in texts]
+    assert outcomes == [_parsed_terms(reference_parse_raw_bpoly, text) for text in texts]
+    accepted = sum(o is not ValueError for o in outcomes)
+    assert 1000 < accepted < len(texts) - 1000, accepted  # both outcomes are well represented
+
+
+def test_variety_may_end_in_whitespace(capsys):
+    assert run(capsys, "class", "-p", "2", "P(4) ") == run(capsys, "class", "-p", "2", "P(4)") == (
+        0, "1*b[4] + 1*b[2]^2 + 1*b[2]*b[1]^2\n", "")
+    code, out, err = run(capsys, "class", "-p", "2", "H(4,2) ")
+    assert (code, err) == (0, "note: H(4,2) normalized to H(2,4)\n")
+    assert out == run(capsys, "class", "-p", "2", "H(2,4)")[1]
 
 
 def test_is_raw_input():
