@@ -275,10 +275,14 @@ def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> 
 
 
 def action_to_json(a: WeightedVariety) -> dict:
+    """The action as a tree for json.dumps, which writes each tuple as an array.
+
+    The character multisets go in as the action's own tuples, not copied.
+    """
     if isinstance(a, PAct):
-        return {"type": "P", "weights": [list(c) for c in a.weights]}
+        return {"type": "P", "weights": a.weights}
     if isinstance(a, HAct):
-        return {"type": "H", "V": [list(c) for c in a.V], "W": [list(c) for c in a.W]}
+        return {"type": "H", "V": a.V, "W": a.W}
     if isinstance(a, Product):
         return {"type": "Product", "factors": [action_to_json(f) for f in a.factors]}
     if isinstance(a, Disjoint):

@@ -139,11 +139,12 @@ def _dim_text(v) -> str:
     return "-inf" if v == NEG_INF else str(v)
 
 
-def emit(args, obj: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        print(text)
+def emit(args, obj, text) -> None:
+    """Print the answer as JSON under --json, as text otherwise.
+
+    obj and text are zero-argument callables, so only the printed form is built.
+    """
+    print(json.dumps(obj(), sort_keys=True, indent=2) if args.json else text())
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -162,7 +163,7 @@ def cmd_class(args) -> int:
     if args.max_weight is not None and not is_raw_input(args.input):
         shown = args.max_weight
         x = BPoly(x.p, {alpha: c for alpha, c in x.terms.items() if sum(alpha) <= shown})
-    emit(args, dict(x.to_json_dict(), maxWeight=shown), format_bpoly(x))
+    emit(args, lambda: dict(x.to_json_dict(), maxWeight=shown), lambda: format_bpoly(x))
     return 0
 
 
@@ -173,11 +174,11 @@ def cmd_express(args) -> int:
     if isinstance(res, NotInLp):
         emit(
             args,
-            {"notInLp": {"p": res.p, "witness": list(res.witness)}},
-            f"not a polynomial in the generators; witness c_{list(res.witness)}",
+            lambda: {"notInLp": {"p": res.p, "witness": list(res.witness)}},
+            lambda: f"not a polynomial in the generators; witness c_{list(res.witness)}",
         )
         return 0
-    emit(args, {"expression": res.to_json_dict()}, format_genpoly(res))
+    emit(args, lambda: {"expression": res.to_json_dict()}, lambda: format_genpoly(res))
     return 0
 
 
@@ -191,8 +192,8 @@ def cmd_dimq(args) -> int:
         raise AssertionError(f"dimension disagreement: direct {direct}, via generators {via}")
     emit(
         args,
-        {"direct": _json_dim(direct), "viaGenerators": _json_dim(via)},
-        f"dim_{q} = {_dim_text(direct)} (direct) = {_dim_text(via)} (via generators)",
+        lambda: {"direct": _json_dim(direct), "viaGenerators": _json_dim(via)},
+        lambda: f"dim_{q} = {_dim_text(direct)} (direct) = {_dim_text(via)} (via generators)",
     )
     return 0
 
@@ -218,7 +219,7 @@ def cmd_bound(args) -> int:
         verdict = milnor_divisibility_check(x, args.milnor_d, fam)
         out["milnor"] = verdict
         lines.append(f"Milnor-generator divisibility at d={args.milnor_d}: {verdict}")
-    emit(args, out, "\n".join(lines))
+    emit(args, lambda: out, lambda: "\n".join(lines))
     return 0
 
 
@@ -229,10 +230,11 @@ def cmd_realize(args) -> int:
     x = load_class(args)
     fam = make_family(args)
     action, achieved = realize(x, CharacterGroup.cyclic(q), fam)
+    tree = action_to_json(action)
     emit(
         args,
-        {"achievedDim": _json_dim(achieved), "action": action_to_json(action)},
-        f"achieved fixed dimension {_dim_text(achieved)}\n{json.dumps(action_to_json(action), sort_keys=True)}",
+        lambda: {"achievedDim": _json_dim(achieved), "action": tree},
+        lambda: f"achieved fixed dimension {_dim_text(achieved)}\n{json.dumps(tree, sort_keys=True)}",
     )
     return 0
 
@@ -246,7 +248,7 @@ def cmd_rho(args) -> int:
     else:
         index_set = IndexSet.np_minus(args.prime, _parse_int_list(args.np_minus))
     value = rho_q(index_set, q)
-    emit(args, {"rho": str(value)}, f"rho_{q} = {value}")
+    emit(args, lambda: {"rho": str(value)}, lambda: f"rho_{q} = {value}")
     return 0
 
 
@@ -254,7 +256,7 @@ def cmd_localize(args) -> int:
     weights = tuple(_parse_int_list(args.weights))
     y = {(args.zeta, args.t): 1}
     lhs, rhs = localization_check(args.prime, weights, y, args.r)
-    emit(args, {"lhs": lhs, "match": lhs == rhs, "rhs": rhs}, f"lhs {lhs}, rhs {rhs}")
+    emit(args, lambda: {"lhs": lhs, "match": lhs == rhs, "rhs": rhs}, lambda: f"lhs {lhs}, rhs {rhs}")
     if lhs != rhs:
         raise AssertionError(f"localization mismatch: lhs {lhs} != rhs {rhs}")
     return 0

@@ -175,14 +175,43 @@ def _enumerate(n: int, allowed: tuple[int, ...] | None) -> tuple[Partition, ...]
     return tuple(out)
 
 
+# the first 13 primes; as Miller-Rabin bases they decide every n below _MR_LIMIT
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality test.
+
+    A base, or a multiple of one, answers at once.  Below _MR_LIMIT the
+    Miller-Rabin test to the bases _MR_BASES is deterministic; above it,
+    trial division by odd numbers up to the square root decides, which is
+    the practical limit of this test.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        d = 43
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

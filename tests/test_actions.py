@@ -261,7 +261,7 @@ def test_realize_rejections():
 def test_action_to_json_shapes():
     g = CharacterGroup.cyclic(2)
     blob = action_to_json(construct_action_P(2, g))
-    assert blob == {"type": "P", "weights": [[0], [0], [1]]}
+    assert json.dumps(blob) == '{"type": "P", "weights": [[0], [0], [1]]}'
     h = action_to_json(construct_action_L(5, g))
     assert h["type"] == "H" and len(h["V"]) == 3 and len(h["W"]) == 5
     action, _ = realize(chern_numbers("P(4)", 2), g)

@@ -1,5 +1,6 @@
 """Command-line behaviour: parsing, exit codes, deterministic JSON."""
 
+import contextlib
 import json
 import os
 import random
@@ -133,6 +134,34 @@ def test_realize_with_a_large_order_lists_only_the_characters_it_uses(argv, weig
     first, action = proc.stdout.splitlines()
     assert first == "achieved fixed dimension 0"
     assert weights in action
+
+
+def test_dimq_at_a_prime_near_2_62_answers_at_once():
+    # -p is tested by Miller-Rabin; trial division up to its square root never returned
+    resource = pytest.importorskip("resource")
+    p = str(2**62 - 57)
+
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
+
+    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", "dimq", "-p", p, "-q", p, "P(4)"],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=30, preexec_fn=limit_cpu)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "dim_4611686018427387847 = 0 (direct) = 0 (via generators)\n", "")
+
+
+def test_realize_renders_its_action_once():
+    # text mode builds one tree over the action's own character tuples, and no JSON object
+    argv = ["realize", "-p", "3", "-q", "3", "H(4,19)"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv) == 0  # warm-up: builds the generators and fills the memos
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_300_000, peak
 
 
 def test_localize(capsys):

@@ -2,7 +2,9 @@
 
 Every subcommand at p = 2 and p = 3 and weight at most 12, in text and JSON,
 with raw and variety input, with and without --max-weight, plus the
-documented error exits.  Argparse's own usage errors are left out, since
+documented error exits, and one many-part action: the realization of the
+weight-22 hypersurface H(4,19) at q = 3, 141 parts with H factors printed
+as V/W, in both forms.  Argparse's own usage errors are left out, since
 their wording changes between Python versions.  A digest here changes only
 when the printed output does; to see what a case prints, run the argv
 through ``python -m cobordlab.cli``.
@@ -119,6 +121,10 @@ GOLDEN = {
         "b4fa928f94ad53275f0ac819b0af797ac9724fb626ccd2006da1498bd5611035",
     "realize 'P(6)*P(2)' -p 3 -q 3 --json":
         "5bd613a4c6ba6b4cd287b3e9a6a353fb91a60cbcba9350aa503b820736ff219c",
+    "realize 'H(4,19)' -p 3 -q 3":
+        "835d22498c04c43c4d8931b5abaafbdf448236f49c76d61d5c2f3f6d530a4427",
+    "realize 'H(4,19)' -p 3 -q 3 --json":
+        "bd693c257a3544876cee375d9ba991e137ab59b97221f36853756db2cce29c83",
     "rho -p 2 -q 2 --np-minus ''":
         "1cd25d9cca2c7d93bb48fc0915a5040e03842013c01753189efbf50553cb40ff",
     'rho -p 3 -q 3 --members 6,8 --json':

@@ -155,6 +155,44 @@ def test_is_power_of_and_is_prime():
         pt.check_prime(9)
 
 
+def _by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def _strong_probable_prime(n, a):
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_agrees_with_trial_division_below_100000():
+    assert [n for n in range(100_000) if pt.is_prime(n)] == [n for n in range(100_000) if _by_trial_division(n)]
+
+
+@pytest.mark.parametrize("n, fooled", [
+    (3825123056546413051, 11),  # strong pseudoprime to the bases 2 ... 31
+    (318665857834031151167461, 12),  # to the bases 2 ... 37: only base 41 shows it composite
+])
+def test_is_prime_rejects_strong_pseudoprimes(n, fooled):
+    bases = pt._MR_BASES
+    assert all(_strong_probable_prime(n, a) for a in bases[:fooled])
+    assert not _strong_probable_prime(n, bases[fooled])
+    assert not pt.is_prime(n)
+
+
+def test_is_prime_accepts_large_primes():
+    assert pt.is_prime(2**61 - 1)
+    assert pt.is_prime(2**62 - 57)
+    assert not pt.is_prime((2**61 - 1) * 1000003)  # two primes above 41, product below _MR_LIMIT
+    assert 47**15 > pt._MR_LIMIT and not pt.is_prime(47**15)  # trial division above the bound
+
+
 def test_index_set_membership():
     fin = IndexSet.finite([3, 5])
     assert 3 in fin and 5 in fin and 4 not in fin
