@@ -137,7 +137,7 @@ def check_realize_achieves(ctx: SuiteContext) -> tuple[bool, str]:
 
 def check_np_monomial_ratio(ctx: SuiteContext) -> tuple[bool, str]:
     violations = np_monomial_ratio_violations(2, 2, 20)
-    count = sum(len(pt.partitions_of(n, parts=pt.IndexSet.np_minus(2))) for n in range(1, 21))
+    count = sum(len(pt.np_partitions(n, 2)) for n in range(1, 21))
     return violations == [], f"{count} N_2-monomials of weight <= 20, pi_2 >= ceil(2n/5); violations: {violations}"
 
 
@@ -211,12 +211,9 @@ def check_action_soundness(ctx: SuiteContext) -> tuple[bool, str]:
     return fails == 0 and total > 0, f"{total} distinct actions satisfy fixed_dim >= main_bound; {fails} violations"
 
 
-def _random_homogeneous(rng: random.Random, p: int, pool: list, fam) -> BPoly:
-    mons = rng.sample(pool, k=min(len(pool), rng.randint(1, 3)))
-    gp = GenPoly.zero(p)
-    for beta in mons:
-        gp = gp + GenPoly.monomial(p, beta, rng.randint(1, p - 1))
-    return evaluate_gen_poly(gp, fam)
+def _random_homogeneous(rng: random.Random, p: int, pool: list | tuple, fam) -> BPoly:
+    mons = rng.sample(pool, k=min(len(pool), rng.randint(1, 3)))  # distinct, so no coefficients add up
+    return evaluate_gen_poly(GenPoly(p, {beta: rng.randint(1, p - 1) for beta in mons}), fam)
 
 
 def check_divisibility_corollaries(ctx: SuiteContext) -> tuple[bool, str]:
@@ -230,7 +227,7 @@ def check_divisibility_corollaries(ctx: SuiteContext) -> tuple[bool, str]:
         while hits < 50 and attempts < 4000:
             attempts += 1
             n = rng.randint(1, 14)
-            pool = [b for b in pt.partitions_of(n, parts=pt.IndexSet.np_minus(p)) if (2 * q - 1) * pt.pi_q(b, q) <= n]
+            pool = [b for b in pt.np_partitions(n, p) if (2 * q - 1) * pt.pi_q(b, q) <= n]
             if not pool:
                 continue
             x = _random_homogeneous(rng, p, pool, fam)
@@ -248,7 +245,7 @@ def check_divisibility_corollaries(ctx: SuiteContext) -> tuple[bool, str]:
     while hits < 50 and attempts < 4000:
         attempts += 1
         n = rng.randint(1, 14)
-        pool = pt.partitions_of(n, parts=pt.IndexSet.np_minus(2))
+        pool = pt.np_partitions(n, 2)
         # prefer monomials keeping dim_2 below 3n/7 so the verdict is not vacuous
         sharp = [b for b in pool if 7 * pt.pi_q(b, 2) < 3 * n]
         if sharp and rng.random() < 0.7:

@@ -27,8 +27,9 @@ from .partitions import Record, is_prime
 Character = tuple[int, ...]
 
 
+@lru_cache(maxsize=256)
 def _prime_of(f: int) -> int:
-    """The prime p with f = p^r, r >= 1.
+    """The prime p with f = p^r, r >= 1, memoized for the last 256 factors (CharacterGroup.p reads it).
 
     Only the exact integer root of f of the highest order can be p, so that
     one candidate goes to is_prime and no divisor of f is searched for.

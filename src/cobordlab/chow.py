@@ -20,7 +20,7 @@ from functools import cache
 from math import comb, factorial
 
 from . import partitions as pt
-from .fpring import BPoly, _accumulate, _convolve, _normalize
+from .fpring import BPoly, _combination, _convolve, _normalize
 
 
 # -- variety expressions ---------------------------------------------------
@@ -307,17 +307,18 @@ def _h_class(p: int, n: int, m: int) -> BPoly:
 _ATOM_CACHE: dict[tuple, BPoly] = {}
 
 
-def atom_class(atom: Atom, p: int) -> BPoly:
-    """Exact mod-p class of an atom.
+def check_atom_cap(atom: Atom) -> None:
+    """Refuse an atom above the weight cap: its class needs slices up to n for P(n), m for H(n, m)."""
+    w = atom.n if isinstance(atom, PAtom) else atom.m
+    if w > pt.DEFAULT_WEIGHT_CAP:
+        raise ValueError(f"weight {w} exceeds cap {pt.DEFAULT_WEIGHT_CAP}")
 
-    P(n) needs a weight-n slice and H(n, m) slices up to weight m, so each
-    is refused when that weight is above the cap; products of atoms are not.
-    """
+
+def atom_class(atom: Atom, p: int) -> BPoly:
+    """Exact mod-p class of an atom; check_atom_cap refuses it first."""
     key = (p, atom)
     if key not in _ATOM_CACHE:
-        w = atom.n if isinstance(atom, PAtom) else atom.m
-        if w > pt.DEFAULT_WEIGHT_CAP:
-            raise ValueError(f"weight {w} exceeds cap {pt.DEFAULT_WEIGHT_CAP}")
+        check_atom_cap(atom)
         if isinstance(atom, PAtom):
             _ATOM_CACHE[key] = _pn_class(p, atom.n)
         else:
@@ -362,8 +363,8 @@ def chern_numbers(expr, p: int) -> BPoly:
     """Exact mod-p Chern-number class of a variety expression.
 
     Accepts a VExpr or a string in the expression grammar.  The products'
-    classes come from the product memo, and their multiples are summed into
-    one dict that is reduced mod p once.  A single product of multiplicity 1
+    classes come from the product memo, and fpring._combination sums their
+    multiples mod p in one pass.  A single product of multiplicity 1
     is the memoized class itself, shared with every other caller, which
     must not mutate it.
     """
@@ -372,7 +373,4 @@ def chern_numbers(expr, p: int) -> BPoly:
     pt.check_prime(p)
     if len(expr.parts) == 1 and expr.parts[0][0] == 1:
         return product_class(expr.parts[0][1].atoms, p)
-    acc: dict[int, int] = {}
-    for mult, prod in expr.parts:
-        _accumulate(acc, product_class(prod.atoms, p).packed, mult)
-    return BPoly._trusted(p, acc)
+    return BPoly._reduced(p, _combination(p, ((m, product_class(prod.atoms, p).packed) for m, prod in expr.parts)))

@@ -23,7 +23,7 @@ from collections import Counter
 
 from .actions import CharacterGroup, action_to_json, realize
 from .bounds import check_order, main_bound, milnor_divisibility_check, ratio_bound, small_fixed_divisibility
-from .chow import Scanner, chern_numbers, parse_variety
+from .chow import Scanner, check_atom_cap, chern_numbers, parse_variety
 from .cobordism import (
     NotInLp,
     dim_q_direct,
@@ -103,7 +103,8 @@ def load_class(args, ceiling: bool = True) -> BPoly:
     """The input class, exact, from either input mode.
 
     --max-weight caps the class's top weight for raw input always, and for
-    variety input when ceiling is set (class filters by it instead).
+    variety input when ceiling is set (class filters by it instead).  Atoms
+    meet the weight cap right after the parse, before any arithmetic.
     """
     if args.max_weight is not None and args.max_weight < 0:
         raise ValueError(f"--max-weight must be nonnegative, got {args.max_weight}")
@@ -113,6 +114,8 @@ def load_class(args, ceiling: bool = True) -> BPoly:
     expr, notes = parse_variety(text)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
+    for atom in (atom for _, prod in expr.parts for atom in prod.atoms):
+        check_atom_cap(atom)
     x = chern_numbers(expr, args.prime)
     if ceiling and args.max_weight is not None:
         top = x.top_weight()

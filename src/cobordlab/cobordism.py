@@ -11,14 +11,14 @@ return tuples.
 express_in_generators writes an exact class as a polynomial in a family.
 The solve is triangular: the monomial on l_beta only supports partitions
 refining beta, with an explicitly known diagonal entry.  A strict
-refinement has more parts and the same weight, so clearing the support one
-length at a time, fewest parts first, terminates, clears every weight
-component in the same pass, and builds only the generators of the
-monomials it clears.  Non-membership is a first-class result: express
-returns a NotInLp value (an exception instance, raised by express_required
-for callers that need membership) whose witness partition is produced by a
-dense elimination with rows finest-first, in the lightest weight component
-that fails, so the reported obstruction is the coarsest one there.
+refinement has the same weight and a smaller packed key, so always
+clearing the largest key left terminates, clears every weight component in
+the same pass, and builds only the generators of the monomials it clears.
+Non-membership is a first-class result: express returns a NotInLp value (an
+exception instance, raised by express_required for callers that need
+membership) whose witness partition is produced by a dense elimination
+with rows finest-first, in the lightest weight component that fails, so
+the reported obstruction is the coarsest one there.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import Callable
 
 from . import partitions as pt
 from .chow import _h_atom, _p_atom, atom_class, product_class
-from .fpring import BPoly, GenPoly, _accumulate
-from .partitions import KEY_LIMIT, Partition, in_np
+from .fpring import BPoly, GenPoly, _combination
+from .partitions import Partition, in_np
 
 __all__ = [
     "NotInLp",
@@ -217,10 +217,8 @@ def evaluate_gen_poly(gp: GenPoly, family: GeneratorFamily) -> BPoly:
         (beta, coeff), = gp.packed.items()
         if coeff == 1:
             return family._monomial(beta)
-    acc: dict[int, int] = {}
-    for beta, coeff in gp.packed.items():
-        _accumulate(acc, family._monomial(beta).packed, coeff)
-    return BPoly._trusted(gp.p, acc)
+    pairs = ((k, family._monomial(beta).packed) for beta, k in gp.packed.items())
+    return BPoly._reduced(gp.p, _combination(gp.p, pairs))
 
 
 def _subtract_row(vec: dict[int, int], c: int, row: dict[int, int], p: int) -> None:
@@ -280,60 +278,47 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
     """Write an exact class as a polynomial in the family's generators.
 
     Returns a NotInLp verdict (not raised) when impossible.  The main path
-    clears the support by number of parts, fewest first, all weights in one
-    pass: refinement keeps the weight, so the components never interact.  A
-    support element owning a part outside N_p certifies that its weight
-    fails; the other weights are still cleared, and the elimination fallback
-    pins down the witness of the lightest failing weight.
+    clears the largest packed key left in the residual, all weights in one
+    pass: the row of l_alpha changes only strict refinements of alpha,
+    which have the same weight and smaller keys, so the cleared keys
+    strictly decrease and each coefficient is final when its key is
+    cleared.  A support element owning a part outside N_p certifies that
+    its weight fails, and that weight is dropped from the residual; the
+    other weights are still cleared, and the elimination fallback pins
+    down the witness of the lightest failing weight.
     """
     if x.p != family.p:
         raise ValueError("prime mismatch")
     p = x.p
     residual = dict(x.packed)
     outside = pt.outside_mask(p)
-    field = KEY_LIMIT  # a key's field 0 is its number of parts
     solution: dict[int, int] = {}
     failed: set[int] = set()  # weights whose support met a part outside N_p
-    # Clearing alpha zeroes it and changes only strict refinements of alpha,
-    # which have more parts; so within one length the order does not
-    # matter, and a bucket only grows while a shorter one is cleared.
-    by_length: dict[int, list[int]] = {}
-    for alpha in residual:
-        by_length.setdefault(alpha & field, []).append(alpha)
-    length = 0
-    while by_length:
-        if length > field:
-            # no partition has more parts than KEY_LIMIT: what is left was queued
-            # at a length already passed, by a row entry that does not refine
-            # the partition it clears (a stored zero in a shared class does that)
-            stale = next(iter(by_length.values()))[0]
-            raise AssertionError(f"clearing rows reach c_{pt.unpack(stale)} after its length was cleared")
-        bucket = by_length.pop(length, ())
-        length += 1
-        for alpha in bucket:
-            r = residual.get(alpha)
-            if not r:
-                if r is None:  # cleared since it was queued
-                    continue
-                raise AssertionError(f"clearing rows left a stored zero at c_{pt.unpack(alpha)}")
-            if alpha & outside:
-                failed.add(pt.key_weight(alpha))
-            if failed and pt.key_weight(alpha) in failed:
-                continue
-            row = family._monomial(alpha).packed
-            coeff = r * pow(row[alpha], -1, p) % p  # c_alpha of l_alpha, a product of diagonals
-            solution[alpha] = coeff
+    last = float("inf")  # the key cleared last
+    while residual:
+        alpha = max(residual)
+        if alpha >= last:
+            # a row entry that does not refine its row's partition put it there
+            raise AssertionError(f"clearing rows reach c_{pt.unpack(alpha)} after c_{pt.unpack(last)} was cleared")
+        last = alpha
+        if alpha & outside:
+            weight = pt.key_weight(alpha)
+            failed.add(weight)
+            residual = {beta: c for beta, c in residual.items() if pt.key_weight(beta) != weight}
+            continue
+        row = family._monomial(alpha).packed
+        try:
+            coeff = residual[alpha] * pow(row[alpha], -1, p) % p  # c_alpha of l_alpha, a product of diagonals
             for beta, c in row.items():
-                old = residual.get(beta)
-                if old is None:  # coeff and c are units, so the new entry is nonzero
-                    residual[beta] = -coeff * c % p
-                    by_length.setdefault(beta & field, []).append(beta)
+                c = (residual.get(beta, 0) - coeff * c) % p
+                if c:
+                    residual[beta] = c
                 else:
-                    nv = (old - coeff * c) % p
-                    if nv:
-                        residual[beta] = nv
-                    else:
-                        del residual[beta]
+                    del residual[beta]  # a KeyError only if c was a stored zero
+        except (KeyError, ValueError) as exc:
+            at = pt.unpack(exc.args[0] if isinstance(exc, KeyError) else alpha)
+            raise AssertionError(f"the clearing row of c_{pt.unpack(alpha)} holds a stored zero at c_{at}") from None
+        solution[alpha] = coeff
     if failed:
         weight = min(failed)
         witness = _gauss_witness({a: c for a, c in x.packed.items() if pt.key_weight(a) == weight}, weight, family)

@@ -58,10 +58,23 @@ def _convolve(x: dict, y: dict, out: dict | None = None) -> dict:
     return out
 
 
-def _accumulate(out: dict, terms: dict, k: int = 1) -> dict:
-    """Add k times the terms into out, unreduced, and return out."""
-    for alpha, c in terms.items():
-        out[alpha] = out.get(alpha, 0) + k * c
+def _combination(p: int, pairs) -> dict:
+    """The sum of k * terms over the (k, terms) pairs mod p, zeros dropped; each terms is reduced, with no zeros.
+
+    A support disjoint from the sum so far (usual: the terms differ in weight) merges with one dict.update.
+    """
+    out: dict = {}
+    for k, terms in pairs:
+        k %= p
+        if k and out.keys().isdisjoint(terms.keys()):
+            out.update(terms if k == 1 else {alpha: k * c % p for alpha, c in terms.items()})
+        elif k:
+            for alpha, c in terms.items():
+                c = (out.get(alpha, 0) + k * c) % p
+                if c:
+                    out[alpha] = c
+                else:
+                    del out[alpha]
     return out
 
 
@@ -134,11 +147,10 @@ class _PartitionPoly:
 
     def __add__(self, other):
         self._check_operand(other)
-        return self._trusted(self.p, _accumulate(dict(self.packed), other.packed))
+        return self._reduced(self.p, _combination(self.p, ((1, self.packed), (1, other.packed))))
 
     def scale(self, k: int):
-        k %= self.p
-        return self._trusted(self.p, {a: k * c for a, c in self.packed.items()})
+        return self._reduced(self.p, _combination(self.p, ((k, self.packed),)))
 
     def __mul__(self, other):
         self._check_operand(other)

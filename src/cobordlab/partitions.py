@@ -180,8 +180,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Exact primality test.
+    """Exact primality test, memoized for the last 256 numbers (check_prime runs on every chern_numbers call).
 
     A base, or a multiple of one, answers at once.  Below _MR_LIMIT the
     Miller-Rabin test to the bases _MR_BASES is deterministic; above it,

@@ -35,7 +35,9 @@ library route against an independent one.
   of the closed form in cobordlab.equivariant.
 * Membership by dense elimination on tuple partitions, rows finest first,
   the check of the triangular solve and of the witness in
-  cobordlab.cobordism.
+  cobordlab.cobordism; and the triangular solve that clears one length at
+  a time, fewest parts first, on tuple partitions, the check of the
+  largest-key solve there.
 * A raw b[...] parser with its own tokenizer and token loop, the check of
   cobordlab.cli.parse_raw_bpoly on the scanner it shares with the variety
   grammar.
@@ -49,8 +51,9 @@ from math import comb, factorial
 from cobordlab import partitions as pt
 from cobordlab.actions import Disjoint, HAct, PAct, Product
 from cobordlab.chow import PAtom, VExpr, VProduct, atom_class, make_h_atom
+from cobordlab.cobordism import NotInLp
 from cobordlab.equivariant import f_poly
-from cobordlab.fpring import BPoly
+from cobordlab.fpring import BPoly, GenPoly
 
 # -- closed-form atom classes, term by term ------------------------------------
 
@@ -755,6 +758,44 @@ def reference_elimination(x_w: dict, weight: int, family) -> dict | pt.Partition
         if value:
             solution[pivot] = value
     return solution
+
+
+def reference_express(x: BPoly, family):
+    """Write x in the family's generators by the length-ordered triangular solve.
+
+    The row of l_alpha supports strict refinements of alpha, which have
+    more parts and the same weight; so clearing the support one length at
+    a time, fewest parts first, clears every weight in one pass.  A
+    support element owning a part outside N_p marks its weight as failing,
+    and the witness is reference_elimination's on the lightest one.
+    """
+    p = x.p
+    residual = x.terms
+    solution: dict = {}
+    failed: set[int] = set()
+    # a partition of weight w has at most w parts
+    for length in range(max(map(sum, residual), default=-1) + 1):
+        for alpha in [alpha for alpha in residual if len(alpha) == length]:
+            r = residual.get(alpha)
+            if not r:
+                continue
+            if not all(pt.in_np(part, p) for part in alpha):
+                failed.add(sum(alpha))
+            if sum(alpha) in failed:
+                continue
+            row = family.monomial_class(alpha).terms
+            coeff = r * pow(row[alpha], -1, p) % p
+            solution[alpha] = coeff
+            for beta, c in row.items():
+                residual[beta] = (residual.get(beta, 0) - coeff * c) % p
+                if not residual[beta]:
+                    del residual[beta]
+    if failed:
+        weight = min(failed)
+        return NotInLp(p, reference_elimination({a: c for a, c in x.terms.items() if sum(a) == weight}, weight, family))
+    if residual:
+        raise AssertionError(f"the length-ordered solve left {residual}")
+    return GenPoly(p, solution)
 
 
 # -- raw class input on its own tokenizer ---------------------------------------------

@@ -150,6 +150,24 @@ def test_dimq_at_a_prime_near_2_62_answers_at_once():
         0, "dim_4611686018427387847 = 0 (direct) = 0 (via generators)\n", "")
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["express", "-p", "2", "P(64)*P(64)*P(64)*P(64)*P(65)"], (1, "", "error: weight 65 exceeds cap 64\n")),
+    (["dimq", "-p", "3", "-q", "3", "P(64)*P(64)*P(64) + 2.P(2)*H(70,3)"],
+     (1, "", "note: H(70,3) normalized to H(3,70)\nerror: weight 70 exceeds cap 64\n")),
+    # weight 319, but P(63) is zero mod 2 and the product memo meets it first
+    (["express", "-p", "2", "P(64)*P(64)*P(64)*P(64)*P(63)"], (0, "0\n", "")),
+], ids=("P-atom", "H-atom", "zero-product"))
+def test_atoms_over_the_cap_are_refused_right_after_the_parse(argv, want):
+    resource = pytest.importorskip("resource")
+
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
+
+    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=30, preexec_fn=limit_cpu)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
 def test_realize_renders_its_action_once():
     # text mode builds one tree over the action's own character tuples, and no JSON object
     argv = ["realize", "-p", "3", "-q", "3", "H(4,19)"]

@@ -9,11 +9,12 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from reference import reference_elimination, refines
+from reference import reference_elimination, reference_express, refines
 
 import cobordlab
 import cobordlab.partitions as pt
 from cobordlab import cobordism
+from cobordlab.acceptance import SEED
 from cobordlab.chow import HAtom, PAtom, atom_class, chern_numbers
 from cobordlab.cobordism import (
     GeneratorFamily,
@@ -309,6 +310,41 @@ def test_the_lightest_failing_weight_gives_the_witness(monkeypatch):
     assert eliminated == [4, 7]
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("perturb", (False, True), ids=("standard", "perturbed"))
+def test_largest_key_solve_agrees_with_the_length_ordered_solve(p, perturb):
+    fam = perturbed_family(p, SEED) if perturb else standard_generators(p)
+    rng = random.Random(SEED + p)
+    verdicts = set()
+    for _ in range(60):
+        member = evaluate_gen_poly(random_gen_poly(rng, p, 9), fam)
+        # off-ring terms at two weights, in either order of weight and length
+        off_ring = member + BPoly(p, {_off_ring_partition(rng, p, rng.randint(p - 1, 12)): rng.randrange(1, p)
+                                      for _ in range(2)})
+        y = evaluate_gen_poly(random_gen_poly(rng, p, 14, max_terms=8), fam)
+        for x in (member, off_ring, y, member + y):
+            got = express_in_generators(x, fam)
+            assert got == reference_express(x, fam), (x, got)
+            verdicts.add(type(got))
+    assert verdicts == {GenPoly, NotInLp}
+
+
+def _all_monomials(fam, weight):
+    return GenPoly(fam.p, {beta: 1 for beta in pt.np_partitions(weight, fam.p)})
+
+
+@pytest.mark.parametrize("perturb", (False, True), ids=("standard", "perturbed"))
+def test_the_class_of_every_n3_monomial_of_weight_24(perturb):
+    fam = perturbed_family(3, SEED) if perturb else standard_generators(3)
+    gp = _all_monomials(fam, 24)
+    assert len(gp.packed) == 477
+    x = evaluate_gen_poly(gp, fam)
+    assert express_in_generators(x, fam) == gp == reference_express(x, fam)
+    # 2 + 1 = 3 is outside N_3: weight 4 fails, and weight 24 is still cleared
+    off = x + BPoly.monomial(3, (2, 2), 1)
+    assert express_in_generators(off, fam) == reference_express(off, fam) == NotInLp(3, (2, 2))
+
+
 @pytest.mark.parametrize("p", (2, 3))
 @pytest.mark.parametrize("perturb", (False, True), ids=("standard", "perturbed"))
 def test_express_agrees_with_elimination_with_two_off_ring_weights(p, perturb):
@@ -389,26 +425,37 @@ def test_random_gen_poly_draws_as_the_chained_sum_did():
 
 # A stored zero in a shared clearing row: at a partition that does not refine
 # (4,2) it used to send the solve into an endless loop, at a strict refinement
-# it would be "solved" with coefficient 0.  Both now end in an internal
-# assertion naming the partition, and the CLI exits 3.
-STORED_ZERO = """
+# it would be "solved" with coefficient 0.  Each ends in an internal assertion
+# naming the partition, and the CLI exits 3; so does a row entry above its
+# partition, which would break the strict decrease of the cleared keys.
+CLEARING_ROW = """
 import sys
 import cobordlab.partitions as pt
 from cobordlab import cli
 from cobordlab.cobordism import standard_generators
-standard_generators(2).monomial_class((4, 2)).packed[pt.pack({at})] = 0
+standard_generators(2).monomial_class((4, 2)).packed[pt.pack({at})] = {value}
 sys.exit(cli.main(["express", "-p", "2", "b[4]*b[2] + b[2]^3"]))
 """
 
 
-@pytest.mark.parametrize("at, message", [
-    ((6,), "clearing rows reach c_(6,) after its length was cleared"),
-    ((3, 1, 1, 1), "clearing rows left a stored zero at c_(3, 1, 1, 1)"),
-])
-def test_a_stored_zero_in_a_clearing_row_stops_the_solve(at, message):
+def _express_with_a_bad_row(at, value):
     src = str(Path(cobordlab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", STORED_ZERO.format(at=at)], env=env,
+    proc = subprocess.run([sys.executable, "-c", CLEARING_ROW.format(at=at, value=value)], env=env,
                           capture_output=True, text=True, timeout=30)
     assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
-    assert proc.stderr == f"internal assertion failed: {message}\n"
+    return proc.stderr
+
+
+@pytest.mark.parametrize("at, message", [
+    ((6,), "the clearing row of c_(4, 2) holds a stored zero at c_(6,)"),
+    ((3, 1, 1, 1), "the clearing row of c_(4, 2) holds a stored zero at c_(3, 1, 1, 1)"),
+    ((4, 2), "the clearing row of c_(4, 2) holds a stored zero at c_(4, 2)"),
+])
+def test_a_stored_zero_in_a_clearing_row_stops_the_solve(at, message):
+    assert _express_with_a_bad_row(at, 0) == f"internal assertion failed: {message}\n"
+
+
+def test_a_row_entry_above_its_partition_stops_the_solve():
+    assert _express_with_a_bad_row((6,), 1) == (
+        "internal assertion failed: clearing rows reach c_(6,) after c_(4, 2) was cleared\n")

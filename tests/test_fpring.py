@@ -10,7 +10,7 @@ from reference import canonical_term_key, tuple_accumulate, tuple_convolve
 
 import cobordlab.partitions as pt
 from cobordlab.chow import chern_numbers
-from cobordlab.fpring import NEG_INF, BPoly, GenPoly, _accumulate, _convolve, format_bpoly, format_genpoly
+from cobordlab.fpring import NEG_INF, BPoly, GenPoly, _combination, _convolve, format_bpoly, format_genpoly
 from cobordlab.partitions import is_partition
 
 partition_st = st.lists(st.integers(1, 6), min_size=0, max_size=4).map(
@@ -185,12 +185,50 @@ def test_packed_kernel_matches_the_tuple_kernel(p):
         x, y = _random_terms(rng, p, 14), _random_terms(rng, p, 14)
         assert _unpacked(_convolve(_packed(x), _packed(y))) == tuple_convolve(x, y)
         k = rng.randrange(-p, p)
-        assert _unpacked(_accumulate(_packed(x), _packed(y), k)) == tuple_accumulate(dict(x), y, k)
         a, b = BPoly(p, x), BPoly(p, y)
         want = {alpha: c % p for alpha, c in tuple_convolve(a.terms, b.terms).items() if c % p}
         assert (a * b).terms == want
         assert (a + b.scale(k)).terms == {alpha: c % p for alpha, c in tuple_accumulate(a.terms, b.terms, k).items()
                                           if c % p}
+
+
+def _reduced_terms(rng: random.Random, p: int, weight: int) -> dict:
+    """Random terms of one weight reduced mod p, no zeros: what _combination takes."""
+    return {rng.choice(pt.partitions_of(weight)): rng.randrange(1, p) for _ in range(rng.randint(0, 10))}
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_combination_is_the_tuple_sum_reduced_mod_p(p):
+    rng = random.Random(100 + p)
+    disjoint = overlapping = zero_multiples = 0
+    for trial in range(300):
+        # even trials draw each pair at its own weight, so the supports are disjoint
+        weights = rng.sample(range(9), 4) if trial % 2 == 0 else [rng.randint(0, 8)] * 4
+        pairs = [(rng.randrange(-p, 3 * p), _reduced_terms(rng, p, w)) for w in weights]
+        want: dict = {}
+        for k, terms in pairs:
+            if k % p == 0:
+                zero_multiples += 1
+            elif want.keys() & terms.keys():
+                overlapping += 1
+            else:
+                disjoint += 1
+            tuple_accumulate(want, terms, k)
+        want = {alpha: c % p for alpha, c in want.items() if c % p}
+        got = _combination(p, ((k, _packed(terms)) for k, terms in pairs))
+        assert _unpacked(got) == want
+        assert 0 not in got.values() and all(0 < c < p for c in got.values())
+        for k, terms in pairs:
+            assert _unpacked(_combination(p, [(k, _packed(terms))])) == {
+                alpha: k * c % p for alpha, c in terms.items() if k * c % p}
+    assert disjoint > 100 and overlapping > 100 and zero_multiples > 100
+
+
+def test_combination_leaves_its_inputs_alone():
+    x, y = {pt.pack((2,)): 1, pt.pack((1, 1)): 2}, {pt.pack((1, 1)): 1, pt.pack((3,)): 2}
+    before = (dict(x), dict(y))
+    assert _unpacked(_combination(3, [(1, x), (2, y), (1, x)])) == {(2,): 2, (3,): 1}  # (1, 1) cancels
+    assert (x, y) == before
 
 
 def test_products_past_the_key_limit_are_refused():

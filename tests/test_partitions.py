@@ -267,6 +267,26 @@ def test_max_pi_q_values_and_q_check():
             pt.max_pi_q([], q)
 
 
+def test_max_pi_q_across_the_table_reset_and_on_iterators(monkeypatch):
+    # a small limit makes the tables start afresh many times within one sweep
+    monkeypatch.setattr(pt, "_PI_Q_LIMIT", 5)
+    monkeypatch.setattr(pt, "_pi_q_tables", {})
+    rng = random.Random(9)
+    ps = [a for n in range(1, 13) for a in pt.partitions_of(n)]
+    resets = 0
+    for _ in range(300):
+        q = rng.choice((1, 2, 3, 5, 300))
+        sample = rng.sample(ps, rng.randint(1, 8))
+        before = pt._pi_q_tables.get(q)  # (floors, pi_q per key)
+        want = max(pt.pi_q(a, q) for a in sample)
+        assert pt.max_pi_q((pt.pack(a) for a in sample), q) == want  # a generator
+        assert pt.max_pi_q(iter([pt.pack(a) for a in sample]), q) == want
+        assert len(pt._pi_q_tables[q][1]) <= 5 + 8
+        resets += before is not None and pt._pi_q_tables[q][1] is not before[1]
+    assert resets > 50
+    assert pt.max_pi_q(iter(()), 3) == float("-inf")
+
+
 # -- packed keys ---------------------------------------------------------------
 
 
