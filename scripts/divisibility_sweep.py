@@ -25,19 +25,21 @@ def homogeneous_sample(rng, p, max_weight):
 
 
 def sweep_small(rng, p, q, count, max_weight):
-    biting = failures = 0
+    """(classes checked, non-vacuous, violations) over count draws."""
+    checked = biting = failures = 0
     for _ in range(count):
         x = homogeneous_sample(rng, p, max_weight)
         n = int(x.top_weight())
         d = dim_q_direct(x, q)
         if n < (2 * q - 1) * d:
             continue  # precondition n >= (2q-1)d fails, the check refuses these
+        checked += 1
         need = n - (2 * q - 1) * d
         biting += need > 0
         if not small_fixed_divisibility(x, q, d):
             failures += 1
             print(f"  VIOLATION p={p} q={q}: {x!r}")
-    return biting, failures
+    return checked, biting, failures
 
 
 def sweep_milnor(rng, count, max_weight):
@@ -63,9 +65,10 @@ def main():
     rng = random.Random(args.seed)
     total_failures = 0
     for p, q in ((3, 3), (2, 4)):
-        biting, failures = sweep_small(rng, p, q, args.count, args.max_weight)
+        checked, biting, failures = sweep_small(rng, p, q, args.count, args.max_weight)
         total_failures += failures
-        print(f"small-fixed p={p} q={q}: {args.count} classes, {biting} non-vacuous, {failures} violations")
+        print(f"small-fixed p={p} q={q}: {checked} classes checked, {args.count - checked} skipped"
+              f" (n < (2q-1)d), {biting} non-vacuous, {failures} violations")
     biting, failures = sweep_milnor(rng, args.count, args.max_weight)
     total_failures += failures
     print(f"milnor p=2 q=2: {args.count} classes, {biting} non-vacuous, {failures} violations")

@@ -29,7 +29,7 @@ from typing import Callable
 
 from . import partitions as pt
 from .chow import _h_atom, _p_atom, atom_class, product_class
-from .fpring import BPoly, GenPoly, _combination
+from .fpring import BPoly, GenPoly, _add_multiple, _combination
 from .partitions import Partition, in_np
 
 __all__ = [
@@ -221,16 +221,6 @@ def evaluate_gen_poly(gp: GenPoly, family: GeneratorFamily) -> BPoly:
     return BPoly._reduced(gp.p, _combination(gp.p, pairs))
 
 
-def _subtract_row(vec: dict[int, int], c: int, row: dict[int, int], p: int) -> None:
-    """vec -= c * row over F_p in place, dropping the entries that cancel."""
-    for b, v in row.items():
-        nv = (vec.get(b, 0) - c * v) % p
-        if nv:
-            vec[b] = nv
-        else:
-            vec.pop(b, None)
-
-
 def _gauss_witness(x_w: dict[int, int], weight: int, family: GeneratorFamily) -> int | None:
     """The witness of the weight-w linear system, by elimination rows finest-first.
 
@@ -239,38 +229,30 @@ def _gauss_witness(x_w: dict[int, int], weight: int, family: GeneratorFamily) ->
     N_p-partitions of the weight; rows are all partitions of the weight
     finest first, in ascending key order (the reverse of canonical order
     within a weight), so an inconsistency is reported at the coarsest
-    possible row.
+    possible row.  A row holds its right-hand side under key 0, the key of
+    (), which no unknown of positive weight has; a row reduced to key 0
+    alone is inconsistent.
     """
     p = family.p
     columns = {beta: family._monomial(beta).packed for beta in pt.np_keys(weight, p)}
     rows = map(pt.pack, reversed(pt.partitions_of(weight)))
-    pivots: dict[int, tuple[dict, int]] = {}  # pivot unknown -> (row vector, rhs)
+    pivots: dict[int, dict] = {}  # pivot unknown -> its row, with an implied 1 there and no other pivot
     for alpha in rows:
-        vec = {}
-        for beta, terms in columns.items():
-            c = terms.get(alpha, 0)
-            if c:
-                vec[beta] = c
-        rhs = x_w.get(alpha, 0) % p
-        for pivot, (pvec, prhs) in pivots.items():
-            c = vec.pop(pivot, 0)  # the stored row has an implied 1 there
-            if c:
-                _subtract_row(vec, c, pvec, p)
-                rhs = (rhs - c * prhs) % p
+        vec = {beta: c for beta, terms in columns.items() if (c := terms.get(alpha, 0))}
+        if rhs := x_w.get(alpha, 0) % p:
+            vec[0] = rhs
+        for pivot in [b for b in vec if b in pivots]:
+            _add_multiple(vec, -vec.pop(pivot), pivots[pivot], p)
         if vec:
-            pivot = max(vec)  # the first in canonical order
-            inv = pow(vec.pop(pivot), -1, p)
-            pvec = {b: (inv * v) % p for b, v in vec.items()}
-            prhs = (inv * rhs) % p
+            pivot = max(vec)  # the first unknown in canonical order, or key 0 alone
+            if not pivot:
+                return alpha
+            pvec = _combination(p, ((pow(vec.pop(pivot), -1, p), vec),))
             # eager: clear the new pivot from every stored row (measured faster than forward-only)
-            for other, (ovec, orhs) in list(pivots.items()):
-                c = ovec.pop(pivot, 0)
-                if c:
-                    _subtract_row(ovec, c, pvec, p)
-                    pivots[other] = (ovec, (orhs - c * prhs) % p)
-            pivots[pivot] = (pvec, prhs)
-        elif rhs:
-            return alpha
+            for ovec in pivots.values():
+                if c := ovec.pop(pivot, 0):
+                    _add_multiple(ovec, -c, pvec, p)
+            pivots[pivot] = pvec
     return None
 
 
@@ -309,12 +291,7 @@ def express_in_generators(x: BPoly, family: GeneratorFamily) -> GenPoly | NotInL
         row = family._monomial(alpha).packed
         try:
             coeff = residual[alpha] * pow(row[alpha], -1, p) % p  # c_alpha of l_alpha, a product of diagonals
-            for beta, c in row.items():
-                c = (residual.get(beta, 0) - coeff * c) % p
-                if c:
-                    residual[beta] = c
-                else:
-                    del residual[beta]  # a KeyError only if c was a stored zero
+            _add_multiple(residual, -coeff, row, p)  # a KeyError only at a stored zero
         except (KeyError, ValueError) as exc:
             at = pt.unpack(exc.args[0] if isinstance(exc, KeyError) else alpha)
             raise AssertionError(f"the clearing row of c_{pt.unpack(alpha)} holds a stored zero at c_{at}") from None

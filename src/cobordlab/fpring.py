@@ -69,13 +69,21 @@ def _combination(p: int, pairs) -> dict:
         if k and out.keys().isdisjoint(terms.keys()):
             out.update(terms if k == 1 else {alpha: k * c % p for alpha, c in terms.items()})
         elif k:
-            for alpha, c in terms.items():
-                c = (out.get(alpha, 0) + k * c) % p
-                if c:
-                    out[alpha] = c
-                else:
-                    del out[alpha]
+            _add_multiple(out, k, terms, p)
     return out
+
+
+def _add_multiple(out: dict, k: int, terms: dict, p: int) -> None:
+    """out += k * terms mod p in place, dropping the entries that cancel; k is nonzero mod p.
+
+    A stored zero in terms that out lacks raises the KeyError of its key.
+    """
+    for alpha, c in terms.items():
+        c = (out.get(alpha, 0) + k * c) % p
+        if c:
+            out[alpha] = c
+        else:
+            del out[alpha]
 
 
 class _PartitionPoly:

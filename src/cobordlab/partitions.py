@@ -185,9 +185,8 @@ def is_prime(n: int) -> bool:
     """Exact primality test, memoized for the last 256 numbers (check_prime runs on every chern_numbers call).
 
     A base, or a multiple of one, answers at once.  Below _MR_LIMIT the
-    Miller-Rabin test to the bases _MR_BASES is deterministic; above it,
-    trial division by odd numbers up to the square root decides, which is
-    the practical limit of this test.
+    Miller-Rabin test to the bases _MR_BASES is deterministic; any other n
+    is refused with a ValueError.
     """
     if n < 2:
         return False
@@ -195,12 +194,7 @@ def is_prime(n: int) -> bool:
         if n % b == 0:
             return n == b
     if n >= _MR_LIMIT:
-        d = 43
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
+        raise ValueError(f"cannot decide whether {n} is prime: the exact test covers only numbers below {_MR_LIMIT}")
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
     for a in _MR_BASES:

@@ -150,6 +150,20 @@ def test_dimq_at_a_prime_near_2_62_answers_at_once():
         0, "dim_4611686018427387847 = 0 (direct) = 0 (via generators)\n", "")
 
 
+def test_a_p_above_the_exact_primality_bound_is_refused_at_once():
+    # 2^89 - 1 is prime; trial division up to its square root never returned
+    resource = pytest.importorskip("resource")
+    p = 2**89 - 1
+
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
+
+    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", "express", "-p", str(p), "P(4)"],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=30, preexec_fn=limit_cpu)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
+        f"error: cannot decide whether {p} is prime: the exact test covers only numbers below 3317044064679887385961981\n"))
+
+
 @pytest.mark.parametrize("argv, want", [
     (["express", "-p", "2", "P(64)*P(64)*P(64)*P(64)*P(65)"], (1, "", "error: weight 65 exceeds cap 64\n")),
     (["dimq", "-p", "3", "-q", "3", "P(64)*P(64)*P(64) + 2.P(2)*H(70,3)"],

@@ -161,7 +161,7 @@ def test_gauss_witness_finds_no_witness_at_member_weights(p):
             assert _gauss_witness(packed, weight, fam) is None, (seed, weight)
 
 
-@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("p", (2, 3, 5))
 @pytest.mark.parametrize("perturb", (False, True), ids=("standard", "perturbed"))
 def test_gauss_witness_returns_the_reference_witness_key(p, perturb):
     fam = perturbed_family(p, 11) if perturb else standard_generators(p)
@@ -274,7 +274,8 @@ def _off_ring_partition(rng, p, w):
 def _member_and_off_ring(rng, p, fam):
     """A seeded member, and it plus b_alpha where alpha has a part outside N_p."""
     x = evaluate_gen_poly(random_gen_poly(rng, p, 9), fam)
-    alpha = _off_ring_partition(rng, p, rng.randint(2, 9))
+    # at p = 5 no partition below weight 4 has a part outside N_p
+    alpha = _off_ring_partition(rng, p, rng.randint(max(2, p - 1), 9))
     return x, x + BPoly.monomial(p, alpha, rng.randrange(1, p))
 
 

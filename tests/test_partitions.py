@@ -190,7 +190,10 @@ def test_is_prime_accepts_large_primes():
     assert pt.is_prime(2**61 - 1)
     assert pt.is_prime(2**62 - 57)
     assert not pt.is_prime((2**61 - 1) * 1000003)  # two primes above 41, product below _MR_LIMIT
-    assert 47**15 > pt._MR_LIMIT and not pt.is_prime(47**15)  # trial division above the bound
+    assert 47**15 > pt._MR_LIMIT
+    with pytest.raises(ValueError, match=f"^cannot decide whether {47**15} is prime: .* below {pt._MR_LIMIT}$"):
+        pt.is_prime(47**15)  # above the bound Miller-Rabin to these bases is not proven exact
+    assert not pt.is_prime(3 * 47**15)  # a multiple of a base is still decided at once
 
 
 def test_index_set_membership():
