@@ -19,8 +19,8 @@ import math
 from collections import Counter
 from functools import cache, lru_cache
 
-from .chow import HAtom, PAtom, VExpr, VProduct, _h_atom, _p_atom, chern_numbers
-from .cobordism import GeneratorFamily, _StandardFamily, dim_q_direct, express_required, generator_atom
+from .chow import HAtom, PAtom, VExpr, _h_atom, _p_atom, chern_numbers
+from .cobordism import GeneratorFamily, dim_q_direct, express_required, generator_atom, standard_generators
 from .fpring import NEG_INF, BPoly
 from .partitions import Record, is_prime
 
@@ -239,11 +239,11 @@ def underlying_variety(a: WeightedVariety) -> VExpr:
         raise TypeError(f"not an atomic action: {node!r}")
 
     if isinstance(a, (PAct, HAct)):
-        return VExpr(((1, VProduct((atom(a),))),))
+        return VExpr(((1, (atom(a),)),))
     if isinstance(a, Product):
-        return VExpr(((1, VProduct(tuple(atom(f) for f in a.factors))),))
+        return VExpr(((1, tuple(atom(f) for f in a.factors)),))
     if isinstance(a, Disjoint):
-        return VExpr(tuple((mult, VProduct(tuple(atom(f) for f in node.factors))) for mult, node in a.parts))
+        return VExpr(tuple((mult, tuple(atom(f) for f in node.factors)) for mult, node in a.parts))
     raise TypeError(f"not an action node: {a!r}")
 
 
@@ -260,7 +260,7 @@ def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> 
     p = x.p
     if G.p != p:
         raise ValueError("character group prime mismatch")
-    if fam is not None and not isinstance(fam, _StandardFamily):
+    if fam is not None and fam is not standard_generators(p):
         raise ValueError("realize needs the standard family: its atoms are the standard generator varieties")
     P = express_required(x, fam)
     parts = []

@@ -73,30 +73,21 @@ def _h_atom(a: int, b: int) -> HAtom:
     return make_h_atom(a, b)[0]
 
 
-class VProduct(pt.Record):
-    __slots__ = ("atoms",)
-
-    def __init__(self, atoms: tuple[Atom, ...]):
-        object.__setattr__(self, "atoms", atoms)
-
-    def __str__(self):
-        return "*".join(str(a) for a in self.atoms)
-
-
 class VExpr(pt.Record):
-    """Disjoint union of products, with positive integer multiplicities."""
+    """Disjoint union of products: parts are (multiplicity, atoms) with positive multiplicities."""
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple[tuple[int, VProduct], ...]):
+    def __init__(self, parts: tuple[tuple[int, tuple[Atom, ...]], ...]):
         object.__setattr__(self, "parts", parts)
 
     def __str__(self):
         if not self.parts:
             return "0"
         chunks = []
-        for mult, prod in self.parts:
-            chunks.append(f"{mult}.{prod}" if mult != 1 else str(prod))
+        for mult, atoms in self.parts:
+            prod = "*".join(map(str, atoms))
+            chunks.append(f"{mult}.{prod}" if mult != 1 else prod)
         return " + ".join(chunks)
 
 
@@ -178,7 +169,7 @@ def parse_variety(text: str) -> tuple[VExpr, list[str]]:
         while tokens.peek() == "*":
             tokens.take()
             atoms.append(parse_atom())
-        return mult, VProduct(tuple(atoms))
+        return mult, tuple(atoms)
 
     parts = [parse_term()]
     while tokens.peek() == "+":
@@ -304,9 +295,6 @@ def _h_class(p: int, n: int, m: int) -> BPoly:
     return BPoly._trusted(p, acc)
 
 
-_ATOM_CACHE: dict[tuple, BPoly] = {}
-
-
 def check_atom_cap(atom: Atom) -> None:
     """Refuse an atom above the weight cap: its class needs slices up to n for P(n), m for H(n, m)."""
     w = atom.n if isinstance(atom, PAtom) else atom.m
@@ -315,15 +303,8 @@ def check_atom_cap(atom: Atom) -> None:
 
 
 def atom_class(atom: Atom, p: int) -> BPoly:
-    """Exact mod-p class of an atom; check_atom_cap refuses it first."""
-    key = (p, atom)
-    if key not in _ATOM_CACHE:
-        check_atom_cap(atom)
-        if isinstance(atom, PAtom):
-            _ATOM_CACHE[key] = _pn_class(p, atom.n)
-        else:
-            _ATOM_CACHE[key] = _h_class(p, atom.n, atom.m)
-    return _ATOM_CACHE[key]
+    """Exact mod-p class of an atom, the one-atom entry of the product memo; check_atom_cap refuses it first."""
+    return _sorted_product((atom,), p)
 
 
 _PRODUCT_CACHE: dict[tuple, BPoly] = {}
@@ -338,23 +319,39 @@ def product_class(atoms, p: int) -> BPoly:
     """Exact mod-p class of a product of atoms, memoized per prime and atom multiset.
 
     The class of a product does not depend on the order of its factors, so
-    the memo key holds the atoms sorted by their fields.  A new product is
+    the memo key holds the atoms sorted by their fields.  A one-atom
+    product is the atom's class in closed form.  A longer new product is
     the memoized product of all its sorted atoms but the last, times the
-    last atom's class: one convolution per product built.  A one-atom
-    product is the atom's own class.  The memo hands the same class to
-    every caller, so callers only ever read it.
+    last atom's class: one convolution per product built.  The memo hands
+    the same class to every caller, so callers only ever read it.
     """
     return _sorted_product(tuple(sorted(atoms, key=_atom_order)), p)
 
 
 def _sorted_product(atoms: tuple, p: int) -> BPoly:
-    """product_class of atoms already sorted into memo-key order."""
-    if len(atoms) == 1:
-        return atom_class(atoms[0], p)
+    """product_class of atoms already sorted into memo-key order.
+
+    F_p[b] has no zero divisors, so a prefix's top weight is the sum of its
+    atoms' (NEG_INF from a zero atom on): a new product past the packed-key
+    limit gets BPoly.__mul__'s refusal before any convolution.
+    """
     key = (p, atoms)
     cls = _PRODUCT_CACHE.get(key)
     if cls is None:
-        cls = _sorted_product(atoms[:-1], p) * atom_class(atoms[-1], p) if atoms else BPoly.one(p)
+        if len(atoms) == 1:
+            atom = atoms[0]
+            check_atom_cap(atom)
+            cls = _pn_class(p, atom.n) if isinstance(atom, PAtom) else _h_class(p, atom.n, atom.m)
+        elif atoms:
+            w = 0
+            for atom in atoms:
+                terms = atom_class(atom, p).packed  # homogeneous, so any one key holds its top weight
+                w += pt.key_weight(next(iter(terms))) if terms else pt.NEG_INF
+                if w > pt.KEY_LIMIT:
+                    raise ValueError(f"product weight {w} exceeds the packed-key limit {pt.KEY_LIMIT}")
+            cls = _sorted_product(atoms[:-1], p) * atom_class(atoms[-1], p)
+        else:
+            cls = BPoly.one(p)
         _PRODUCT_CACHE[key] = cls
     return cls
 
@@ -372,5 +369,5 @@ def chern_numbers(expr, p: int) -> BPoly:
         expr, _ = parse_variety(expr)
     pt.check_prime(p)
     if len(expr.parts) == 1 and expr.parts[0][0] == 1:
-        return product_class(expr.parts[0][1].atoms, p)
-    return BPoly._reduced(p, _combination(p, ((m, product_class(prod.atoms, p).packed) for m, prod in expr.parts)))
+        return product_class(expr.parts[0][1], p)
+    return BPoly._reduced(p, _combination(p, ((m, product_class(atoms, p).packed) for m, atoms in expr.parts)))

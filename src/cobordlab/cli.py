@@ -114,7 +114,7 @@ def load_class(args, ceiling: bool = True) -> BPoly:
     expr, notes = parse_variety(text)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
-    for atom in (atom for _, prod in expr.parts for atom in prod.atoms):
+    for atom in (atom for _, atoms in expr.parts for atom in atoms):
         check_atom_cap(atom)
     x = chern_numbers(expr, args.prime)
     if ceiling and args.max_weight is not None:

@@ -226,21 +226,22 @@ def _gauss_witness(x_w: dict[int, int], weight: int, family: GeneratorFamily) ->
 
     x_w is under packed keys.  Returns the key of the first inconsistent
     row, or None when the system is solvable.  Unknowns are the
-    N_p-partitions of the weight; rows are all partitions of the weight
-    finest first, in ascending key order (the reverse of canonical order
-    within a weight), so an inconsistency is reported at the coarsest
-    possible row.  A row holds its right-hand side under key 0, the key of
-    (), which no unknown of positive weight has; a row reduced to key 0
-    alone is inconsistent.
+    N_p-partitions of the weight, and the rows are the transpose of their
+    monomial classes, the columns: one row per partition of the weight
+    that a column or x_w holds (any other row is 0 = 0), finest first, in
+    ascending key order (the reverse of canonical order within a weight),
+    so an inconsistency is reported at the coarsest possible row.  A row
+    holds its right-hand side under key 0, the key of (), which no unknown
+    of positive weight has; a row reduced to key 0 alone is inconsistent.
     """
     p = family.p
-    columns = {beta: family._monomial(beta).packed for beta in pt.np_keys(weight, p)}
-    rows = map(pt.pack, reversed(pt.partitions_of(weight)))
+    rows: dict[int, dict] = {alpha: {0: rhs} for alpha, c in x_w.items() if (rhs := c % p)}
+    for beta in pt.np_keys(weight, p):
+        for alpha, c in family._monomial(beta).packed.items():
+            rows.setdefault(alpha, {})[beta] = c
     pivots: dict[int, dict] = {}  # pivot unknown -> its row, with an implied 1 there and no other pivot
-    for alpha in rows:
-        vec = {beta: c for beta, terms in columns.items() if (c := terms.get(alpha, 0))}
-        if rhs := x_w.get(alpha, 0) % p:
-            vec[0] = rhs
+    for alpha, vec in sorted(rows.items()):
+        # a stored pivot row holds no other pivot, so the order of these subtractions does not matter
         for pivot in [b for b in vec if b in pivots]:
             _add_multiple(vec, -vec.pop(pivot), pivots[pivot], p)
         if vec:

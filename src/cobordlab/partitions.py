@@ -128,9 +128,7 @@ def partitions_of(n: int, parts=None) -> list[Partition]:
     """
     if n > DEFAULT_WEIGHT_CAP:
         raise ValueError(f"weight {n} exceeds cap {DEFAULT_WEIGHT_CAP}")
-    allowed = None
-    if parts is not None:
-        allowed = tuple(v for v in range(n, 0, -1) if v in parts)
+    allowed = tuple(v for v in range(n, 0, -1) if parts is None or v in parts)
     return list(_enumerate(n, allowed))
 
 
@@ -146,10 +144,10 @@ def np_keys(n: int, p: int) -> tuple[int, ...]:
     return tuple(map(pack, np_partitions(n, p)))
 
 
-# keyed by (n, allowed parts); the entry count is bounded so that a long
+# keyed by (n, allowed parts, largest first); the entry count is bounded so that a long
 # session does not keep every restricted enumeration it ever asked for
 @lru_cache(maxsize=256)
-def _enumerate(n: int, allowed: tuple[int, ...] | None) -> tuple[Partition, ...]:
+def _enumerate(n: int, allowed: tuple[int, ...]) -> tuple[Partition, ...]:
     out: list[Partition] = []
     stack: list[int] = []
 
@@ -157,19 +155,12 @@ def _enumerate(n: int, allowed: tuple[int, ...] | None) -> tuple[Partition, ...]
         if rem == 0:
             out.append(tuple(stack))
             return
-        if allowed is None:
-            first = min(rem, max_part)
-            for v in range(first, 0, -1):
-                stack.append(v)
-                rec(rem - v, v)
-                stack.pop()
-        else:
-            for v in allowed:
-                if v > max_part or v > rem:
-                    continue
-                stack.append(v)
-                rec(rem - v, v)
-                stack.pop()
+        for v in allowed:
+            if v > max_part or v > rem:
+                continue
+            stack.append(v)
+            rec(rem - v, v)
+            stack.pop()
 
     rec(n, n)
     return tuple(out)

@@ -50,7 +50,7 @@ from math import comb, factorial
 
 from cobordlab import partitions as pt
 from cobordlab.actions import Disjoint, HAct, PAct, Product
-from cobordlab.chow import PAtom, VExpr, VProduct, atom_class, make_h_atom
+from cobordlab.chow import PAtom, VExpr, atom_class, make_h_atom
 from cobordlab.cobordism import NotInLp
 from cobordlab.equivariant import f_poly
 from cobordlab.fpring import BPoly, GenPoly
@@ -677,10 +677,10 @@ def reference_underlying_variety(a) -> VExpr:
         return make_h_atom(len(node.V) - 1, len(node.W) - 1)[0]
 
     if isinstance(a, (PAct, HAct)):
-        return VExpr(((1, VProduct((atom(a),))),))
+        return VExpr(((1, (atom(a),)),))
     if isinstance(a, Product):
-        return VExpr(((1, VProduct(tuple(atom(f) for f in a.factors))),))
-    return VExpr(tuple((mult, VProduct(tuple(atom(f) for f in node.factors))) for mult, node in a.parts))
+        return VExpr(((1, tuple(atom(f) for f in a.factors)),))
+    return VExpr(tuple((mult, tuple(atom(f) for f in node.factors)) for mult, node in a.parts))
 
 
 # -- the relation of P(V) ---------------------------------------------------------

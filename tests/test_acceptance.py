@@ -95,8 +95,8 @@ def test_selftest_details_are_pinned():
 
 def _shared_memo_terms():
     # the classes chern_numbers, product_class and evaluate_gen_poly hand out
-    # without a copy: the atom and product memos and the standard monomials
-    memos = {"atom": chow._ATOM_CACHE, "product": chow._PRODUCT_CACHE}
+    # without a copy: the product memo, atom classes included, and the standard monomials
+    memos = {"product": chow._PRODUCT_CACHE}
     memos.update((f"monomial p={p}", fam._monomials) for p, fam in cobordism._STANDARD.items())
     # the stored packed terms themselves, not the tuple-keyed copy .terms returns
     return {(name, key): dict(cls.packed) for name, memo in memos.items() for key, cls in memo.items()}

@@ -27,7 +27,7 @@ from cobordlab.actions import (
     realize,
     underlying_variety,
 )
-from cobordlab.chow import VExpr, VProduct, chern_numbers
+from cobordlab.chow import VExpr, chern_numbers
 from cobordlab.cobordism import (
     GeneratorFamily,
     NotInLp,
@@ -188,7 +188,7 @@ def test_underlying_variety():
                 if not pt.in_np(i, p):
                     continue
                 act = construct_action_L(i, g)
-                assert underlying_variety(act) == VExpr(((1, VProduct((generator_atom(i, p),))),)), (p, q, i)
+                assert underlying_variety(act) == VExpr(((1, (generator_atom(i, p),)),)), (p, q, i)
                 assert fixed_dim(act) == i // q, (p, q, i)
 
 

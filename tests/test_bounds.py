@@ -1,12 +1,15 @@
 """Dimension bounds and divisibility corollaries."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil
 
 import pytest
 
 import cobordlab.partitions as pt
+from cobordlab.actions import HAct, PAct, fixed_dim, underlying_variety
 from cobordlab.bounds import (
     main_bound,
     milnor_divisibility_check,
@@ -37,6 +40,43 @@ def test_main_bound_examples():
     assert main_bound(BPoly.zero(2), 2) == NEG_INF
     with pytest.raises(ValueError):
         main_bound(p4, 3)  # not a power of 2
+
+
+def _sub_multisets(W):
+    """The sub-multisets of a sorted tuple, each sorted."""
+    mult = Counter(W)
+    for picks in itertools.product(*(range(k + 1) for k in mult.values())):
+        yield tuple(c for c, k in zip(mult, picks) for _ in range(k))
+
+
+# q -> actions where the fixed locus is exactly as small as the main bound allows
+TIGHT_SMALL_ACTIONS = {2: 20, 4: 108, 8: 1248, 3: 66, 9: 4401}
+
+
+def test_main_bound_holds_on_every_small_cyclic_linear_action():
+    # The main bound: an order-q action's fixed locus has dimension at least
+    # dim_q of the class.  Checked on every linear action of a cyclic group
+    # on P(n), n <= 8 (n <= 6 when q > 4), and on H(n, m), 1 <= n <= 3,
+    # n <= m <= 4.  HAct models only the actions whose V is a sub-multiset
+    # of W.  Non-cyclic groups wait for the bound to be stated for them
+    # (ROADMAP item 4's gate).
+    total = 0
+    for q, tight in TIGHT_SMALL_ACTIONS.items():
+        p = 2 if q in (2, 4, 8) else 3
+        chars = [(c,) for c in range(q)]
+        actions = [PAct(weights) for n in range(9 if q <= 4 else 7)
+                   for weights in itertools.combinations_with_replacement(chars, n + 1)]
+        actions += [HAct(V, W) for m in range(1, 5) for W in itertools.combinations_with_replacement(chars, m + 1)
+                    for V in _sub_multisets(W) if 2 <= len(V) <= 4]
+        at_bound = 0
+        for a in actions:
+            bound = main_bound(chern_numbers(underlying_variety(a), p), q)
+            dim = fixed_dim(a)
+            assert dim >= bound, (q, a)
+            at_bound += dim == bound
+        assert at_bound == tight, q
+        total += len(actions)
+    assert total == 58269
 
 
 def test_ratio_bound_p4():

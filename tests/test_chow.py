@@ -30,7 +30,6 @@ from cobordlab.chow import (
     HAtom,
     PAtom,
     VExpr,
-    VProduct,
     atom_class,
     chern_numbers,
     make_h_atom,
@@ -161,7 +160,7 @@ def test_chern_numbers_accepts_many_input_forms():
     x = chern_numbers("H(2,4)", 2)
     expr, _ = parse_variety("H(2,4)")
     assert chern_numbers(expr, 2) == x
-    assert chern_numbers(VExpr(((1, VProduct((HAtom(2, 4),))),)), 2) == x
+    assert chern_numbers(VExpr(((1, (HAtom(2, 4),)),)), 2) == x
 
 
 def test_point_class_is_one():
@@ -180,7 +179,7 @@ def test_parse_variety_roundtrip():
 def test_parse_variety_normalizes_h():
     expr, notes = parse_variety("H(4,2)")
     assert notes == ["H(4,2) normalized to H(2,4)"]
-    assert expr.parts[0][1].atoms[0] == HAtom(2, 4)
+    assert expr.parts[0][1] == (HAtom(2, 4),)
 
 
 def test_parse_variety_rejects_garbage():
@@ -241,8 +240,11 @@ def test_product_memo_matches_bpoly_products(p, monkeypatch):
     for text in ("P(2)*H(2,4)", "H(2,4)*P(2)"):
         assert chern_numbers(text, p) == want  # the first call fills the memo
         assert chern_numbers(text, p) == want
-    assert len(chow._PRODUCT_CACHE) == 1  # one entry serves both factor orders
+    # one entry serves both factor orders; the two atoms hold one-atom entries of their own
+    assert sorted(len(atoms) for _, atoms in chow._PRODUCT_CACHE) == [1, 1, 2]
     assert chern_numbers("2.P(2)*H(2,4) + H(2,4)*P(2)", p) == want.scale(3)
+    for atom in (PAtom(2), HAtom(2, 4)):  # an atom's class is its one-atom product, one memo entry
+        assert atom_class(atom, p) is product_class((atom,), p)
 
 
 # atoms of dimension at most 6, so that six of them multiply out quickly in

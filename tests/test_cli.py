@@ -182,6 +182,24 @@ def test_atoms_over_the_cap_are_refused_right_after_the_parse(argv, want):
     assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
+@pytest.mark.parametrize("argv", [
+    ["express", "-p", "3", "P(64)*P(64)*P(64)*P(64)"],
+    ["dimq", "-p", "3", "-q", "3", "2.P(64)*P(64)*P(64)*P(64) + P(2)"],
+], ids=("express", "dimq"))
+def test_products_past_the_key_limit_are_refused_before_they_are_multiplied(argv):
+    # the prefix weights add up from the atom classes; building P(64)^3 first took over 20 s
+    # (the zero-product case above keeps its answer: its zero atom comes first)
+    resource = pytest.importorskip("resource")
+
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
+
+    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=30, preexec_fn=limit_cpu)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: product weight 256 exceeds the packed-key limit 255\n")
+
+
 def test_realize_renders_its_action_once():
     # text mode builds one tree over the action's own character tuples, and no JSON object
     argv = ["realize", "-p", "3", "-q", "3", "H(4,19)"]

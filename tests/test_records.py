@@ -14,14 +14,14 @@ from reference import ChowModel, KClass
 
 from cobordlab.actions import CharacterGroup, Disjoint, HAct, PAct, Product
 from cobordlab.bounds import BoundReport
-from cobordlab.chow import HAtom, PAtom, VExpr, VProduct
+from cobordlab.chow import HAtom, PAtom, VExpr
 from cobordlab.partitions import IndexSet, Record
 
 MODEL = ChowModel(2, (3,))
 P1 = PAct(((0,), (1,)))
 H1 = HAct(((0,),), ((0,), (1,)))
 PROD = Product((P1, H1))
-VPROD = VProduct((PAtom(1), HAtom(2, 3)))
+ATOMS = (PAtom(1), HAtom(2, 3))
 
 # (record, its field values in slot order, its exact repr)
 CASES = [
@@ -34,9 +34,8 @@ CASES = [
      "KClass(model=ChowModel(p=2, caps=(3,)), lines=((4, (1,)),), offset=-1)"),
     (PAtom(3), (3,), "PAtom(n=3)"),
     (HAtom(2, 3), (2, 3), "HAtom(n=2, m=3)"),
-    (VPROD, ((PAtom(1), HAtom(2, 3)),), "VProduct(atoms=(PAtom(n=1), HAtom(n=2, m=3)))"),
-    (VExpr(((2, VPROD),)), (((2, VPROD),),),
-     "VExpr(parts=((2, VProduct(atoms=(PAtom(n=1), HAtom(n=2, m=3)))),))"),
+    (VExpr(((1, (PAtom(1),)),)), (((1, (PAtom(1),)),),), "VExpr(parts=((1, (PAtom(n=1),)),))"),
+    (VExpr(((2, ATOMS),)), (((2, ATOMS),),), "VExpr(parts=((2, (PAtom(n=1), HAtom(n=2, m=3))),))"),
     (CharacterGroup((4,)), ((4,),), "CharacterGroup(invariant_factors=(4,))"),
     (P1, (((0,), (1,)),), "PAct(weights=((0,), (1,)))"),
     (H1, (((0,),), ((0,), (1,))), "HAct(V=((0,),), W=((0,), (1,)))"),
@@ -54,7 +53,7 @@ HASHABLE = [pytest.param(*c, id=i) for i, c in zip(IDS, CASES) if not isinstance
 
 def test_every_record_class_is_covered():
     covered = {type(x) for x, _, _ in CASES}
-    assert covered == {IndexSet, KClass, PAtom, HAtom, VProduct, VExpr, CharacterGroup,
+    assert covered == {IndexSet, KClass, PAtom, HAtom, VExpr, CharacterGroup,
                        PAct, HAct, Product, Disjoint, BoundReport}
     assert all(issubclass(cls, Record) for cls in covered)
 
@@ -141,7 +140,6 @@ def test_keywords_and_defaults():
     assert KClass(model=MODEL, lines=((1, (1,)),), offset=2).offset == 2
     assert PAtom(n=3) == PAtom(3)
     assert HAtom(n=1, m=2) == HAtom(1, 2)
-    assert VProduct(atoms=(PAtom(1),)) == VProduct((PAtom(1),))
     assert VExpr(parts=()) == VExpr(())
     assert CharacterGroup(invariant_factors=(3,)) == CharacterGroup.cyclic(3)
     assert PAct(weights=((0,),)) == PAct(((0,),))
