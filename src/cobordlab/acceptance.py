@@ -126,8 +126,8 @@ def check_realize_achieves(ctx: SuiteContext) -> tuple[bool, str]:
             gp = random_gen_poly(rng, p, 16)
             x = evaluate_gen_poly(gp, fam)
             action, achieved = realize(x, G)
-            for _, node in action.parts:
-                ctx.actions.extend((factor, G) for factor in node.factors)
+            for _, factors in action.parts:
+                ctx.actions.extend((factor, G) for factor in factors)
             ctx.actions.append((action, G))
             total += 1
             if achieved != dim_q_direct(x, q) or chern_numbers(underlying_variety(action), p) != x:

@@ -96,34 +96,28 @@ class HAct(Record):
             raise ValueError("V and W must be nonempty")
         if tuple(sorted(V)) != V or tuple(sorted(W)) != W:
             raise ValueError("character multisets must be stored sorted")
-        cv, cw = Counter(V), Counter(W)
-        if any(cv[c] > cw[c] for c in cv):
+        rest = iter(W)  # both sorted, so V is a sub-multiset of W iff it is a subsequence
+        if not all(c in rest for c in V):
             raise ValueError("V must be a sub-multiset of W")
 
 
-class Product(Record):
-    __slots__ = ("factors",)
+class Disjoint(Record):
+    """Disjoint union of products: parts are (multiplicity, factors) with factors a tuple of PAct/HAct."""
 
-    def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
-        for f in factors:
-            if not isinstance(f, (PAct, HAct)):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[int, tuple[PAct | HAct, ...]], ...]):
+        object.__setattr__(self, "parts", parts)
+        for mult, factors in parts:
+            if mult < 1:
+                raise ValueError("multiplicities must be positive")
+            if not isinstance(factors, tuple):
+                raise ValueError("disjoint parts must be products")
+            if not all(isinstance(f, (PAct, HAct)) for f in factors):
                 raise ValueError("product factors must be atomic actions")
 
 
-class Disjoint(Record):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[tuple[int, Product], ...]):
-        object.__setattr__(self, "parts", parts)
-        for mult, node in parts:
-            if mult < 1:
-                raise ValueError("multiplicities must be positive")
-            if not isinstance(node, Product):
-                raise ValueError("disjoint parts must be products")
-
-
-WeightedVariety = PAct | HAct | Product | Disjoint
+WeightedVariety = PAct | HAct | Disjoint
 
 
 def fixed_dim(a: WeightedVariety):
@@ -136,10 +130,8 @@ def fixed_dim(a: WeightedVariety):
     """
     if isinstance(a, (PAct, HAct)):
         return _atomic_fixed_dim(a)
-    if isinstance(a, Product):
-        return sum(map(fixed_dim, a.factors))
     if isinstance(a, Disjoint):
-        return max((fixed_dim(node) for _, node in a.parts), default=NEG_INF)
+        return max((sum(map(_atomic_fixed_dim, factors)) for _, factors in a.parts), default=NEG_INF)
     raise TypeError(f"not an action node: {a!r}")
 
 
@@ -240,10 +232,8 @@ def underlying_variety(a: WeightedVariety) -> VExpr:
 
     if isinstance(a, (PAct, HAct)):
         return VExpr(((1, (atom(a),)),))
-    if isinstance(a, Product):
-        return VExpr(((1, tuple(atom(f) for f in a.factors)),))
     if isinstance(a, Disjoint):
-        return VExpr(tuple((mult, tuple(atom(f) for f in node.factors)) for mult, node in a.parts))
+        return VExpr(tuple((mult, tuple(map(atom, factors))) for mult, factors in a.parts))
     raise TypeError(f"not an action node: {a!r}")
 
 
@@ -265,7 +255,7 @@ def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> 
     P = express_required(x, fam)
     parts = []
     for beta, mult in P.sorted_terms():
-        parts.append((mult, Product(tuple(construct_action_L(part, G) for part in beta))))
+        parts.append((mult, tuple(construct_action_L(part, G) for part in beta)))
     action = Disjoint(tuple(parts))
     achieved = fixed_dim(action)
     if achieved != dim_q_direct(x, G.q):
@@ -284,11 +274,12 @@ def action_to_json(a: WeightedVariety) -> dict:
         return {"type": "P", "weights": a.weights}
     if isinstance(a, HAct):
         return {"type": "H", "V": a.V, "W": a.W}
-    if isinstance(a, Product):
-        return {"type": "Product", "factors": [action_to_json(f) for f in a.factors]}
     if isinstance(a, Disjoint):
         return {
             "type": "Disjoint",
-            "parts": [{"multiplicity": mult, "action": action_to_json(node)} for mult, node in a.parts],
+            "parts": [
+                {"multiplicity": mult, "action": {"type": "Product", "factors": list(map(action_to_json, factors))}}
+                for mult, factors in a.parts
+            ],
         }
     raise TypeError(f"not an action node: {a!r}")

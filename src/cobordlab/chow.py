@@ -182,19 +182,6 @@ def parse_variety(text: str) -> tuple[VExpr, list[str]]:
 # -- atom classes in closed form ---------------------------------------------
 
 
-def _partitions_at_most(s: int, cap: int, max_part: int):
-    """Partitions of s with at most cap parts, none above max_part, largest part first."""
-    if s == 0:
-        yield ()
-        return
-    if cap == 0:
-        return
-    # the remaining cap-1 parts are at most v each, so v >= s/cap
-    for v in range(min(s, max_part), (s + cap - 1) // cap - 1, -1):
-        for rest in _partitions_at_most(s - v, cap - 1, v):
-            yield (v,) + rest
-
-
 @cache
 def _layer_table(p: int, s: int, digit: int) -> tuple[tuple[int, int], ...]:
     """Digit layers of weight s under a base-p digit of k-1, as packed keys with their mod-p factors.
@@ -203,7 +190,7 @@ def _layer_table(p: int, s: int, digit: int) -> tuple[tuple[int, int], ...]:
     (-1)^L * L!/prod(mult!) * binom(digit+L, L), nonzero mod p by that bound.
     """
     out = []
-    for lam in _partitions_at_most(s, p - 1 - digit, s):
+    for lam in pt.partitions_of(s, max_len=p - 1 - digit):
         L = len(lam)
         c = comb(digit + L, L) * factorial(L)
         for mult in Counter(lam).values():

@@ -192,8 +192,8 @@ def perturbed_family(p: int, seed: int, max_index: int = 0) -> GeneratorFamily:
 
     def make(i: int) -> BPoly:
         cls = std.generator(i)
-        allowed = [j for j in range(2, i) if in_np(j, p)]
-        longer = [beta for beta in pt.partitions_of(i, parts=allowed) if len(beta) >= 2]
+        # the decomposables of weight i over N_p with no part 1
+        longer = [beta for beta in pt.np_partitions(i, p) if len(beta) >= 2 and beta[-1] >= 2]
         rng = random.Random(seed * 1000003 + p * 1009 + i)
         for beta in rng.sample(longer, min(len(longer), rng.randint(0, 2))):
             coeff = rng.randrange(1, p)

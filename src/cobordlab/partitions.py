@@ -120,16 +120,36 @@ def max_pi_q(keys, q: int):
     return best
 
 
-def partitions_of(n: int, parts=None) -> list[Partition]:
-    """All partitions of n in canonical order, optionally with restricted parts.
+def partitions_of(n: int, parts=None, max_len: int | None = None) -> list[Partition]:
+    """All partitions of n in canonical order, optionally with restricted parts and at most max_len parts.
 
     parts may be None (no restriction), an IndexSet, or any container
-    supporting membership tests for integers 1..n.
+    supporting membership tests for integers 1..n.  Nothing is memoized
+    here: np_partitions and chow's layer tables keep what they ask for.
     """
     if n > DEFAULT_WEIGHT_CAP:
         raise ValueError(f"weight {n} exceeds cap {DEFAULT_WEIGHT_CAP}")
     allowed = tuple(v for v in range(n, 0, -1) if parts is None or v in parts)
-    return list(_enumerate(n, allowed))
+    out: list[Partition] = []
+    stack: list[int] = []
+
+    def rec(rem: int, start: int, slots: int):
+        # the next part is allowed[i] for some i >= start, so parts never increase
+        if rem == 0:
+            out.append(tuple(stack))
+            return
+        for i in range(start, len(allowed)):
+            v = allowed[i]
+            if v > rem:
+                continue
+            if v * slots < rem:  # slots parts of at most v cannot fill rem, nor can smaller ones
+                break
+            stack.append(v)
+            rec(rem - v, i, slots - 1)
+            stack.pop()
+
+    rec(n, 0, n if max_len is None else max_len)
+    return out
 
 
 @cache
@@ -142,28 +162,6 @@ def np_partitions(n: int, p: int) -> tuple[Partition, ...]:
 def np_keys(n: int, p: int) -> tuple[int, ...]:
     """np_partitions(n, p) as packed keys, memoized per (n, p)."""
     return tuple(map(pack, np_partitions(n, p)))
-
-
-# keyed by (n, allowed parts, largest first); the entry count is bounded so that a long
-# session does not keep every restricted enumeration it ever asked for
-@lru_cache(maxsize=256)
-def _enumerate(n: int, allowed: tuple[int, ...]) -> tuple[Partition, ...]:
-    out: list[Partition] = []
-    stack: list[int] = []
-
-    def rec(rem: int, max_part: int):
-        if rem == 0:
-            out.append(tuple(stack))
-            return
-        for v in allowed:
-            if v > max_part or v > rem:
-                continue
-            stack.append(v)
-            rec(rem - v, v)
-            stack.pop()
-
-    rec(n, n)
-    return tuple(out)
 
 
 # the first 13 primes; as Miller-Rabin bases they decide every n below _MR_LIMIT
@@ -220,9 +218,8 @@ def in_np(i: int, p: int) -> bool:
     return i >= 1 and not is_power_of(i + 1, p)
 
 
-@cache
 def outside_np(n: int, p: int) -> frozenset[int]:
-    """The indices 1..n that are not in N_p, memoized per (n, p)."""
+    """The indices 1..n that are not in N_p."""
     return frozenset(i for i in range(1, n + 1) if not in_np(i, p))
 
 

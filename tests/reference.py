@@ -45,11 +45,11 @@ library route against an independent one.
 
 import re
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, factorial
 
 from cobordlab import partitions as pt
-from cobordlab.actions import Disjoint, HAct, PAct, Product
+from cobordlab.actions import Disjoint, HAct, PAct
 from cobordlab.chow import PAtom, VExpr, atom_class, make_h_atom
 from cobordlab.cobordism import NotInLp
 from cobordlab.equivariant import f_poly
@@ -58,10 +58,16 @@ from cobordlab.fpring import BPoly, GenPoly
 # -- closed-form atom classes, term by term ------------------------------------
 
 
+@cache
+def all_partitions(w: int) -> tuple[pt.Partition, ...]:
+    """pt.partitions_of(w) as a tuple, memoized here: the library keeps no memo of its walk."""
+    return tuple(pt.partitions_of(w))
+
+
 def reference_slice(p: int, k: int, w: int) -> BPoly:
     """Weight-w slice of S^(-k): (-1)^L * binom(k-1+L, L) * L!/prod(m_j!) at each partition."""
     terms = {}
-    for alpha in pt.partitions_of(w):
+    for alpha in all_partitions(w):
         L = len(alpha)
         c = comb(k - 1 + L, L) * factorial(L)
         for mult in Counter(alpha).values():
@@ -637,11 +643,12 @@ def reference_fixed_dim(a):
                 if r >= 1:
                     best = max(best, (mv - 1) + (r - 1))
         return best
-    if isinstance(a, Product):
-        dims = [reference_fixed_dim(f) for f in a.factors]
-        return pt.NEG_INF if pt.NEG_INF in dims else sum(dims)
     if isinstance(a, Disjoint):
-        return max((reference_fixed_dim(node) for _, node in a.parts), default=pt.NEG_INF)
+        sums = []
+        for _, factors in a.parts:
+            dims = [reference_fixed_dim(f) for f in factors]
+            sums.append(pt.NEG_INF if pt.NEG_INF in dims else sum(dims))
+        return max(sums, default=pt.NEG_INF)
     raise TypeError(f"not an action node: {a!r}")
 
 
@@ -678,9 +685,7 @@ def reference_underlying_variety(a) -> VExpr:
 
     if isinstance(a, (PAct, HAct)):
         return VExpr(((1, (atom(a),)),))
-    if isinstance(a, Product):
-        return VExpr(((1, tuple(atom(f) for f in a.factors)),))
-    return VExpr(tuple((mult, tuple(atom(f) for f in node.factors)) for mult, node in a.parts))
+    return VExpr(tuple((mult, tuple(atom(f) for f in factors)) for mult, factors in a.parts))
 
 
 # -- the relation of P(V) ---------------------------------------------------------
@@ -734,9 +739,9 @@ def reference_elimination(x_w: dict, weight: int, family) -> dict | pt.Partition
     """
     p = family.p
     columns = {beta: family.monomial_class(beta).terms
-               for beta in pt.partitions_of(weight) if all(pt.in_np(part, p) for part in beta)}
+               for beta in all_partitions(weight) if all(pt.in_np(part, p) for part in beta)}
     pivots = []  # (unknown, row with a 1 there and 0 at every earlier pivot, rhs), in the order found
-    for alpha in sorted(pt.partitions_of(weight)):
+    for alpha in sorted(all_partitions(weight)):
         row = {beta: terms.get(alpha, 0) % p for beta, terms in columns.items()}
         rhs = x_w.get(alpha, 0) % p
         for pivot, prow, prhs in pivots:

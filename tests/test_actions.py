@@ -3,6 +3,8 @@
 import copy
 import itertools
 import json
+import random
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -18,7 +20,6 @@ from cobordlab.actions import (
     Disjoint,
     HAct,
     PAct,
-    Product,
     action_to_json,
     construct_action_H,
     construct_action_L,
@@ -133,20 +134,22 @@ def test_construct_action_l():
 def test_product_fixed_dim_is_pi_q(parts, q):
     beta = tuple(sorted(parts, reverse=True))
     g = CharacterGroup.cyclic(q)
-    node = Product(tuple(construct_action_L(i, g) for i in beta))
+    node = Disjoint(((1, tuple(construct_action_L(i, g) for i in beta)),))
     assert fixed_dim(node) == pt.pi_q(beta, q)
 
 
 def test_fixed_dim_combinators():
     g = CharacterGroup.cyclic(2)
-    p1 = Product((construct_action_P(2, g),))
-    p2 = Product((construct_action_P(4, g),))
+    p1 = (construct_action_P(2, g),)
+    p2 = (construct_action_P(4, g),)
     assert fixed_dim(Disjoint(((1, p1), (3, p2)))) == 2
     assert fixed_dim(Disjoint(())) == NEG_INF
-    # an empty-fixed factor swallows the whole product
+    assert fixed_dim(Disjoint(((1, ()),))) == 0  # the empty product is a point
+    # an empty-fixed factor swallows the whole product, but not the other parts
     empty = HAct(((0,),), ((0,),))
     assert fixed_dim(empty) == NEG_INF
-    assert fixed_dim(Product((construct_action_P(4, g), empty))) == NEG_INF
+    assert fixed_dim(Disjoint(((1, (construct_action_P(4, g), empty)),))) == NEG_INF
+    assert fixed_dim(Disjoint(((1, (construct_action_P(4, g), empty)), (2, p1)))) == 1
 
 
 def test_memoized_fixed_dim_matches_the_counter_formula():
@@ -162,6 +165,23 @@ def test_memoized_fixed_dim_matches_the_counter_formula():
         assert fixed_dim(action) == fixed_dim(twin) == want, action
 
 
+def test_hact_accepts_exactly_the_sub_multisets():
+    rng = random.Random(26)
+    accepted = 0
+    for _ in range(3000):
+        chars = [(rng.randrange(3), rng.randrange(2)) for _ in range(rng.randint(1, 6))]
+        V = tuple(sorted(chars[:rng.randint(1, len(chars))]))
+        W = tuple(sorted(rng.sample(chars, rng.randint(1, len(chars))) + [(rng.randrange(3), 0)] * rng.randint(0, 2)))
+        cv, cw = Counter(V), Counter(W)
+        if all(cv[c] <= cw[c] for c in cv):
+            assert HAct(V, W).V == V
+            accepted += 1
+        else:
+            with pytest.raises(ValueError, match="V must be a sub-multiset of W"):
+                HAct(V, W)
+    assert 300 < accepted < 2700
+
+
 def test_action_node_validation():
     with pytest.raises(ValueError):
         PAct(())
@@ -169,16 +189,19 @@ def test_action_node_validation():
         PAct(((1,), (0,)))  # stored unsorted
     with pytest.raises(ValueError):
         HAct(((0,), (0,)), ((0,),))  # V not inside W
-    with pytest.raises(ValueError):
-        Product((Product(()),))
-    with pytest.raises(ValueError):
-        Disjoint(((0, Product(())),))
+    p2 = construct_action_P(2, CharacterGroup.cyclic(2))
+    with pytest.raises(ValueError, match="disjoint parts must be products"):
+        Disjoint(((1, p2),))  # a bare action, not a tuple of factors
+    with pytest.raises(ValueError, match="product factors must be atomic actions"):
+        Disjoint(((1, (p2, Disjoint(()))),))
+    with pytest.raises(ValueError, match="multiplicities must be positive"):
+        Disjoint(((0, (p2,)),))
 
 
 def test_underlying_variety():
     g = CharacterGroup.cyclic(2)
     assert str(underlying_variety(construct_action_L(5, g))) == "H(2,4)"
-    node = Product((construct_action_P(2, g), construct_action_L(5, g)))
+    node = Disjoint(((1, (construct_action_P(2, g), construct_action_L(5, g))),))
     assert str(underlying_variety(node)) == "P(2)*H(2,4)"
     # every generator action sits on the standard generator variety
     for p in (2, 3, 5):

@@ -38,7 +38,7 @@ from cobordlab.chow import (
 )
 from cobordlab.cobordism import generator_atom, standard_generators
 from cobordlab.fpring import BPoly
-from cobordlab.partitions import in_np
+from cobordlab.partitions import KEY_LIMIT, in_np
 
 
 def test_model_caps_and_degree():
@@ -174,6 +174,17 @@ def test_parse_variety_roundtrip():
     assert str(expr) == text
     assert expr.parts[0][0] == 2
     assert str(VExpr(())) == "0"
+
+
+def test_an_explicit_multiplicity_one_is_the_bare_term():
+    expr, _ = parse_variety("1.P(4)")
+    assert expr == parse_variety("P(4)")[0]
+    assert chern_numbers(expr, 3) == chern_numbers("P(4)", 3)
+
+
+def test_a_product_of_weight_exactly_the_key_limit_is_built():
+    x = chern_numbers("P(62)*P(62)*P(62)*P(58)*H(4,8)", 2)
+    assert x.top_weight() == KEY_LIMIT and len(x.packed) == 360
 
 
 def test_parse_variety_normalizes_h():

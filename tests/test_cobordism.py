@@ -1,5 +1,7 @@
 """Generator families, expression in generators, dim_q."""
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from reference import reference_elimination, reference_express, refines
+from reference import all_partitions, reference_elimination, reference_express, refines
 
 import cobordlab
 import cobordlab.partitions as pt
@@ -194,6 +196,24 @@ def test_a_witness_search_that_finds_none_stops_the_solve(monkeypatch):
         express_in_generators(BPoly(2, {(2, 1, 1): 1}), standard_generators(2))
 
 
+def test_a_cleared_key_put_back_stops_the_solve(monkeypatch):
+    add_multiple = cobordism._add_multiple
+    calls = []
+
+    def keep_the_cleared_key(out, k, terms, p):
+        calls.append(k)
+        if len(calls) > 20:  # a guard that lets the same key through would clear it forever
+            raise RuntimeError("the solve cleared the same key 20 times")
+        top = max(out)
+        add_multiple(out, k, terms, p)
+        out[top] = 1
+
+    monkeypatch.setattr(cobordism, "_add_multiple", keep_the_cleared_key)
+    with pytest.raises(AssertionError, match=r"clearing rows reach c_\(2, 2\) after c_\(2, 2\) was cleared"):
+        express_in_generators(BPoly(2, {(2, 2): 1}), standard_generators(2))
+    assert len(calls) == 1
+
+
 def test_membership_positive_cases():
     fam = standard_generators(2)
     assert express_in_generators(BPoly(2, {(2, 2): 1}), fam) == GenPoly(2, {(2, 2): 1})
@@ -227,6 +247,23 @@ def test_perturbed_family_keeps_diagonal():
             assert g.is_homogeneous() and g.top_weight() == i
             changed += g != std.generator(i)
         assert changed > 0  # seed 7 does perturb something in range
+
+
+# sha256 of the JSON list [i, sorted terms of generator i] of perturbed_family(p, 7, 24)
+PERTURBED_DIGESTS = {
+    2: "bbc21413d8da0b1955e3eacad1481f235593df1288c29b52e46261df40e49314",
+    3: "3e7602a2d5e30cbf6f1ddbdfcde79f06fcbcf7373b94579b6cd626fbe1bfffa1",
+    5: "1887fb47bc12e5b35345ea90d2906c216245199625451d29463c368556f5460b",
+}
+
+
+@pytest.mark.parametrize("p", sorted(PERTURBED_DIGESTS))
+def test_perturbed_family_digest_is_pinned(p):
+    # the seed picks its decomposables from an enumeration, so its order is part of the family
+    fam = perturbed_family(p, 7, 24)
+    rows = [[i, fam.gens[i].sorted_terms()] for i in sorted(fam.gens)]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PERTURBED_DIGESTS[p]
+    assert any(fam.gens[i] != standard_generators(p).generator(i) for i in fam.gens)
 
 
 def test_dim_q_values():
@@ -277,7 +314,7 @@ def test_cache_path_is_accepted_and_writes_nothing(tmp_path):
 def _off_ring_partition(rng, p, w):
     """A random partition of w with a part outside N_p."""
     e = rng.choice(sorted(pt.outside_np(w, p)))
-    return tuple(sorted((e,) + rng.choice(pt.partitions_of(w - e)), reverse=True))
+    return tuple(sorted((e,) + rng.choice(all_partitions(w - e)), reverse=True))
 
 
 def _member_and_off_ring(rng, p, fam):

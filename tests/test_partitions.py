@@ -54,6 +54,25 @@ def test_partitions_of_edges():
         pt.partitions_of(pt.DEFAULT_WEIGHT_CAP + 1)
 
 
+def test_the_weight_cap_is_inclusive():
+    assert pt.partitions_of(pt.DEFAULT_WEIGHT_CAP, parts=(64,)) == [(64,)]
+    with pytest.raises(ValueError, match="weight 65 exceeds cap 64"):
+        pt.partitions_of(65, parts=(65,))
+
+
+def test_a_length_cap_keeps_the_partitions_within_it_in_order():
+    for n in range(21):
+        everything = pt.partitions_of(n)
+        for cap in range(n + 2):
+            want = [b for b in everything if len(b) <= cap]
+            assert pt.partitions_of(n, max_len=cap) == want, (n, cap)
+    for p in (2, 3, 5):
+        for n in range(13):
+            for cap in range(n + 1):
+                want = [b for b in pt.np_partitions(n, p) if len(b) <= cap]
+                assert pt.partitions_of(n, parts=IndexSet.np_minus(p), max_len=cap) == want, (p, n, cap)
+
+
 def test_partitions_of_memo_is_not_shared_with_callers():
     n2 = IndexSet.np_minus(2)
     want_all, want_n2 = list(pt.partitions_of(6)), list(pt.partitions_of(6, parts=n2))

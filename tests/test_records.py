@@ -12,7 +12,7 @@ import pickle
 import pytest
 from reference import ChowModel, KClass
 
-from cobordlab.actions import CharacterGroup, Disjoint, HAct, PAct, Product
+from cobordlab.actions import CharacterGroup, Disjoint, HAct, PAct
 from cobordlab.bounds import BoundReport
 from cobordlab.chow import HAtom, PAtom, VExpr
 from cobordlab.partitions import IndexSet, Record
@@ -20,7 +20,7 @@ from cobordlab.partitions import IndexSet, Record
 MODEL = ChowModel(2, (3,))
 P1 = PAct(((0,), (1,)))
 H1 = HAct(((0,),), ((0,), (1,)))
-PROD = Product((P1, H1))
+PROD = (P1, H1)  # the factors of a product part
 ATOMS = (PAtom(1), HAtom(2, 3))
 
 # (record, its field values in slot order, its exact repr)
@@ -39,11 +39,9 @@ CASES = [
     (CharacterGroup((4,)), ((4,),), "CharacterGroup(invariant_factors=(4,))"),
     (P1, (((0,), (1,)),), "PAct(weights=((0,), (1,)))"),
     (H1, (((0,),), ((0,), (1,))), "HAct(V=((0,),), W=((0,), (1,)))"),
-    (PROD, ((P1, H1),),
-     "Product(factors=(PAct(weights=((0,), (1,))), HAct(V=((0,),), W=((0,), (1,)))))"),
+    (Disjoint(((1, (P1,)),)), (((1, (P1,)),),), "Disjoint(parts=((1, (PAct(weights=((0,), (1,))),)),))"),
     (Disjoint(((2, PROD),)), (((2, PROD),),),
-     "Disjoint(parts=((2, Product(factors=(PAct(weights=((0,), (1,))), "
-     "HAct(V=((0,),), W=((0,), (1,)))))),))"),
+     "Disjoint(parts=((2, (PAct(weights=((0,), (1,))), HAct(V=((0,),), W=((0,), (1,))))),))"),
     (BoundReport(2, "h", (4,), {"p": 2}), (2, "h", (4,), {"p": 2}),
      "BoundReport(bound=2, hypothesis_checked='h', certificate=(4,), inputs={'p': 2})"),
 ]
@@ -54,7 +52,7 @@ HASHABLE = [pytest.param(*c, id=i) for i, c in zip(IDS, CASES) if not isinstance
 def test_every_record_class_is_covered():
     covered = {type(x) for x, _, _ in CASES}
     assert covered == {IndexSet, KClass, PAtom, HAtom, VExpr, CharacterGroup,
-                       PAct, HAct, Product, Disjoint, BoundReport}
+                       PAct, HAct, Disjoint, BoundReport}
     assert all(issubclass(cls, Record) for cls in covered)
 
 
@@ -144,7 +142,6 @@ def test_keywords_and_defaults():
     assert CharacterGroup(invariant_factors=(3,)) == CharacterGroup.cyclic(3)
     assert PAct(weights=((0,),)) == PAct(((0,),))
     assert HAct(V=((0,),), W=((0,),)) == HAct(((0,),), ((0,),))
-    assert Product(factors=()) == Product(())
     assert Disjoint(parts=()) == Disjoint(())
     report = BoundReport(bound=1, hypothesis_checked="h", certificate=None, inputs={})
     assert report == BoundReport(1, "h", None, {})
@@ -171,8 +168,8 @@ def test_keywords_and_defaults():
         pytest.param(lambda: HAct(((1,), (0,)), ((0,), (1,))), "stored sorted", id="HAct-unsorted-V"),
         pytest.param(lambda: HAct(((0,),), ((1,), (0,))), "stored sorted", id="HAct-unsorted-W"),
         pytest.param(lambda: HAct(((0,), (0,)), ((0,), (1,))), "sub-multiset", id="HAct-V-not-in-W"),
-        pytest.param(lambda: Product((PAtom(1),)), "atomic actions", id="Product-atom"),
-        pytest.param(lambda: Product((PROD,)), "atomic actions", id="Product-nested"),
+        pytest.param(lambda: Disjoint(((1, (PAtom(1),)),)), "atomic actions", id="Product-atom"),
+        pytest.param(lambda: Disjoint(((1, (P1, Disjoint(()))),)), "atomic actions", id="Product-nested"),
         pytest.param(lambda: Disjoint(((0, PROD),)), "positive", id="Disjoint-zero-multiplicity"),
         pytest.param(lambda: Disjoint(((1, P1),)), "must be products", id="Disjoint-bare-action"),
     ],
