@@ -1,8 +1,9 @@
 """Executable acceptance checks, shared by the test gate and `cobordlab selftest`.
 
-Each check returns (ok, detail) and is registered in CHECKS in run order.
-The soundness sweep consumes every action the other checks construct, so it
-runs last; standalone it rebuilds the pool itself.  run_all never raises: a
+Each check takes the suite's shared list of (action, group) pairs, returns
+(ok, detail) and is registered in CHECKS in run order.  The soundness sweep
+consumes every action the other checks append to that list, so it runs last;
+standalone it rebuilds the pool itself.  run_all never raises: a
 crashing check is reported as a failure.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 
 from . import partitions as pt
 from .actions import (
@@ -39,24 +41,10 @@ SEED = 20260819
 DIMQ_CONFIGS = ((2, 2), (2, 4), (2, 8), (3, 3), (3, 9))
 
 
-class CheckResult:
-    """One check's outcome, as run_all reports it."""
-
-    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-        self.seconds = seconds
+CheckResult = namedtuple("CheckResult", "name ok detail seconds")  # one check's outcome, as run_all reports it
 
 
-class SuiteContext:
-    """Carries the (action, group) pairs earlier checks construct into the soundness sweep."""
-
-    def __init__(self):
-        self.actions: list = []
-
-
-def check_projective_four(ctx: SuiteContext) -> tuple[bool, str]:
+def check_projective_four(ctx: list) -> tuple[bool, str]:
     t0 = time.perf_counter()
     got = chern_numbers("P(4)", 2)
     dt = time.perf_counter() - t0
@@ -65,7 +53,7 @@ def check_projective_four(ctx: SuiteContext) -> tuple[bool, str]:
     return ok, f"[[P^4]] = {format_bpoly(got)} in {dt * 1000:.0f}ms"
 
 
-def check_projective_diagonal(ctx: SuiteContext) -> tuple[bool, str]:
+def check_projective_diagonal(ctx: list) -> tuple[bool, str]:
     bad = []
     for p in (2, 3, 5, 7):
         for i in range(1, 21):
@@ -75,7 +63,7 @@ def check_projective_diagonal(ctx: SuiteContext) -> tuple[bool, str]:
     return not bad, f"c_(i) of P^i is -(i+1) mod p, i <= 20, p in 2,3,5,7; failures: {bad}"
 
 
-def check_milnor_diagonal(ctx: SuiteContext) -> tuple[bool, str]:
+def check_milnor_diagonal(ctx: list) -> tuple[bool, str]:
     cases = ((2, 3, 1), (2, 3, 2), (2, 5, 1), (3, 2, 1), (3, 4, 1), (5, 2, 1))
     bad = []
     for p, k, s in cases:
@@ -86,7 +74,7 @@ def check_milnor_diagonal(ctx: SuiteContext) -> tuple[bool, str]:
     return not bad, f"c_(i) of H(p^s,(k-1)p^s) is k mod p on {len(cases)} cases; failures: {bad}"
 
 
-def check_membership(ctx: SuiteContext) -> tuple[bool, str]:
+def check_membership(ctx: list) -> tuple[bool, str]:
     fam = standard_generators(2)
     outside = express_in_generators(BPoly(2, {(2, 1, 1): 1}), fam)
     ok = isinstance(outside, NotInLp) and outside.witness == (4,)
@@ -100,7 +88,7 @@ def check_membership(ctx: SuiteContext) -> tuple[bool, str]:
     return ok, "; ".join(notes)
 
 
-def check_dimq_matches_degq(ctx: SuiteContext) -> tuple[bool, str]:
+def check_dimq_matches_degq(ctx: list) -> tuple[bool, str]:
     rng = random.Random(SEED)
     fams = {p: (standard_generators(p), perturbed_family(p, 7)) for p in (2, 3)}
     fails = total = 0
@@ -116,7 +104,7 @@ def check_dimq_matches_degq(ctx: SuiteContext) -> tuple[bool, str]:
     return fails == 0, f"{total} evaluations over {DIMQ_CONFIGS}, standard and perturbed; {fails} mismatches"
 
 
-def check_realize_achieves(ctx: SuiteContext) -> tuple[bool, str]:
+def check_realize_achieves(ctx: list) -> tuple[bool, str]:
     rng = random.Random(SEED + 1)
     fails = total = 0
     for p, q in DIMQ_CONFIGS:
@@ -127,21 +115,21 @@ def check_realize_achieves(ctx: SuiteContext) -> tuple[bool, str]:
             x = evaluate_gen_poly(gp, fam)
             action, achieved = realize(x, G)
             for _, factors in action.parts:
-                ctx.actions.extend((factor, G) for factor in factors)
-            ctx.actions.append((action, G))
+                ctx.extend((factor, G) for factor in factors)
+            ctx.append((action, G))
             total += 1
             if achieved != dim_q_direct(x, q) or chern_numbers(underlying_variety(action), p) != x:
                 fails += 1
     return fails == 0, f"{total} realizations achieve dim_q with the right class; {fails} failures"
 
 
-def check_np_monomial_ratio(ctx: SuiteContext) -> tuple[bool, str]:
+def check_np_monomial_ratio(ctx: list) -> tuple[bool, str]:
     violations = np_monomial_ratio_violations(2, 2, 20)
     count = sum(len(pt.np_partitions(n, 2)) for n in range(1, 21))
     return violations == [], f"{count} N_2-monomials of weight <= 20, pi_2 >= ceil(2n/5); violations: {violations}"
 
 
-def check_localization(ctx: SuiteContext) -> tuple[bool, str]:
+def check_localization(ctx: list) -> tuple[bool, str]:
     t0 = time.perf_counter()
     bad = []
     for p in (2, 3):
@@ -152,7 +140,7 @@ def check_localization(ctx: SuiteContext) -> tuple[bool, str]:
     return ok, f"{cases} localization cases over p in 2,3 in {dt:.1f}s; failures: {bad[:3]}"
 
 
-def check_dividing_polynomials(ctx: SuiteContext) -> tuple[bool, str]:
+def check_dividing_polynomials(ctx: list) -> tuple[bool, str]:
     bad = []
     for p in (2, 3, 5, 7):
         if phi(p) != {(p, 0): 1, (1, p - 1): p - 1}:
@@ -164,7 +152,7 @@ def check_dividing_polynomials(ctx: SuiteContext) -> tuple[bool, str]:
     return not bad, f"phi = x^p - t^(p-1) x and x^floor(i/p) divides f_i, i <= 30, p in 2,3,5,7; failures: {bad}"
 
 
-def check_fixed_locus_formulas(ctx: SuiteContext) -> tuple[bool, str]:
+def check_fixed_locus_formulas(ctx: list) -> tuple[bool, str]:
     bad = []
     built = []
     for q in (2, 3, 4, 8, 9):
@@ -189,17 +177,17 @@ def check_fixed_locus_formulas(ctx: SuiteContext) -> tuple[bool, str]:
                     want = n // q + m // q
                 if got != want:
                     bad.append(("H", n, m, q))
-    ctx.actions.extend(built)
+    ctx.extend(built)
     return not bad, f"{len(built)} constructed actions match the closed formulas; failures: {bad}"
 
 
-def check_action_soundness(ctx: SuiteContext) -> tuple[bool, str]:
-    if not ctx.actions:
+def check_action_soundness(ctx: list) -> tuple[bool, str]:
+    if not ctx:
         check_fixed_locus_formulas(ctx)
         check_realize_achieves(ctx)
     seen = set()
     fails = total = 0
-    for action, G in ctx.actions:
+    for action, G in ctx:
         key = (action, G)
         if key in seen:
             continue
@@ -216,7 +204,7 @@ def _random_homogeneous(rng: random.Random, p: int, pool: list | tuple, fam) -> 
     return evaluate_gen_poly(GenPoly(p, {beta: rng.randint(1, p - 1) for beta in mons}), fam)
 
 
-def check_divisibility_corollaries(ctx: SuiteContext) -> tuple[bool, str]:
+def check_divisibility_corollaries(ctx: list) -> tuple[bool, str]:
     rng = random.Random(SEED + 2)
     notes = []
     ok = True
@@ -280,9 +268,8 @@ CHECKS = (
 )
 
 
-def run_all(ctx: SuiteContext | None = None) -> list[CheckResult]:
-    if ctx is None:
-        ctx = SuiteContext()
+def run_all() -> list[CheckResult]:
+    ctx: list = []
     results = []
     for name, fn in CHECKS:
         t0 = time.perf_counter()

@@ -270,24 +270,19 @@ def cmd_selftest(args) -> int:
     from . import acceptance
 
     results = acceptance.run_all()
-    if args.json:
-        checks = []
-        for r in results:
-            row: dict = {"name": r.name, "ok": r.ok, "seconds": r.seconds}
-            if not r.ok:
-                row["detail"] = r.detail
-            checks.append(row)
-        payload = {
-            "checks": checks,
-            "failed": sum(not r.ok for r in results),
-            "passed": sum(r.ok for r in results),
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for r in results:
-            print(f"{'PASS' if r.ok else 'FAIL'} {r.name} ({r.seconds:.1f}s): {r.detail}")
-        print(f"{sum(r.ok for r in results)}/{len(results)} checks passed")
-    return 0 if all(r.ok for r in results) else 3
+    passed = sum(r.ok for r in results)
+
+    def payload():
+        rows = [{"name": r.name, "ok": r.ok, "seconds": r.seconds} | ({} if r.ok else {"detail": r.detail})
+                for r in results]
+        return {"checks": rows, "failed": len(results) - passed, "passed": passed}
+
+    def text():
+        lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name} ({r.seconds:.1f}s): {r.detail}" for r in results]
+        return "\n".join(lines + [f"{passed}/{len(results)} checks passed"])
+
+    emit(args, payload, text)
+    return 0 if passed == len(results) else 3
 
 
 # -- wiring -----------------------------------------------------------------

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import lru_cache
 from math import comb
 
 from . import partitions as pt
@@ -140,8 +139,6 @@ def _fixed_point_degrees(p: int, weights: tuple[int, ...], r: int) -> list[int]:
     return [d % p for d in table]
 
 
-# bounded: weights, and so k and m, come from outside in the CLI
-@lru_cache(maxsize=1 << 10)
 def _inverse_power(v: int, k: int, m: int, p: int) -> tuple[int, ...]:
     """Coefficients of (xi + v)^(-k) below xi^m over F_p, for v a unit; callers reduce v mod p."""
     v_inv = pow(v, -1, p)

@@ -190,6 +190,9 @@ def is_prime(n: int) -> bool:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
+        # squarings past a^(d*2^(s-1)) could never meet n - 1: if a^(d*2^j) = -1 mod n with j >= s,
+        # then for every prime q | n, ord_q(a) has 2-adic valuation j + 1 and divides q - 1, so every
+        # prime-power factor of n is 1 mod 2^(s+1), against v_2(n - 1) = s
         for _ in range(s - 1):
             x = x * x % n
             if x == n - 1:
@@ -358,10 +361,4 @@ def rho_q(index_set: IndexSet, q: int):
 
 def canonical_order(keys) -> list[int]:
     """Packed keys by weight, then in canonical order within a weight: descending key order."""
-    by_weight: dict[int, list[int]] = {}
-    for key in keys:
-        by_weight.setdefault(key_weight(key), []).append(key)
-    out: list[int] = []
-    for w in sorted(by_weight):
-        out += sorted(by_weight[w], reverse=True)
-    return out
+    return sorted(sorted(keys, reverse=True), key=key_weight)  # the sort is stable

@@ -1,9 +1,9 @@
 """Acceptance gate: one test per shipped guarantee, one pass/fail line each.
 
-The tests run in definition order and share one SuiteContext, so the final
-soundness audit sees every action the earlier checks constructed.  Each test
-delegates to the matching check in cobordlab.acceptance; the CLI selftest
-runs the same battery.
+The tests run in definition order and share one list of (action, group)
+pairs, so the final soundness audit sees every action the earlier checks
+constructed.  Each test delegates to the matching check in
+cobordlab.acceptance; the CLI selftest runs the same battery.
 """
 
 import hashlib
@@ -12,7 +12,7 @@ import re
 
 from cobordlab import acceptance, chow, cobordism
 
-CTX = acceptance.SuiteContext()
+CTX: list = []
 
 
 def _run(name, fn):
@@ -73,7 +73,7 @@ def test_12_action_soundness():
 def test_audit_pool_holds_every_constructed_action():
     # the fixed-locus check adds its 290 constructions; the realize check adds
     # each realized union and every atomic factor of its products
-    ctx = acceptance.SuiteContext()
+    ctx: list = []
     ok, detail = acceptance.check_fixed_locus_formulas(ctx)
     assert ok and detail.startswith("290 constructed actions "), detail
     assert acceptance.check_realize_achieves(ctx)[0]

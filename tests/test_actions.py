@@ -154,11 +154,11 @@ def test_fixed_dim_combinators():
 
 def test_memoized_fixed_dim_matches_the_counter_formula():
     # the audit pool: every action the fixed-locus and realize checks build
-    ctx = acceptance.SuiteContext()
+    ctx: list = []
     acceptance.check_fixed_locus_formulas(ctx)
     acceptance.check_realize_achieves(ctx)
-    assert len(ctx.actions) > 1000
-    for action, _ in ctx.actions:
+    assert len(ctx) > 1000
+    for action, _ in ctx:
         twin = copy.deepcopy(action)  # equal, with every action node rebuilt
         assert twin == action and twin is not action
         want = reference_fixed_dim(action)
@@ -217,11 +217,11 @@ def test_underlying_variety():
 
 def test_interned_atoms_match_fresh_records():
     # the soundness pool: every action the fixed-locus and realize checks build
-    ctx = acceptance.SuiteContext()
+    ctx: list = []
     acceptance.check_fixed_locus_formulas(ctx)
     acceptance.check_realize_achieves(ctx)
-    assert len(ctx.actions) > 1000
-    for action, _ in ctx.actions:
+    assert len(ctx) > 1000
+    for action, _ in ctx:
         assert underlying_variety(action) == reference_underlying_variety(action), action
     for p in (2, 3, 5, 7):
         for i in range(65):

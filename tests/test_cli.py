@@ -4,6 +4,7 @@ import contextlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -180,6 +181,26 @@ def test_atoms_over_the_cap_are_refused_right_after_the_parse(argv, want):
     proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", *argv], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=30, preexec_fn=limit_cpu)
     assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+@pytest.mark.parametrize("argv, want", [
+    # H(3,64) is an atom under the cap, but its expression needs X[66], whose variety P(66) is over it
+    (["express", "-p", "3", "H(3,64)"], "error: weight 66 exceeds cap 64\n"),
+    (["dimq", "-p", "3", "-q", "3", "H(3,64)"], "error: weight 66 exceeds cap 64\n"),
+    (["realize", "-p", "3", "-q", "3", "H(3,64)"], "error: weight 66 exceeds cap 64\n"),
+    (["express", "-p", "3", "H(30,40)"], "error: weight 69 exceeds cap 64\n"),
+    # the witness search enumerates the N_2-partitions of the class's weight 65
+    (["express", "-p", "2", "--max-weight", "100", "b[31]*b[31]*b[3]"], "error: weight 65 exceeds cap 64\n"),
+], ids=("express-generator", "dimq-generator", "realize-generator", "H(30,40)", "witness-search"))
+def test_generators_and_witness_searches_stop_at_the_cap(argv, want):
+    resource = pytest.importorskip("resource")
+
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
+
+    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=30, preexec_fn=limit_cpu)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want)
 
 
 @pytest.mark.parametrize("argv", [
@@ -488,6 +509,47 @@ def test_selftest_json(capsys):
     assert all(isinstance(row["seconds"], float) and row["seconds"] >= 0 for row in blob["checks"])
     names = [row["name"] for row in blob["checks"]]
     assert names[0] == "projective-4-class" and names[-1] == "action-soundness"
+
+
+def _crash(ctx):
+    raise RuntimeError("boom")
+
+
+# one check that passes, one that fails and one that raises
+THREE_CHECKS = (
+    ("passes", lambda ctx: (True, "fine")),
+    ("fails", lambda ctx: (False, "off by one")),
+    ("raises", _crash),
+)
+
+
+def test_selftest_reports_failing_and_crashing_checks(capsys, monkeypatch):
+    from cobordlab import acceptance
+
+    monkeypatch.setattr(acceptance, "CHECKS", THREE_CHECKS)
+    code, out, err = run(capsys, "selftest")
+    assert (code, err) == (3, "")
+    assert re.sub(r" \(\d+\.\ds\):", " (<t>):", out) == (
+        "PASS passes (<t>): fine\n"
+        "FAIL fails (<t>): off by one\n"
+        "FAIL raises (<t>): crashed: RuntimeError('boom')\n"
+        "1/3 checks passed\n"
+    )
+
+    code, out, err = run(capsys, "selftest", "--json")
+    assert (code, err) == (3, "")
+    blob = json.loads(out)
+    assert all(isinstance(row.pop("seconds"), float) for row in blob["checks"])
+    assert blob == {
+        "checks": [
+            {"name": "passes", "ok": True},
+            {"name": "fails", "ok": False, "detail": "off by one"},
+            {"name": "raises", "ok": False, "detail": "crashed: RuntimeError('boom')"},
+        ],
+        "failed": 2,
+        "passed": 1,
+    }
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_contract_check_survives_optimize_flag():
