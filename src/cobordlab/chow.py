@@ -20,7 +20,7 @@ from functools import cache
 from math import comb, factorial
 
 from . import partitions as pt
-from .fpring import BPoly, _combination, _convolve, _normalize
+from .fpring import BPoly, _convolve, _normalize
 
 
 # -- variety expressions ---------------------------------------------------
@@ -290,8 +290,13 @@ def check_atom_cap(atom: Atom) -> None:
 
 
 def atom_class(atom: Atom, p: int) -> BPoly:
-    """Exact mod-p class of an atom, the one-atom entry of the product memo; check_atom_cap refuses it first."""
-    return _sorted_product((atom,), p)
+    """Exact mod-p class of an atom, the one-atom memo entry; a miss runs check_atom_cap, then the closed form."""
+    key = (p, (atom,))
+    cls = _PRODUCT_CACHE.get(key)
+    if cls is None:
+        check_atom_cap(atom)
+        cls = _PRODUCT_CACHE[key] = _pn_class(p, atom.n) if isinstance(atom, PAtom) else _h_class(p, atom.n, atom.m)
+    return cls
 
 
 _PRODUCT_CACHE: dict[tuple, BPoly] = {}
@@ -305,41 +310,32 @@ def _atom_order(atom: Atom) -> tuple[int, ...]:
 def product_class(atoms, p: int) -> BPoly:
     """Exact mod-p class of a product of atoms, memoized per prime and atom multiset.
 
-    The class of a product does not depend on the order of its factors, so
-    the memo key holds the atoms sorted by their fields.  A one-atom
-    product is the atom's class in closed form.  A longer new product is
-    the memoized product of all its sorted atoms but the last, times the
-    last atom's class: one convolution per product built.  The memo hands
-    the same class to every caller, so callers only ever read it.
+    The memo key holds the atoms sorted by their fields, since factor order
+    does not matter.  A miss reads each atom's class once and adds up their
+    top weights (F_p[b] has no zero divisors; NEG_INF from a zero atom on),
+    so a product past the packed-key limit gets BPoly.__mul__'s refusal
+    before any convolution.  It then walks the sorted prefixes forward,
+    reading each from the memo or storing the previous prefix times its
+    last atom: one convolution per new product.  Callers share the memo's
+    classes and only ever read them.
     """
-    return _sorted_product(tuple(sorted(atoms, key=_atom_order)), p)
-
-
-def _sorted_product(atoms: tuple, p: int) -> BPoly:
-    """product_class of atoms already sorted into memo-key order.
-
-    F_p[b] has no zero divisors, so a prefix's top weight is the sum of its
-    atoms' (NEG_INF from a zero atom on): a new product past the packed-key
-    limit gets BPoly.__mul__'s refusal before any convolution.
-    """
-    key = (p, atoms)
-    cls = _PRODUCT_CACHE.get(key)
+    atoms = tuple(sorted(atoms, key=_atom_order))
+    cls = _PRODUCT_CACHE.get((p, atoms))
     if cls is None:
-        if len(atoms) == 1:
-            atom = atoms[0]
-            check_atom_cap(atom)
-            cls = _pn_class(p, atom.n) if isinstance(atom, PAtom) else _h_class(p, atom.n, atom.m)
-        elif atoms:
-            w = 0
-            for atom in atoms:
-                terms = atom_class(atom, p).packed  # homogeneous, so any one key holds its top weight
-                w += pt.key_weight(next(iter(terms))) if terms else pt.NEG_INF
-                if w > pt.KEY_LIMIT:
-                    raise ValueError(f"product weight {w} exceeds the packed-key limit {pt.KEY_LIMIT}")
-            cls = _sorted_product(atoms[:-1], p) * atom_class(atoms[-1], p)
-        else:
-            cls = BPoly.one(p)
-        _PRODUCT_CACHE[key] = cls
+        classes, w = [], 0
+        for atom in atoms:
+            classes.append(atom_class(atom, p))
+            terms = classes[-1].packed  # homogeneous, so any one key holds its top weight
+            w += pt.key_weight(next(iter(terms))) if terms else pt.NEG_INF
+            if w > pt.KEY_LIMIT:
+                raise ValueError(f"product weight {w} exceeds the packed-key limit {pt.KEY_LIMIT}")
+        cls = classes[0] if classes else BPoly.one(p)  # the empty product is the unit
+        for i in range(2, len(atoms) + 1):
+            key = (p, atoms[:i])
+            prefix = _PRODUCT_CACHE.get(key)
+            if prefix is None:
+                prefix = _PRODUCT_CACHE[key] = cls * classes[i - 1]
+            cls = prefix
     return cls
 
 
@@ -347,14 +343,11 @@ def chern_numbers(expr, p: int) -> BPoly:
     """Exact mod-p Chern-number class of a variety expression.
 
     Accepts a VExpr or a string in the expression grammar.  The products'
-    classes come from the product memo, and fpring._combination sums their
-    multiples mod p in one pass.  A single product of multiplicity 1
-    is the memoized class itself, shared with every other caller, which
-    must not mutate it.
+    classes come from the product memo and BPoly._sum adds up their
+    multiples, so a single product of multiplicity 1 is the memoized class
+    itself, shared with every other caller, which must not mutate it.
     """
     if isinstance(expr, str):
         expr, _ = parse_variety(expr)
     pt.check_prime(p)
-    if len(expr.parts) == 1 and expr.parts[0][0] == 1:
-        return product_class(expr.parts[0][1], p)
-    return BPoly._reduced(p, _combination(p, ((m, product_class(atoms, p).packed) for m, atoms in expr.parts)))
+    return BPoly._sum(p, [(m, product_class(atoms, p)) for m, atoms in expr.parts])

@@ -7,10 +7,10 @@ syntax or a bare integer.  JSON output is deterministic: results depend on
 flags only, and keys are emitted sorted.  --max-weight caps the input
 class's weight (raw input defaults to 16); in class it filters instead.
 
-Exit codes: 0 ok, 1 usage or input error, 2 not in the generator ring where
-membership is required, 3 internal assertion failure (including a failing
-selftest).  Generators are built in memory as a request needs them; the
-COBORDLAB_CACHE environment variable is ignored.
+Exit codes: 0 ok, 1 usage or input error (or out of memory), 2 not in the
+generator ring where membership is required, 3 internal assertion failure
+(including a failing selftest).  Generators are built in memory as a request
+needs them; the COBORDLAB_CACHE environment variable is ignored.
 """
 
 from __future__ import annotations
@@ -361,6 +361,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except AssertionError as e:
         print(f"internal assertion failed: {e}", file=sys.stderr)

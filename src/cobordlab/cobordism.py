@@ -206,19 +206,14 @@ def perturbed_family(p: int, seed: int, max_index: int = 0) -> GeneratorFamily:
 
 
 def evaluate_gen_poly(gp: GenPoly, family: GeneratorFamily) -> BPoly:
-    """The class of a generator polynomial: its monomial classes summed into one dict.
+    """The class of a generator polynomial: its monomial classes summed by BPoly._sum.
 
     A single monomial with coefficient 1 is the family's memoized class
     itself, shared with every other caller, which must not mutate it.
     """
     if gp.p != family.p:
         raise ValueError("prime mismatch")
-    if len(gp.packed) == 1:
-        (beta, coeff), = gp.packed.items()
-        if coeff == 1:
-            return family._monomial(beta)
-    pairs = ((k, family._monomial(beta).packed) for beta, k in gp.packed.items())
-    return BPoly._reduced(gp.p, _combination(gp.p, pairs))
+    return BPoly._sum(gp.p, [(k, family._monomial(beta)) for beta, k in gp.packed.items()])
 
 
 def _gauss_witness(x_w: dict[int, int], weight: int, family: GeneratorFamily) -> int | None:

@@ -112,6 +112,13 @@ class _PartitionPoly:
         obj.packed = packed
         return obj
 
+    @classmethod
+    def _sum(cls, p: int, pairs):
+        """Sum of k * poly over a sequence of (k, poly) pairs; a lone pair with k = 1 is that poly itself, shared."""
+        if len(pairs) == 1 and pairs[0][0] == 1:
+            return pairs[0][1]
+        return cls._reduced(p, _combination(p, ((k, poly.packed) for k, poly in pairs)))
+
     @property
     def terms(self) -> dict:
         """The terms under tuple partitions, in a new dict on each access."""
@@ -155,7 +162,7 @@ class _PartitionPoly:
 
     def __add__(self, other):
         self._check_operand(other)
-        return self._reduced(self.p, _combination(self.p, ((1, self.packed), (1, other.packed))))
+        return self._sum(self.p, ((1, self), (1, other)))
 
     def scale(self, k: int):
         return self._reduced(self.p, _combination(self.p, ((k, self.packed),)))

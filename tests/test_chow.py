@@ -281,6 +281,26 @@ def test_product_class_matches_left_to_right_products_in_every_order(p, monkeypa
     assert product_class([], p) == BPoly.one(p)
 
 
+def test_a_cold_product_reads_each_atom_class_once_and_memoizes_each_sorted_prefix(monkeypatch):
+    p = 3
+    monkeypatch.setattr(chow, "_PRODUCT_CACHE", {})
+    calls = []
+    read = chow.atom_class
+
+    def counted(atom, p):
+        calls.append(atom)
+        return read(atom, p)
+
+    monkeypatch.setattr(chow, "atom_class", counted)
+    atoms = (HAtom(2, 4), PAtom(3), HAtom(1, 3), PAtom(1), PAtom(2), HAtom(2, 2))
+    assert product_class(atoms, p) == reference_product(atoms, p)
+    ordered = tuple(sorted(atoms, key=chow._atom_order))
+    assert calls == list(ordered)
+    # each sorted prefix once, and each atom's one-atom entry
+    assert chow._PRODUCT_CACHE.keys() == {(p, ordered[:i]) for i in range(2, 7)} | {(p, (atom,)) for atom in atoms}
+    assert product_class((), p) == BPoly.one(p) and len(chow._PRODUCT_CACHE) == 11  # the empty product is not stored
+
+
 def test_chern_numbers_checks_the_prime():
     with pytest.raises(ValueError, match="not prime"):
         chern_numbers("P(2)*P(2)", 4)

@@ -14,6 +14,7 @@ import pytest
 from reference import reference_parse_raw_bpoly
 
 import cobordlab
+from cobordlab import chow
 from cobordlab.cli import is_raw_input, main, parse_raw_bpoly
 from cobordlab.cobordism import standard_generators
 from cobordlab.fpring import BPoly
@@ -28,6 +29,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_limited(argv, cpu_seconds, address_space=None):
+    """Run the CLI in a subprocess under RLIMIT_CPU of cpu_seconds and, if given, RLIMIT_AS of address_space bytes."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        if address_space is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
+
+    return subprocess.run([sys.executable, "-m", "cobordlab.cli", *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=30, preexec_fn=limit)
 
 
 def test_class_text_output(capsys):
@@ -122,15 +136,7 @@ REALIZE_LARGE_ORDER = [
 
 @pytest.mark.parametrize("argv, weights", REALIZE_LARGE_ORDER, ids=("2^30", "3^20", "p", "p^2"))
 def test_realize_with_a_large_order_lists_only_the_characters_it_uses(argv, weights):
-    resource = pytest.importorskip("resource")
-    gib = 1 << 30
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (gib, gib))
-        resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
-
-    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", "realize", *argv], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=30, preexec_fn=limit_memory)
+    proc = run_limited(["realize", *argv], 5, address_space=1 << 30)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     first, action = proc.stdout.splitlines()
     assert first == "achieved fixed dimension 0"
@@ -139,28 +145,16 @@ def test_realize_with_a_large_order_lists_only_the_characters_it_uses(argv, weig
 
 def test_dimq_at_a_prime_near_2_62_answers_at_once():
     # -p is tested by Miller-Rabin; trial division up to its square root never returned
-    resource = pytest.importorskip("resource")
     p = str(2**62 - 57)
-
-    def limit_cpu():
-        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
-
-    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", "dimq", "-p", p, "-q", p, "P(4)"],
-                          env=_subprocess_env(), capture_output=True, text=True, timeout=30, preexec_fn=limit_cpu)
+    proc = run_limited(["dimq", "-p", p, "-q", p, "P(4)"], 2)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "dim_4611686018427387847 = 0 (direct) = 0 (via generators)\n", "")
 
 
 def test_a_p_above_the_exact_primality_bound_is_refused_at_once():
     # 2^89 - 1 is prime; trial division up to its square root never returned
-    resource = pytest.importorskip("resource")
     p = 2**89 - 1
-
-    def limit_cpu():
-        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
-
-    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", "express", "-p", str(p), "P(4)"],
-                          env=_subprocess_env(), capture_output=True, text=True, timeout=30, preexec_fn=limit_cpu)
+    proc = run_limited(["express", "-p", str(p), "P(4)"], 2)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", (
         f"error: cannot decide whether {p} is prime: the exact test covers only numbers below 3317044064679887385961981\n"))
 
@@ -173,13 +167,7 @@ def test_a_p_above_the_exact_primality_bound_is_refused_at_once():
     (["express", "-p", "2", "P(64)*P(64)*P(64)*P(64)*P(63)"], (0, "0\n", "")),
 ], ids=("P-atom", "H-atom", "zero-product"))
 def test_atoms_over_the_cap_are_refused_right_after_the_parse(argv, want):
-    resource = pytest.importorskip("resource")
-
-    def limit_cpu():
-        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
-
-    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", *argv], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=30, preexec_fn=limit_cpu)
+    proc = run_limited(argv, 2)
     assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
@@ -193,13 +181,7 @@ def test_atoms_over_the_cap_are_refused_right_after_the_parse(argv, want):
     (["express", "-p", "2", "--max-weight", "100", "b[31]*b[31]*b[3]"], "error: weight 65 exceeds cap 64\n"),
 ], ids=("express-generator", "dimq-generator", "realize-generator", "H(30,40)", "witness-search"))
 def test_generators_and_witness_searches_stop_at_the_cap(argv, want):
-    resource = pytest.importorskip("resource")
-
-    def limit_cpu():
-        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
-
-    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", *argv], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=30, preexec_fn=limit_cpu)
+    proc = run_limited(argv, 2)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want)
 
 
@@ -210,15 +192,28 @@ def test_generators_and_witness_searches_stop_at_the_cap(argv, want):
 def test_products_past_the_key_limit_are_refused_before_they_are_multiplied(argv):
     # the prefix weights add up from the atom classes; building P(64)^3 first took over 20 s
     # (the zero-product case above keeps its answer: its zero atom comes first)
-    resource = pytest.importorskip("resource")
-
-    def limit_cpu():
-        resource.setrlimit(resource.RLIMIT_CPU, (2, 2))
-
-    proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", *argv], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=30, preexec_fn=limit_cpu)
+    proc = run_limited(argv, 2)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", "error: product weight 256 exceeds the packed-key limit 255\n")
+
+
+@pytest.mark.parametrize("atom, want", [("P(0)", "1\n"), ("P(1)", "0\n")], ids=("point", "zero-atom"))
+def test_a_product_of_many_weight_0_or_zero_atoms_gets_an_answer(capsys, monkeypatch, atom, want):
+    # the product memo walks the sorted prefixes forward, so a long product does not run out of stack
+    monkeypatch.setattr(chow, "_PRODUCT_CACHE", {})  # the 1,200 prefixes leave with the test
+    assert run(capsys, "class", "-p", "2", "*".join([atom] * 1200)) == (0, want, "")
+
+
+def test_realize_of_a_product_of_many_points_and_p4(capsys, monkeypatch):
+    monkeypatch.setattr(chow, "_PRODUCT_CACHE", {})
+    code, out, err = run(capsys, "realize", "-p", "2", "-q", "2", "*".join(["P(0)"] * 1200 + ["P(4)"]))
+    assert (code, out.splitlines()[0], err) == (0, "achieved fixed dimension 2", "")
+
+
+def test_a_request_that_runs_out_of_memory_prints_one_error_line():
+    # H(40,50)'s expression builds generator classes far past 256 MiB
+    proc = run_limited(["express", "-p", "2", "H(40,50)"], 20, address_space=256 << 20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
 def test_realize_renders_its_action_once():
