@@ -307,35 +307,56 @@ def _atom_order(atom: Atom) -> tuple[int, ...]:
     return atom._values(atom)
 
 
+def product_weight(atoms, p: int):
+    """Top weight of a product of atoms, and the classes read for it, in the atoms' order.
+
+    The top weights of the atoms' memoized classes add up, as F_p[b] has no
+    zero divisors, to NEG_INF from a zero class on.  The reading stops once
+    the weight passes the packed-key limit, since no such product is built.
+    """
+    w, classes = 0, []
+    for atom in atoms:
+        classes.append(atom_class(atom, p))
+        terms = classes[-1].packed  # homogeneous, so any one key holds its top weight
+        w += pt.key_weight(next(iter(terms))) if terms else pt.NEG_INF
+        if w > pt.KEY_LIMIT:
+            break
+    return w, classes
+
+
 def product_class(atoms, p: int) -> BPoly:
     """Exact mod-p class of a product of atoms, memoized per prime and atom multiset.
 
     The memo key holds the atoms sorted by their fields, since factor order
-    does not matter.  A miss reads each atom's class once and adds up their
-    top weights (F_p[b] has no zero divisors; NEG_INF from a zero atom on),
-    so a product past the packed-key limit gets BPoly.__mul__'s refusal
-    before any convolution.  It then walks the sorted prefixes forward,
-    reading each from the memo or storing the previous prefix times its
-    last atom: one convolution per new product.  Callers share the memo's
-    classes and only ever read them.
+    does not matter.  A miss reads each atom's class once through
+    product_weight, so a product past the packed-key limit gets
+    BPoly.__mul__'s refusal before any convolution.  It then walks the
+    sorted prefixes of the atoms whose class is not the unit (P(0) and
+    H(0,1) stay out), reading each from the memo or storing the previous
+    prefix times its last atom: one convolution per new product.  A nonzero
+    product has at most KEY_LIMIT such atoms, and a zero one meets its
+    first zero atom among the first KEY_LIMIT + 1 of them, so the walk
+    stops there.  Callers share the memo's classes and only ever read them.
     """
     atoms = tuple(sorted(atoms, key=_atom_order))
-    cls = _PRODUCT_CACHE.get((p, atoms))
+    key = (p, atoms)
+    cls = _PRODUCT_CACHE.get(key)
     if cls is None:
-        classes, w = [], 0
-        for atom in atoms:
-            classes.append(atom_class(atom, p))
-            terms = classes[-1].packed  # homogeneous, so any one key holds its top weight
-            w += pt.key_weight(next(iter(terms))) if terms else pt.NEG_INF
-            if w > pt.KEY_LIMIT:
-                raise ValueError(f"product weight {w} exceeds the packed-key limit {pt.KEY_LIMIT}")
-        cls = classes[0] if classes else BPoly.one(p)  # the empty product is the unit
-        for i in range(2, len(atoms) + 1):
-            key = (p, atoms[:i])
-            prefix = _PRODUCT_CACHE.get(key)
+        w, classes = product_weight(atoms, p)
+        if w > pt.KEY_LIMIT:
+            raise ValueError(f"product weight {w} exceeds the packed-key limit {pt.KEY_LIMIT}")
+        # an atom class holding the empty partition has weight 0: it is the unit
+        walk = [(atom, c) for atom, c in zip(atoms, classes) if 0 not in c.packed][:pt.KEY_LIMIT + 1]
+        factors = tuple(atom for atom, _ in walk)
+        cls = walk[0][1] if walk else BPoly.one(p)  # the empty product is the unit
+        for i in range(1, len(walk)):
+            prefix_key = (p, factors[:i + 1])
+            prefix = _PRODUCT_CACHE.get(prefix_key)
             if prefix is None:
-                prefix = _PRODUCT_CACHE[key] = cls * classes[i - 1]
+                prefix = _PRODUCT_CACHE[prefix_key] = cls * walk[i][1]
             cls = prefix
+        if atoms:
+            _PRODUCT_CACHE[key] = cls
     return cls
 
 

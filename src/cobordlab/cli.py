@@ -23,7 +23,7 @@ from collections import Counter
 
 from .actions import CharacterGroup, action_to_json, realize
 from .bounds import check_order, main_bound, milnor_divisibility_check, ratio_bound, small_fixed_divisibility
-from .chow import Scanner, check_atom_cap, chern_numbers, parse_variety
+from .chow import Scanner, check_atom_cap, chern_numbers, parse_variety, product_weight
 from .cobordism import (
     NotInLp,
     dim_q_direct,
@@ -34,7 +34,7 @@ from .cobordism import (
 )
 from .equivariant import localization_check
 from .fpring import NEG_INF, BPoly, format_bpoly, format_genpoly
-from .partitions import IndexSet, check_prime, rho_q
+from .partitions import KEY_LIMIT, IndexSet, check_prime, rho_q
 
 RAW_DEFAULT_WEIGHT = 16
 
@@ -116,8 +116,17 @@ def load_class(args, ceiling: bool = True) -> BPoly:
         print(f"note: {note}", file=sys.stderr)
     for atom in (atom for _, atoms in expr.parts for atom in atoms):
         check_atom_cap(atom)
+    check = ceiling and args.max_weight is not None
+    if check:
+        # the heaviest product, alone at its weight with a multiplicity nonzero mod p, holds the
+        # class's top weight, so a class over the ceiling is refused before any multiplication
+        check_prime(args.prime)
+        weights = sorted(product_weight(atoms, args.prime)[0] for m, atoms in expr.parts if m % args.prime)
+        top = weights[-1] if weights else NEG_INF
+        if args.max_weight < top <= KEY_LIMIT and (len(weights) == 1 or weights[-2] < top):
+            raise ValueError(f"class weight {top} exceeds {args.max_weight}")
     x = chern_numbers(expr, args.prime)
-    if ceiling and args.max_weight is not None:
+    if check:
         top = x.top_weight()
         if top != NEG_INF and top > args.max_weight:
             raise ValueError(f"class weight {top} exceeds {args.max_weight}")

@@ -239,44 +239,32 @@ class Record:
     fields, hash as the tuple of their fields and print as
     Name(field=value, ...), as a frozen dataclass does.  A subclass sets its
     fields in __init__ through object.__setattr__; afterwards assigning or
-    deleting an attribute raises AttributeError.
+    deleting an attribute raises AttributeError.  The first hash is kept in
+    the base's slot _hash, which no field, repr, equality or pickle holds.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __init_subclass__(cls, **kwargs):
-        # eq and hash are closures over a C attrgetter built once per class,
-        # not loops over the field names: the acceptance checks hash and
-        # compare tens of thousands of action records
+        # _values is a C attrgetter built once per class, not a loop over the
+        # field names: the acceptance checks compare tens of thousands of records
         super().__init_subclass__(**kwargs)
-        names = cls.__slots__
-        if len(names) == 1:
-            get = attrgetter(names[0])
+        get = attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
 
-            def values(obj):
-                return (get(obj),)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
 
-            def __eq__(self, other):
-                if other.__class__ is self.__class__:
-                    return (get(self),) == (get(other),)
-                return NotImplemented
-
-            def __hash__(self):
-                return hash((get(self),))
-        else:
-            values = attrgetter(*names)
-
-            def __eq__(self, other):
-                if other.__class__ is self.__class__:
-                    return values(self) == values(other)
-                return NotImplemented
-
-            def __hash__(self):
-                return hash(values(self))
-
-        cls._values = staticmethod(values)
-        cls.__eq__ = __eq__
-        cls.__hash__ = __hash__
+    def __hash__(self):
+        # fields never change after __init__; an unhashable field raises on every call
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._values(self))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))

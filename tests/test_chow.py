@@ -301,6 +301,31 @@ def test_a_cold_product_reads_each_atom_class_once_and_memoizes_each_sorted_pref
     assert product_class((), p) == BPoly.one(p) and len(chow._PRODUCT_CACHE) == 11  # the empty product is not stored
 
 
+def test_product_weight_adds_the_atom_weights_until_a_zero_atom_or_the_key_limit():
+    p = 3
+    assert chow.product_weight((PAtom(64),) * 3, p)[0] == 192
+    assert chow.product_weight((PAtom(1), PAtom(2), PAtom(64)), p)[0] == float("-inf")  # P(2) is zero mod 3
+    w, classes = chow.product_weight((PAtom(64),) * 5, p)
+    assert (w, len(classes)) == (256, 4)  # no later class is read past the key limit
+
+
+def test_a_long_product_walks_only_its_non_unit_atoms_and_at_most_key_limit_of_them(monkeypatch):
+    p = 3
+    monkeypatch.setattr(chow, "_PRODUCT_CACHE", {})
+    atoms = (PAtom(0),) * 50 + (HAtom(0, 1), PAtom(4), PAtom(1))
+    assert product_class(atoms, p) == reference_product((PAtom(1), PAtom(4)), p)
+    ordered = tuple(sorted(atoms, key=chow._atom_order))
+    one_atom = {(p, (atom,)) for atom in set(atoms)}
+    assert chow._PRODUCT_CACHE.keys() == one_atom | {(p, (PAtom(1), PAtom(4))), (p, ordered)}
+    # a zero product stores its prefixes up to KEY_LIMIT + 1 atoms, then the product
+    monkeypatch.setattr(chow, "_PRODUCT_CACHE", {})
+    assert product_class((PAtom(2),) * 1000, p).is_zero()
+    assert len(chow._PRODUCT_CACHE) == 1 + KEY_LIMIT + 1
+    # its first zero atom is among them: P(2) is zero mod 3, after 255 atoms of weight 1
+    assert product_class((PAtom(1),) * KEY_LIMIT + (PAtom(2),) * 1000, p).is_zero()
+    assert product_class((PAtom(1),) * KEY_LIMIT, p) == reference_product((PAtom(1),) * KEY_LIMIT, p)
+
+
 def test_chern_numbers_checks_the_prime():
     with pytest.raises(ValueError, match="not prime"):
         chern_numbers("P(2)*P(2)", 4)

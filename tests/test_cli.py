@@ -197,11 +197,26 @@ def test_products_past_the_key_limit_are_refused_before_they_are_multiplied(argv
         1, "", "error: product weight 256 exceeds the packed-key limit 255\n")
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["express", "-p", "3", "--max-weight", "100", "P(64)*P(64)*P(64)"], (1, "", "error: class weight 192 exceeds 100\n")),
+    # the heavier product has a multiplicity 0 mod 3, so P(64)^3 holds the top weight
+    (["dimq", "-p", "3", "-q", "3", "--max-weight", "100",
+      "2.P(64)*P(64)*P(64) + P(2) + 3.P(64)*P(64)*P(64)*P(10)"], (1, "", "error: class weight 192 exceeds 100\n")),
+    # a zero atom makes the product zero, whatever the weight of the others
+    (["express", "-p", "2", "--max-weight", "100", "P(64)*P(64)*P(64)*P(64)*P(63)"], (0, "0\n", "")),
+    (["express", "-p", "3", "--max-weight", "10", "P(20)*H(3,6) + P(2)*P(29)"], (0, "0\n", "")),
+], ids=("product", "sum", "zero-product", "zero-sum"))
+def test_max_weight_refuses_a_class_before_it_is_built(argv, want):
+    # the products' weights come from the atom classes; building P(64)^3 first took over 20 s
+    proc = run_limited(argv, 2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
 @pytest.mark.parametrize("atom, want", [("P(0)", "1\n"), ("P(1)", "0\n")], ids=("point", "zero-atom"))
-def test_a_product_of_many_weight_0_or_zero_atoms_gets_an_answer(capsys, monkeypatch, atom, want):
-    # the product memo walks the sorted prefixes forward, so a long product does not run out of stack
-    monkeypatch.setattr(chow, "_PRODUCT_CACHE", {})  # the 1,200 prefixes leave with the test
-    assert run(capsys, "class", "-p", "2", "*".join([atom] * 1200)) == (0, want, "")
+def test_a_product_of_many_weight_0_or_zero_atoms_gets_an_answer(atom, want):
+    # the prefix walk skips unit atoms and stops at KEY_LIMIT atoms, so a long product costs linear time
+    proc = run_limited(["class", "-p", "2", "*".join([atom] * 20000)], 2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
 def test_realize_of_a_product_of_many_points_and_p4(capsys, monkeypatch):

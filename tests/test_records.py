@@ -83,14 +83,27 @@ def test_fields_repr_and_equality(x, values, text):
     assert twin != x and x != twin
     assert x != values
     assert not hasattr(x, "__dict__")
+    # the kept hash is no field: a hashed record equals a fresh one, and repr and reduce leave it out
+    if not isinstance(x, BoundReport):
+        hash(x)
+        assert type(x)(*values) == x and x == type(x)(*values)
+    assert "_hash" not in type(x).__slots__ and "_hash" not in repr(x)
+    assert x.__reduce__() == (type(x), values)
 
 
 @pytest.mark.parametrize("x,values,text", HASHABLE)
-def test_hash_is_the_field_tuple_hash(x, values, text):
+def test_hash_is_the_field_tuple_hash(x, values, text, monkeypatch):
     assert hash(x) == hash(values)
     assert hash(x) == hash(_frozen_dataclass_twin(x, values))
     assert hash(type(x)(*values)) == hash(x)
     assert len({x, type(x)(*values)}) == 1
+    # the first hash is kept: hashing a record again reads no field
+    y = type(x)(*values)
+    reads = []
+    read = type(x)._values
+    monkeypatch.setattr(type(x), "_values", staticmethod(lambda obj: reads.append(obj) or read(obj)))
+    assert hash(y) == hash(y) == hash(values)
+    assert len(reads) == 1 and reads[0] is y
 
 
 def test_bound_report_is_unhashable():
@@ -99,6 +112,11 @@ def test_bound_report_is_unhashable():
         hash(report)
     with pytest.raises(TypeError):
         {report}
+    # no hash is kept, so every call raises, not only the first
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            hash(report)
+    assert not hasattr(report, "_hash")
 
 
 def test_unequal_fields_are_unequal():
@@ -119,6 +137,16 @@ def test_assignment_and_deletion_raise(x, values, text):
         assert getattr(x, name) == values[type(x).__slots__.index(name)]
     with pytest.raises(AttributeError):
         x.extra = 1
+    # nor can the kept hash be set or dropped, before or after the first hash
+    for hashed in (False, True):
+        if hashed and not isinstance(x, BoundReport):
+            hash(x)
+        with pytest.raises(AttributeError):
+            x._hash = 0
+        with pytest.raises(AttributeError):
+            del x._hash
+    if not isinstance(x, BoundReport):
+        assert hash(x) == hash(values)
 
 
 @pytest.mark.parametrize("x,values,text", CASES, ids=IDS)
@@ -128,6 +156,12 @@ def test_copy_and_pickle_round_trip(x, values, text):
     for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(y) is type(x) and repr(y) == text
         assert y == x or isinstance(x, KClass)
+    # a hashed record's copies carry no kept hash: they hash their fields again, to the same value
+    if not isinstance(x, BoundReport):
+        hash(x)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert not hasattr(y, "_hash")
+            assert y == x and hash(y) == hash(x) or isinstance(x, KClass)
 
 
 def test_keywords_and_defaults():
