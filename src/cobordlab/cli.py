@@ -5,7 +5,7 @@ Classes are entered either as variety expressions ("2.P(4)*H(2,4) + P(1)")
 or in raw mode ("b[2]*b[1]^2 + b[4]"); raw mode is detected by the b[...]
 syntax or a bare integer.  JSON output is deterministic: results depend on
 flags only, and keys are emitted sorted.  --max-weight caps the input
-class's weight (raw input defaults to 16); in class it filters instead.
+class's weight (raw input defaults to 16); class keeps the products under it.
 
 Exit codes: 0 ok, 1 usage or input error (or out of memory), 2 not in the
 generator ring where membership is required, 3 internal assertion failure
@@ -19,11 +19,11 @@ import argparse
 import json
 import re
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 
 from .actions import CharacterGroup, action_to_json, realize
 from .bounds import check_order, main_bound, milnor_divisibility_check, ratio_bound, small_fixed_divisibility
-from .chow import Scanner, check_atom_cap, chern_numbers, parse_variety, product_weight
+from .chow import Scanner, VExpr, _atom_order, check_atom_cap, chern_numbers, parse_variety, product_weight
 from .cobordism import (
     NotInLp,
     dim_q_direct,
@@ -103,8 +103,8 @@ def load_class(args, ceiling: bool = True) -> BPoly:
     """The input class, exact, from either input mode.
 
     --max-weight caps the class's top weight for raw input always, and for
-    variety input when ceiling is set (class filters by it instead).  Atoms
-    meet the weight cap right after the parse, before any arithmetic.
+    variety input when ceiling is set (class keeps the products at or under
+    it).  Atoms meet their cap, and products the ceiling, before any build.
     """
     if args.max_weight is not None and args.max_weight < 0:
         raise ValueError(f"--max-weight must be nonnegative, got {args.max_weight}")
@@ -116,21 +116,24 @@ def load_class(args, ceiling: bool = True) -> BPoly:
         print(f"note: {note}", file=sys.stderr)
     for atom in (atom for _, atoms in expr.parts for atom in atoms):
         check_atom_cap(atom)
-    check = ceiling and args.max_weight is not None
-    if check:
-        # the heaviest product, alone at its weight with a multiplicity nonzero mod p, holds the
-        # class's top weight, so a class over the ceiling is refused before any multiplication
-        check_prime(args.prime)
-        weights = sorted(product_weight(atoms, args.prime)[0] for m, atoms in expr.parts if m % args.prime)
-        top = weights[-1] if weights else NEG_INF
-        if args.max_weight < top <= KEY_LIMIT and (len(weights) == 1 or weights[-2] < top):
-            raise ValueError(f"class weight {top} exceeds {args.max_weight}")
-    x = chern_numbers(expr, args.prime)
-    if check:
-        top = x.top_weight()
-        if top != NEG_INF and top > args.max_weight:
-            raise ValueError(f"class weight {top} exceeds {args.max_weight}")
-    return x
+    p, top = args.prime, args.max_weight
+    if top is not None:
+        # F_p[b] has no zero divisors, so a product is homogeneous of its atoms' summed top weight and only
+        # ties can cancel; read in the memo's atom order, a weight past the key limit is the build's refusal
+        check_prime(p)
+        parts = [(m, tuple(sorted(atoms, key=_atom_order))) for m, atoms in expr.parts]
+        weighed = [(product_weight(atoms, p)[0], m, atoms) for m, atoms in parts]
+        over = defaultdict(Counter)  # weight over the ceiling -> sorted atoms -> summed multiplicity
+        for w, m, atoms in weighed:
+            if top < w <= KEY_LIMIT:
+                over[w][atoms] += m
+        if ceiling and max(w for w, _, _ in weighed) <= KEY_LIMIT:
+            for w in sorted(over, reverse=True):  # the heaviest weight whose products do not cancel
+                tied = tuple((m, atoms) for atoms, m in over[w].items() if m % p)
+                if len(tied) == 1 or tied and not chern_numbers(VExpr(tied), p).is_zero():
+                    raise ValueError(f"class weight {w} exceeds {top}")
+        expr = VExpr(tuple((m, atoms) for w, m, atoms in weighed if w not in over))
+    return chern_numbers(expr, p)
 
 
 def make_family(args):
@@ -160,10 +163,12 @@ def emit(args, obj, text) -> None:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return []
-    return [int(chunk) for chunk in text.split(",")]
+    try:
+        return [int(chunk) for chunk in text.split(",")]
+    except ValueError:
+        raise ValueError(f"expected a comma list of integers, got {text!r}") from None
 
 
 # -- subcommands ------------------------------------------------------------
@@ -171,10 +176,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 def cmd_class(args) -> int:
     x = load_class(args, ceiling=False)
-    shown = None  # the JSON's maxWeight: set when --max-weight filters a variety's class
-    if args.max_weight is not None and not is_raw_input(args.input):
-        shown = args.max_weight
-        x = BPoly(x.p, {alpha: c for alpha, c in x.terms.items() if sum(alpha) <= shown})
+    shown = None if is_raw_input(args.input) else args.max_weight  # the JSON's maxWeight
     emit(args, lambda: dict(x.to_json_dict(), maxWeight=shown), lambda: format_bpoly(x))
     return 0
 

@@ -9,7 +9,7 @@ from math import ceil
 import pytest
 
 import cobordlab.partitions as pt
-from cobordlab.actions import HAct, PAct, fixed_dim, underlying_variety
+from cobordlab.actions import Disjoint, HAct, PAct, fixed_dim, underlying_variety
 from cobordlab.bounds import (
     main_bound,
     milnor_divisibility_check,
@@ -53,21 +53,25 @@ def _sub_multisets(W):
 TIGHT_SMALL_ACTIONS = {2: 20, 4: 108, 8: 1248, 3: 66, 9: 4401}
 
 
+def _small_cyclic_actions(q):
+    """Every linear action of the cyclic group of order q on P(n), n <= 8 (n <= 6 when q > 4), and on
+    H(n, m), 1 <= n <= 3, n <= m <= 4.  HAct models only the actions whose V is a sub-multiset of W."""
+    chars = [(c,) for c in range(q)]
+    actions = [PAct(weights) for n in range(9 if q <= 4 else 7)
+               for weights in itertools.combinations_with_replacement(chars, n + 1)]
+    return actions + [HAct(V, W) for m in range(1, 5) for W in itertools.combinations_with_replacement(chars, m + 1)
+                      for V in _sub_multisets(W) if 2 <= len(V) <= 4]
+
+
 def test_main_bound_holds_on_every_small_cyclic_linear_action():
     # The main bound: an order-q action's fixed locus has dimension at least
-    # dim_q of the class.  Checked on every linear action of a cyclic group
-    # on P(n), n <= 8 (n <= 6 when q > 4), and on H(n, m), 1 <= n <= 3,
-    # n <= m <= 4.  HAct models only the actions whose V is a sub-multiset
-    # of W.  Non-cyclic groups wait for the bound to be stated for them
-    # (ROADMAP item 4's gate).
+    # dim_q of the class.  Checked on every action of _small_cyclic_actions.
+    # Non-cyclic groups wait for the bound to be stated for them (ROADMAP
+    # item 4's gate).
     total = 0
     for q, tight in TIGHT_SMALL_ACTIONS.items():
         p = 2 if q in (2, 4, 8) else 3
-        chars = [(c,) for c in range(q)]
-        actions = [PAct(weights) for n in range(9 if q <= 4 else 7)
-                   for weights in itertools.combinations_with_replacement(chars, n + 1)]
-        actions += [HAct(V, W) for m in range(1, 5) for W in itertools.combinations_with_replacement(chars, m + 1)
-                    for V in _sub_multisets(W) if 2 <= len(V) <= 4]
+        actions = _small_cyclic_actions(q)
         at_bound = 0
         for a in actions:
             bound = main_bound(chern_numbers(underlying_variety(a), p), q)
@@ -77,6 +81,27 @@ def test_main_bound_holds_on_every_small_cyclic_linear_action():
         assert at_bound == tight, q
         total += len(actions)
     assert total == 58269
+
+
+# q -> sampled products where the fixed locus is exactly as small as the main bound allows
+TIGHT_SMALL_PRODUCTS = {2: 9, 4: 3, 8: 0, 3: 6, 9: 7}
+
+
+def test_main_bound_holds_on_sampled_products_of_small_cyclic_actions():
+    # The main bound on the diagonal action on a product of two small actions:
+    # 400 seeded pairs per q drawn from _small_cyclic_actions(q), cyclic groups only.
+    rng = random.Random(2024)
+    for q, tight in TIGHT_SMALL_PRODUCTS.items():
+        p = 2 if q in (2, 4, 8) else 3
+        actions = _small_cyclic_actions(q)
+        at_bound = 0
+        for _ in range(400):
+            a = Disjoint(((1, (rng.choice(actions), rng.choice(actions))),))
+            bound = main_bound(chern_numbers(underlying_variety(a), p), q)
+            dim = fixed_dim(a)
+            assert dim >= bound, (q, a)
+            at_bound += dim == bound
+        assert at_bound == tight, q
 
 
 def test_ratio_bound_p4():

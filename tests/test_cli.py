@@ -1,5 +1,6 @@
 """Command-line behaviour: parsing, exit codes, deterministic JSON."""
 
+import argparse
 import contextlib
 import json
 import os
@@ -15,9 +16,9 @@ from reference import reference_parse_raw_bpoly
 
 import cobordlab
 from cobordlab import chow
-from cobordlab.cli import is_raw_input, main, parse_raw_bpoly
+from cobordlab.cli import is_raw_input, load_class, main, parse_raw_bpoly
 from cobordlab.cobordism import standard_generators
-from cobordlab.fpring import BPoly
+from cobordlab.fpring import BPoly, format_bpoly
 
 
 def _subprocess_env():
@@ -205,7 +206,30 @@ def test_products_past_the_key_limit_are_refused_before_they_are_multiplied(argv
     # a zero atom makes the product zero, whatever the weight of the others
     (["express", "-p", "2", "--max-weight", "100", "P(64)*P(64)*P(64)*P(64)*P(63)"], (0, "0\n", "")),
     (["express", "-p", "3", "--max-weight", "10", "P(20)*H(3,6) + P(2)*P(29)"], (0, "0\n", "")),
-], ids=("product", "sum", "zero-product", "zero-sum"))
+    # equal products merge into one of multiplicity 2, so no product is multiplied
+    (["express", "-p", "3", "--max-weight", "100", "P(64)*P(64)*P(64) + P(64)*P(64)*P(64)"],
+     (1, "", "error: class weight 192 exceeds 100\n")),
+    (["express", "-p", "3", "--max-weight", "100", "P(64)*P(1)*P(64)*P(64) + P(64)*P(64)*P(64)*P(1)"],
+     (1, "", "error: class weight 193 exceeds 100\n")),
+    # the zero atom P(63) comes first in the product memo's order, so this product is zero, not past the
+    # key limit, and P(50) holds the top weight
+    (["express", "-p", "2", "--max-weight", "10", "P(64)*P(64)*P(64)*P(64)*P(63) + P(50)"],
+     (1, "", "error: class weight 50 exceeds 10\n")),
+    # the key limit is refused before the ceiling
+    (["express", "-p", "3", "--max-weight", "100", "P(64)*P(64)*P(64)*P(64) + P(64)*P(64)*P(64)"],
+     (1, "", "error: product weight 256 exceeds the packed-key limit 255\n")),
+    # class keeps the products at or under the ceiling, and one past the key limit is still refused
+    (["class", "-p", "3", "--max-weight", "10", "P(64)*P(64)*P(64) + P(4)"], (0, "1*b[4] + 1*b[1]^4\n", "")),
+    (["class", "-p", "3", "--max-weight", "10", "P(64)*P(64)*P(64)*P(64) + P(4)"],
+     (1, "", "error: product weight 256 exceeds the packed-key limit 255\n")),
+    # distinct products tied at the top weight are summed; these do not cancel
+    (["express", "-p", "2", "--max-weight", "3", "P(2)*P(2) + P(4)"], (1, "", "error: class weight 4 exceeds 3\n")),
+    # [H(2,3)] = [P(2)]^2 at p = 2 and [H(1,4)] = [P(1)*P(3)] at p = 3: the tie cancels, the next weight decides
+    (["express", "-p", "2", "--max-weight", "3", "H(2,3) + P(2)*P(2) + P(2)"], (0, "1*X[2]\n", "")),
+    (["express", "-p", "3", "--max-weight", "3", "H(1,4) + 2.P(1)*P(3) + P(1)"], (0, "1*X[1]\n", "")),
+], ids=("product", "sum", "zero-product", "zero-sum", "equal-products", "equal-products-any-order",
+        "zero-product-and-heavy-term", "key-limit-first", "class", "class-key-limit", "tie",
+        "cancelling-tie-p2", "cancelling-tie-p3"))
 def test_max_weight_refuses_a_class_before_it_is_built(argv, want):
     # the products' weights come from the atom classes; building P(64)^3 first took over 20 s
     proc = run_limited(argv, 2)
@@ -269,6 +293,16 @@ LOCALIZE_LIMITS = {
 @pytest.mark.parametrize("argv", list(LOCALIZE_LIMITS), ids="".join)
 def test_localize_input_limits(capsys, argv):
     assert run(capsys, "localize", "--weights", "0,1", *argv) == LOCALIZE_LIMITS[argv]
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["bound", "-p", "2", "-q", "2", "P(4)", "--indices"], "1,"),
+    (["localize", "-p", "2", "--weights"], "0,,1"),
+    (["rho", "-p", "2", "-q", "2", "--members"], "a"),
+    (["rho", "-p", "2", "-q", "2", "--np-minus"], "3,x"),
+], ids=("indices", "weights", "members", "np-minus"))
+def test_a_malformed_integer_list_is_an_input_error(capsys, argv, text):
+    assert run(capsys, *argv, text) == (1, "", f"error: expected a comma list of integers, got {text!r}\n")
 
 
 def test_usage_errors(capsys):
@@ -466,6 +500,49 @@ def test_max_weight_caps_variety_input(capsys, command):
     assert run(capsys, *argv, "8")[0] == 0
     # a class that vanishes mod p has no weight to cap
     assert run(capsys, command, "2.P(1)", "-p", "2", *order, "--max-weight", "0")[0] == 0
+
+
+def _small_variety_sums(rng, p, count):
+    """Seeded sums of one to four products of one to three atoms of weight at most 8, as parse strings.
+
+    Products repeat in shuffled atom order, multiplicities reach p (zero mod p), a product may tie with
+    its twin (an atom swapped for one of the same weight: H(n,m) for P(n+m-1), P(n) for H(2,n-1)), and
+    at p = 2 and 3 a pair of distinct products with equal classes is mixed in with cancelling multiplicities.
+    """
+    atoms = [f"P({n})" for n in range(9)] + [f"H({n},{m})" for m in range(1, 10) for n in range(m + 1) if n + m <= 9]
+    twin = {f"H({n},{m})": f"P({n + m - 1})" for n in range(1, 9) for m in range(n, 10 - n)}
+    twin.update({f"P({n})": f"H(2,{n - 1})" for n in range(3, 9)})
+    cancelling = {2: ("H(2,3)", "P(2)*P(2)"), 3: ("H(1,4)", "P(1)*P(3)")}
+    for _ in range(count):
+        pool = [rng.choices(atoms, k=rng.randint(1, 3)) for _ in range(3)]
+        products = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        swap = next((i for i, atom in enumerate(products[0]) if atom in twin), None)
+        if swap is not None and rng.random() < 0.5:
+            products.append(products[0][:swap] + [twin[products[0][swap]]] + products[0][swap + 1:])
+        parts = [f"{rng.randint(1, p)}.{'*'.join(rng.sample(product, len(product)))}" for product in products]
+        if p in cancelling and rng.random() < 0.5:
+            extra, m = rng.choice(atoms), rng.randint(1, p - 1)
+            parts += [f"{m}.{extra}*{cancelling[p][0]}", f"{p - m}.{extra}*{cancelling[p][1]}"]
+        yield " + ".join(parts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_max_weight_from_the_products_matches_the_built_class(capsys, p):
+    # differential against build-then-check: a refusing subcommand refuses exactly the ceilings below the
+    # built class's top weight, naming it, and class prints exactly the built class's terms under the ceiling
+    for text in _small_variety_sums(random.Random(30 + p), p, 40):
+        full = chow.chern_numbers(text, p)
+        top = full.top_weight()
+        for ceiling in range(max(top, 0) + 2):
+            args = argparse.Namespace(input=text, prime=p, max_weight=ceiling)
+            if top > ceiling:
+                with pytest.raises(ValueError, match=rf"^class weight {top} exceeds {ceiling}$"):
+                    load_class(args)
+            else:
+                assert load_class(args) == full, (text, ceiling)
+            shown = BPoly(p, {alpha: c for alpha, c in full.terms.items() if sum(alpha) <= ceiling})
+            want = (0, format_bpoly(shown) + "\n", "")
+            assert run(capsys, "class", "-p", str(p), "--max-weight", str(ceiling), text) == want, (text, ceiling)
 
 
 def test_h_swap_note_on_stderr(capsys):
