@@ -15,7 +15,7 @@ are built: by Kummer and Lucas they are stacks of base-p digit layers.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import cache
 from math import comb, factorial
 
@@ -311,8 +311,8 @@ def product_weight(atoms, p: int):
     """Top weight of a product of atoms, and the classes read for it, in the atoms' order.
 
     The top weights of the atoms' memoized classes add up, as F_p[b] has no
-    zero divisors, to NEG_INF from a zero class on.  The reading stops once
-    the weight passes the packed-key limit, since no such product is built.
+    zero divisors, to NEG_INF from a zero class on.  This is the one place a
+    weight past the packed-key limit is refused, before any build.
     """
     w, classes = 0, []
     for atom in atoms:
@@ -320,31 +320,59 @@ def product_weight(atoms, p: int):
         terms = classes[-1].packed  # homogeneous, so any one key holds its top weight
         w += pt.key_weight(next(iter(terms))) if terms else pt.NEG_INF
         if w > pt.KEY_LIMIT:
-            break
+            raise ValueError(f"product weight {w} exceeds the packed-key limit {pt.KEY_LIMIT}")
     return w, classes
+
+
+def read_products(parts, p: int) -> dict:
+    """(multiplicity, atoms) parts read before any build, as weight -> sorted atoms -> summed multiplicity.
+
+    Every atom's cap is checked first, then the prime, then product_weight's key limit.
+    """
+    for atom in (atom for _, atoms in parts for atom in atoms):
+        check_atom_cap(atom)
+    pt.check_prime(p)
+    weights: dict = defaultdict(Counter)
+    for m, atoms in parts:
+        atoms = tuple(sorted(atoms, key=_atom_order))
+        weights[product_weight(atoms, p)[0]][atoms] += m
+    return weights
+
+
+def sums_to_zero(tied, p: int) -> bool:
+    """Whether nonzero products of one weight, {sorted atoms: multiplicity}, sum to zero mod p.
+
+    Packed keys add with no carry, so a product's largest key is the sum of
+    its atoms' largest keys, reached once: its coefficient is the product of
+    theirs.  Only a sum whose largest such key cancels mod p is built.
+    """
+    parts = tuple((m, atoms) for atoms, m in tied.items() if m % p)
+    lead: Counter = Counter()  # leading key -> summed leading coefficient
+    for m, atoms in parts:
+        key = 0
+        for cls in product_weight(atoms, p)[1]:
+            top = max(cls.packed)
+            key, m = key + top, m * cls.packed[top]
+        lead[key] += m
+    return not lead or lead[max(lead)] % p == 0 and chern_numbers(VExpr(parts), p).is_zero()
 
 
 def product_class(atoms, p: int) -> BPoly:
     """Exact mod-p class of a product of atoms, memoized per prime and atom multiset.
 
-    The memo key holds the atoms sorted by their fields, since factor order
-    does not matter.  A miss reads each atom's class once through
-    product_weight, so a product past the packed-key limit gets
-    BPoly.__mul__'s refusal before any convolution.  It then walks the
-    sorted prefixes of the atoms whose class is not the unit (P(0) and
-    H(0,1) stay out), reading each from the memo or storing the previous
-    prefix times its last atom: one convolution per new product.  A nonzero
-    product has at most KEY_LIMIT such atoms, and a zero one meets its
-    first zero atom among the first KEY_LIMIT + 1 of them, so the walk
-    stops there.  Callers share the memo's classes and only ever read them.
+    The memo key holds the atoms sorted by their fields, so factor order does
+    not matter.  A miss reads the atoms' classes once, through product_weight,
+    then walks the sorted prefixes of the non-unit atoms (P(0) and H(0,1) stay
+    out), reading each from the memo or storing the previous prefix times its
+    last atom: one convolution per new product.  The walk stops after
+    KEY_LIMIT + 1 atoms: a nonzero product has at most KEY_LIMIT, and a zero
+    one has met a zero atom.  Callers share the memo's classes and only read them.
     """
     atoms = tuple(sorted(atoms, key=_atom_order))
     key = (p, atoms)
     cls = _PRODUCT_CACHE.get(key)
     if cls is None:
-        w, classes = product_weight(atoms, p)
-        if w > pt.KEY_LIMIT:
-            raise ValueError(f"product weight {w} exceeds the packed-key limit {pt.KEY_LIMIT}")
+        classes = product_weight(atoms, p)[1]
         # an atom class holding the empty partition has weight 0: it is the unit
         walk = [(atom, c) for atom, c in zip(atoms, classes) if 0 not in c.packed][:pt.KEY_LIMIT + 1]
         factors = tuple(atom for atom, _ in walk)
@@ -361,14 +389,15 @@ def product_class(atoms, p: int) -> BPoly:
 
 
 def chern_numbers(expr, p: int) -> BPoly:
-    """Exact mod-p Chern-number class of a variety expression.
+    """Exact mod-p Chern-number class of a variety expression, a VExpr or its text.
 
-    Accepts a VExpr or a string in the expression grammar.  The products'
-    classes come from the product memo and BPoly._sum adds up their
-    multiples, so a single product of multiplicity 1 is the memoized class
-    itself, shared with every other caller, which must not mutate it.
+    The products the memo misses are all read, with read_products, before any
+    is built.  BPoly._sum adds up the multiples, so a single product of
+    multiplicity 1 is the memoized class itself, which callers must not mutate.
     """
     if isinstance(expr, str):
         expr, _ = parse_variety(expr)
-    pt.check_prime(p)
-    return BPoly._sum(p, [(m, product_class(atoms, p)) for m, atoms in expr.parts])
+    found = [_PRODUCT_CACHE.get((p, tuple(sorted(atoms, key=_atom_order)))) for _, atoms in expr.parts]
+    read_products([part for part, cls in zip(expr.parts, found) if cls is None], p)
+    return BPoly._sum(p, [(m, product_class(atoms, p) if cls is None else cls)
+                          for (m, atoms), cls in zip(expr.parts, found)])

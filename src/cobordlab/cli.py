@@ -19,11 +19,11 @@ import argparse
 import json
 import re
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 
 from .actions import CharacterGroup, action_to_json, realize
 from .bounds import check_order, main_bound, milnor_divisibility_check, ratio_bound, small_fixed_divisibility
-from .chow import Scanner, VExpr, _atom_order, check_atom_cap, chern_numbers, parse_variety, product_weight
+from .chow import Scanner, VExpr, chern_numbers, parse_variety, read_products, sums_to_zero
 from .cobordism import (
     NotInLp,
     dim_q_direct,
@@ -34,7 +34,7 @@ from .cobordism import (
 )
 from .equivariant import localization_check
 from .fpring import NEG_INF, BPoly, format_bpoly, format_genpoly
-from .partitions import KEY_LIMIT, IndexSet, check_prime, rho_q
+from .partitions import IndexSet, check_prime, rho_q
 
 RAW_DEFAULT_WEIGHT = 16
 
@@ -104,7 +104,7 @@ def load_class(args, ceiling: bool = True) -> BPoly:
 
     --max-weight caps the class's top weight for raw input always, and for
     variety input when ceiling is set (class keeps the products at or under
-    it).  Atoms meet their cap, and products the ceiling, before any build.
+    it).  chow reads the products and makes every other refusal first.
     """
     if args.max_weight is not None and args.max_weight < 0:
         raise ValueError(f"--max-weight must be nonnegative, got {args.max_weight}")
@@ -114,25 +114,14 @@ def load_class(args, ceiling: bool = True) -> BPoly:
     expr, notes = parse_variety(text)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
-    for atom in (atom for _, atoms in expr.parts for atom in atoms):
-        check_atom_cap(atom)
     p, top = args.prime, args.max_weight
     if top is not None:
-        # F_p[b] has no zero divisors, so a product is homogeneous of its atoms' summed top weight and only
-        # ties can cancel; read in the memo's atom order, a weight past the key limit is the build's refusal
-        check_prime(p)
-        parts = [(m, tuple(sorted(atoms, key=_atom_order))) for m, atoms in expr.parts]
-        weighed = [(product_weight(atoms, p)[0], m, atoms) for m, atoms in parts]
-        over = defaultdict(Counter)  # weight over the ceiling -> sorted atoms -> summed multiplicity
-        for w, m, atoms in weighed:
-            if top < w <= KEY_LIMIT:
-                over[w][atoms] += m
-        if ceiling and max(w for w, _, _ in weighed) <= KEY_LIMIT:
-            for w in sorted(over, reverse=True):  # the heaviest weight whose products do not cancel
-                tied = tuple((m, atoms) for atoms, m in over[w].items() if m % p)
-                if len(tied) == 1 or tied and not chern_numbers(VExpr(tied), p).is_zero():
-                    raise ValueError(f"class weight {w} exceeds {top}")
-        expr = VExpr(tuple((m, atoms) for w, m, atoms in weighed if w not in over))
+        # F_p[b] has no zero divisors, so a product is homogeneous of its weight and only ties can cancel
+        weights = read_products(expr.parts, p)  # weight -> sorted atoms -> summed multiplicity
+        for w in sorted(weights, reverse=True) if ceiling else ():  # the heaviest weight that does not cancel
+            if w > top and not sums_to_zero(weights[w], p):
+                raise ValueError(f"class weight {w} exceeds {top}")
+        expr = VExpr(tuple((m, atoms) for w, tied in weights.items() if w <= top for atoms, m in tied.items()))
     return chern_numbers(expr, p)
 
 

@@ -305,8 +305,9 @@ def test_product_weight_adds_the_atom_weights_until_a_zero_atom_or_the_key_limit
     p = 3
     assert chow.product_weight((PAtom(64),) * 3, p)[0] == 192
     assert chow.product_weight((PAtom(1), PAtom(2), PAtom(64)), p)[0] == float("-inf")  # P(2) is zero mod 3
-    w, classes = chow.product_weight((PAtom(64),) * 5, p)
-    assert (w, len(classes)) == (256, 4)  # no later class is read past the key limit
+    # the key limit is refused here, before any later class is read: P(65) would meet its cap
+    with pytest.raises(ValueError, match="^product weight 256 exceeds the packed-key limit 255$"):
+        chow.product_weight((PAtom(64),) * 4 + (PAtom(65),), p)
 
 
 def test_a_long_product_walks_only_its_non_unit_atoms_and_at_most_key_limit_of_them(monkeypatch):
@@ -324,6 +325,64 @@ def test_a_long_product_walks_only_its_non_unit_atoms_and_at_most_key_limit_of_t
     # its first zero atom is among them: P(2) is zero mod 3, after 255 atoms of weight 1
     assert product_class((PAtom(1),) * KEY_LIMIT + (PAtom(2),) * 1000, p).is_zero()
     assert product_class((PAtom(1),) * KEY_LIMIT, p) == reference_product((PAtom(1),) * KEY_LIMIT, p)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_a_products_leading_term_is_read_from_its_atoms_leading_terms(p):
+    # packed keys add with no carry, so the largest key of a product is the sum of its atoms' largest
+    # keys, and its coefficient is the product of theirs; sums_to_zero reads a tie from these alone
+    pool = [atom for atom in SMALL_ATOMS if not atom_class(atom, p).is_zero()]
+    rng = random.Random(3100 + p)
+    by_weight: dict = {}
+    for _ in range(40):
+        atoms = tuple(sorted((rng.choice(pool) for _ in range(rng.randint(2, 3))), key=chow._atom_order))
+        built = product_class(atoms, p).packed
+        lead = max(built)
+        assert lead == sum(max(atom_class(atom, p).packed) for atom in atoms), (p, atoms)
+        coeff = 1
+        for atom in atoms:
+            packed = atom_class(atom, p).packed
+            coeff *= packed[max(packed)]
+        assert built[lead] == coeff % p != 0, (p, atoms)
+        by_weight.setdefault(product_class(atoms, p).top_weight(), []).append(atoms)
+    ties = [atoms for atoms in by_weight.values() if len(set(atoms)) > 1]
+    assert ties
+    for atoms in ties:
+        tied = {a: rng.randint(1, 2 * p) for a in atoms}
+        want = chern_numbers(VExpr(tuple((m, a) for a, m in tied.items())), p).is_zero()
+        assert chow.sums_to_zero(tied, p) == want, (p, tied)
+
+
+def test_sums_to_zero_builds_only_a_tie_whose_leading_terms_cancel(monkeypatch):
+    # [H(2,3)] = [P(2)]^2 at p = 2 and [H(1,4)] = [P(1)*P(3)] at p = 3: equal leading terms
+    monkeypatch.setattr(chow, "_PRODUCT_CACHE", {})
+    products = []
+    mul = BPoly.__mul__
+    monkeypatch.setattr(BPoly, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    assert chow.sums_to_zero({(PAtom(1), PAtom(3)): 1, (HAtom(1, 4),): 1}, 3) is False
+    assert chow.sums_to_zero({(PAtom(1), PAtom(3)): 3}, 3) is True  # a multiplicity 0 mod p holds no term
+    assert products == []  # read from the leading terms alone
+    assert chow.sums_to_zero({(PAtom(1), PAtom(3)): 2, (HAtom(1, 4),): 1}, 3) is True
+    assert chow.sums_to_zero({(PAtom(2), PAtom(2)): 1, (HAtom(2, 3),): 1}, 2) is True
+    assert len(products) == 2  # each cancelling tie builds its one product of two atoms
+
+
+@pytest.mark.parametrize("text, want, read_first", [
+    # the caps are checked before any class is read
+    ("P(64)*P(64)*P(64) + P(65)", "^weight 65 exceeds cap 64$", []),
+    ("P(64)*P(64)*P(64) + P(64)*P(64)*P(64)*P(64)", "^product weight 256 exceeds the packed-key limit 255$",
+     [PAtom(64)] * 7),
+], ids=("atom-cap", "key-limit"))
+def test_chern_numbers_refuses_a_later_product_before_building_an_earlier_one(text, want, read_first, monkeypatch):
+    # the heavy product comes first in parse order; every product the memo misses is read before any build
+    monkeypatch.setattr(chow, "_PRODUCT_CACHE", {})
+    reads, products = [], []
+    read, mul = chow.atom_class, BPoly.__mul__
+    monkeypatch.setattr(chow, "atom_class", lambda atom, p: reads.append(atom) or read(atom, p))
+    monkeypatch.setattr(BPoly, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    with pytest.raises(ValueError, match=want):
+        chern_numbers(text, 3)
+    assert (products, reads) == ([], read_first)
 
 
 def test_chern_numbers_checks_the_prime():

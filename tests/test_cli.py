@@ -189,7 +189,9 @@ def test_generators_and_witness_searches_stop_at_the_cap(argv, want):
 @pytest.mark.parametrize("argv", [
     ["express", "-p", "3", "P(64)*P(64)*P(64)*P(64)"],
     ["dimq", "-p", "3", "-q", "3", "2.P(64)*P(64)*P(64)*P(64) + P(2)"],
-], ids=("express", "dimq"))
+    # every product is read before the first is built, whatever the parse order
+    ["express", "-p", "3", "P(64)*P(64)*P(64) + P(64)*P(64)*P(64)*P(64)"],
+], ids=("express", "dimq", "after-a-heavy-product"))
 def test_products_past_the_key_limit_are_refused_before_they_are_multiplied(argv):
     # the prefix weights add up from the atom classes; building P(64)^3 first took over 20 s
     # (the zero-product case above keeps its answer: its zero atom comes first)
@@ -227,12 +229,16 @@ def test_products_past_the_key_limit_are_refused_before_they_are_multiplied(argv
     # [H(2,3)] = [P(2)]^2 at p = 2 and [H(1,4)] = [P(1)*P(3)] at p = 3: the tie cancels, the next weight decides
     (["express", "-p", "2", "--max-weight", "3", "H(2,3) + P(2)*P(2) + P(2)"], (0, "1*X[2]\n", "")),
     (["express", "-p", "3", "--max-weight", "3", "H(1,4) + 2.P(1)*P(3) + P(1)"], (0, "1*X[1]\n", "")),
+    # distinct products tied at weight 192 whose leading keys differ are refused from the atoms' leading terms
+    (["express", "-p", "3", "--max-weight", "100", "P(64)*P(64)*P(64) + P(64)*P(64)*H(1,64)"],
+     (1, "", "error: class weight 192 exceeds 100\n")),
 ], ids=("product", "sum", "zero-product", "zero-sum", "equal-products", "equal-products-any-order",
         "zero-product-and-heavy-term", "key-limit-first", "class", "class-key-limit", "tie",
-        "cancelling-tie-p2", "cancelling-tie-p3"))
+        "cancelling-tie-p2", "cancelling-tie-p3", "tie-by-leading-terms"))
 def test_max_weight_refuses_a_class_before_it_is_built(argv, want):
-    # the products' weights come from the atom classes; building P(64)^3 first took over 20 s
-    proc = run_limited(argv, 2)
+    # the products' weights come from the atom classes; building P(64)^3 first took over 20 s,
+    # and building a tie of two weight-192 products took over 4 GB
+    proc = run_limited(argv, 2, address_space=1 << 30)
     assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
