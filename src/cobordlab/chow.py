@@ -307,27 +307,13 @@ def _atom_order(atom: Atom) -> tuple[int, ...]:
     return atom._values(atom)
 
 
-def product_weight(atoms, p: int):
-    """Top weight of a product of atoms, and the classes read for it, in the atoms' order.
-
-    The top weights of the atoms' memoized classes add up, as F_p[b] has no
-    zero divisors, to NEG_INF from a zero class on.  This is the one place a
-    weight past the packed-key limit is refused, before any build.
-    """
-    w, classes = 0, []
-    for atom in atoms:
-        classes.append(atom_class(atom, p))
-        terms = classes[-1].packed  # homogeneous, so any one key holds its top weight
-        w += pt.key_weight(next(iter(terms))) if terms else pt.NEG_INF
-        if w > pt.KEY_LIMIT:
-            raise ValueError(f"product weight {w} exceeds the packed-key limit {pt.KEY_LIMIT}")
-    return w, classes
-
-
 def read_products(parts, p: int) -> dict:
     """(multiplicity, atoms) parts read before any build, as weight -> sorted atoms -> summed multiplicity.
 
-    Every atom's cap is checked first, then the prime, then product_weight's key limit.
+    Every atom's cap is checked first, then the prime, then each product's
+    weight, the sum of its atoms' top weights (NEG_INF from a zero atom on, as
+    F_p[b] has no zero divisors): the one refusal past the key limit, made at
+    the first prefix over it, before any later atom's class is read.
     """
     for atom in (atom for _, atoms in parts for atom in atoms):
         check_atom_cap(atom)
@@ -335,7 +321,13 @@ def read_products(parts, p: int) -> dict:
     weights: dict = defaultdict(Counter)
     for m, atoms in parts:
         atoms = tuple(sorted(atoms, key=_atom_order))
-        weights[product_weight(atoms, p)[0]][atoms] += m
+        w = 0
+        for atom in atoms:
+            terms = atom_class(atom, p).packed  # homogeneous, so any one key holds its top weight
+            w += pt.key_weight(next(iter(terms))) if terms else pt.NEG_INF
+            if w > pt.KEY_LIMIT:
+                raise ValueError(f"product weight {w} exceeds the packed-key limit {pt.KEY_LIMIT}")
+        weights[w][atoms] += m
     return weights
 
 
@@ -350,9 +342,10 @@ def sums_to_zero(tied, p: int) -> bool:
     lead: Counter = Counter()  # leading key -> summed leading coefficient
     for m, atoms in parts:
         key = 0
-        for cls in product_weight(atoms, p)[1]:
-            top = max(cls.packed)
-            key, m = key + top, m * cls.packed[top]
+        for atom in atoms:
+            terms = atom_class(atom, p).packed
+            top = max(terms)
+            key, m = key + top, m * terms[top]
         lead[key] += m
     return not lead or lead[max(lead)] % p == 0 and chern_numbers(VExpr(parts), p).is_zero()
 
@@ -361,20 +354,20 @@ def product_class(atoms, p: int) -> BPoly:
     """Exact mod-p class of a product of atoms, memoized per prime and atom multiset.
 
     The memo key holds the atoms sorted by their fields, so factor order does
-    not matter.  A miss reads the atoms' classes once, through product_weight,
-    then walks the sorted prefixes of the non-unit atoms (P(0) and H(0,1) stay
-    out), reading each from the memo or storing the previous prefix times its
-    last atom: one convolution per new product.  The walk stops after
-    KEY_LIMIT + 1 atoms: a nonzero product has at most KEY_LIMIT, and a zero
-    one has met a zero atom.  Callers share the memo's classes and only read them.
+    not matter.  A miss checks no weight (read_products reads a product first,
+    and BPoly.__mul__ refuses past the key limit): it reads its atoms' classes
+    with atom_class and walks the sorted prefixes of the non-unit atoms (P(0)
+    and H(0,1) stay out), reading each from the memo or storing the previous
+    prefix times its last atom: one convolution per new product.  The walk
+    stops after KEY_LIMIT + 1 atoms: a nonzero product has at most KEY_LIMIT,
+    and a zero one has met a zero atom.  Callers share it and only read it.
     """
     atoms = tuple(sorted(atoms, key=_atom_order))
     key = (p, atoms)
     cls = _PRODUCT_CACHE.get(key)
     if cls is None:
-        classes = product_weight(atoms, p)[1]
         # an atom class holding the empty partition has weight 0: it is the unit
-        walk = [(atom, c) for atom, c in zip(atoms, classes) if 0 not in c.packed][:pt.KEY_LIMIT + 1]
+        walk = [(atom, c) for atom in atoms if 0 not in (c := atom_class(atom, p)).packed][:pt.KEY_LIMIT + 1]
         factors = tuple(atom for atom, _ in walk)
         cls = walk[0][1] if walk else BPoly.one(p)  # the empty product is the unit
         for i in range(1, len(walk)):

@@ -99,15 +99,15 @@ class GeneratorFamily:
     single-part coefficient is nonzero.  Generators are built on first use
     and kept in memory, as are monomial classes under packed keys; ensure
     builds a range ahead.  An index is checked when its generator is first
-    built, not on a memo hit; the public monomial_class checks its
-    partition on every call.
+    built, not on a memo hit; the public monomial_class checks its partition
+    on every call, and a build reads its prefix by packed key, unchecked.
     """
 
     def __init__(self, p: int, make: Callable[[int], BPoly]):
         self.p = p
         self._make = make
         self.gens: dict[int, BPoly] = {}
-        self._monomials: dict[int, BPoly] = {}
+        self._monomials: dict[int, BPoly] = {0: BPoly._trusted(p, {0: 1})}  # key 0: the empty monomial, the unit
 
     def generator(self, i: int) -> BPoly:
         if i not in self.gens:
@@ -141,9 +141,7 @@ class GeneratorFamily:
 
     def _product(self, beta: Partition) -> BPoly:
         # the memoized prefix times the last generator: the same left-to-right product
-        if not beta:
-            return BPoly.one(self.p)
-        return self.monomial_class(beta[:-1]) * self.generator(beta[-1])
+        return self._monomial(pt.pack(beta[:-1])) * self.generator(beta[-1])
 
     def __repr__(self):
         return f"GeneratorFamily(p={self.p}, known={sorted(self.gens)})"

@@ -171,11 +171,12 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 @lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Exact primality test, memoized for the last 256 numbers (check_prime runs on every chern_numbers call).
+    """Exact primality test, memoized for the last 256 numbers, since its callers ask per call, not per prime.
 
-    A base, or a multiple of one, answers at once.  Below _MR_LIMIT the
-    Miller-Rabin test to the bases _MR_BASES is deterministic; any other n
-    is refused with a ValueError.
+    They are check_order in every main_bound, the checked BPoly constructors
+    and read_products on product-memo misses.  A base, or a multiple of one,
+    answers at once.  Below _MR_LIMIT the Miller-Rabin test to the bases
+    _MR_BASES is deterministic; any other n is refused with a ValueError.
     """
     if n < 2:
         return False

@@ -28,7 +28,7 @@ from cobordlab.actions import (
     realize,
     underlying_variety,
 )
-from cobordlab.chow import VExpr, chern_numbers
+from cobordlab.chow import HAtom, VExpr, atom_class, chern_numbers
 from cobordlab.cobordism import (
     GeneratorFamily,
     NotInLp,
@@ -110,6 +110,27 @@ def test_construct_action_h_formula():
     assert fixed_dim(construct_action_H(1, 1, g2)) == 0
     assert fixed_dim(construct_action_H(0, 0, g2)) == NEG_INF
     assert fixed_dim(construct_action_H(4, 2, g2)) == 2  # normalizes n <= m
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("power", (1, 2), ids=("q=p", "q=p^2"))
+def test_natural_milnor_action_fixes_g_and_bounds_dim_q(p, power):
+    # on every nonzero H(n,m) with n <= m <= 16 the natural action's fixed dimension is
+    # g = max(n//q + (m-1)//q, (n-1)//q + m//q), never below dim_q as the main bound requires,
+    # and above it only at H(5,7) and H(5,16) for q = 3
+    q = p**power
+    G = CharacterGroup.cyclic(q)
+    above = []
+    for m in range(17):
+        for n in range(m + 1):
+            x = atom_class(HAtom(n, m), p)
+            if not x.is_zero():
+                got = fixed_dim(construct_action_H(n, m, G))
+                assert got == max(n // q + (m - 1) // q, (n - 1) // q + m // q), (q, n, m)
+                assert got >= dim_q_direct(x, q), (q, n, m)
+                if got > dim_q_direct(x, q):
+                    above.append((n, m))
+    assert above == ([(5, 7), (5, 16)] if q == 3 else [])
 
 
 def test_construct_action_l():

@@ -114,6 +114,15 @@ def test_milnor_degenerate_isomorphisms():
         assert atom_class(HAtom(1, 1), p) == atom_class(PAtom(1), p)
 
 
+@pytest.mark.parametrize("p", (3, 5))
+def test_milnor_classes_vanish_exactly_by_the_divisibility_rule(p):
+    # a fact of the closed form over this range, not a theorem: at p = 2 the rule misses (2,2) and (4,4)
+    for m in range(1, 17):
+        for n in range(1, m + 1):
+            rule = (n + 1) % p == 0 and (m + 1) % p == 0 or n == 1 and m % p == 0
+            assert atom_class(HAtom(n, m), p).is_zero() == rule, (p, n, m)
+
+
 def test_milnor_top_chern_number():
     # adjunction gives the single-part number of H(n,m): binom(n+m,n) for
     # n >= 2, zero for 1 = n < m, and -2 for the conic H(1,1)
@@ -301,13 +310,23 @@ def test_a_cold_product_reads_each_atom_class_once_and_memoizes_each_sorted_pref
     assert product_class((), p) == BPoly.one(p) and len(chow._PRODUCT_CACHE) == 11  # the empty product is not stored
 
 
-def test_product_weight_adds_the_atom_weights_until_a_zero_atom_or_the_key_limit():
+def test_read_products_adds_the_atom_weights_until_a_zero_atom_or_the_key_limit(monkeypatch):
     p = 3
-    assert chow.product_weight((PAtom(64),) * 3, p)[0] == 192
-    assert chow.product_weight((PAtom(1), PAtom(2), PAtom(64)), p)[0] == float("-inf")  # P(2) is zero mod 3
-    # the key limit is refused here, before any later class is read: P(65) would meet its cap
+    monkeypatch.setattr(chow, "_PRODUCT_CACHE", {})
+    parts = [(1, (PAtom(64),) * 3), (2, (PAtom(64), PAtom(2), PAtom(1))), (1, (PAtom(1), PAtom(64), PAtom(2)))]
+    # P(2) is zero mod 3, and equal products are merged under their sorted atoms
+    want = {192: {(PAtom(64),) * 3: 1}, float("-inf"): {(PAtom(1), PAtom(2), PAtom(64)): 3}}
+    assert chow.read_products(parts, p) == want
+    # the key limit is refused at the first prefix past it, before any later class is read: not the
+    # H(64,64) that sorts after the four P(64), nor the product after it
+    reads, read = [], chow.atom_class
+    monkeypatch.setattr(chow, "atom_class", lambda atom, p: reads.append(atom) or read(atom, p))
     with pytest.raises(ValueError, match="^product weight 256 exceeds the packed-key limit 255$"):
-        chow.product_weight((PAtom(64),) * 4 + (PAtom(65),), p)
+        chow.read_products([(1, (HAtom(64, 64),) + (PAtom(64),) * 4), (1, (PAtom(5),))], p)
+    assert reads == [PAtom(64)] * 4
+    # product_class checks no weight: a direct call past the limit meets BPoly.__mul__'s refusal
+    with pytest.raises(ValueError, match="^product weight 256 exceeds the packed-key limit 255$"):
+        product_class((PAtom(1),) * (KEY_LIMIT + 1), p)
 
 
 def test_a_long_product_walks_only_its_non_unit_atoms_and_at_most_key_limit_of_them(monkeypatch):

@@ -434,6 +434,18 @@ def test_monomial_classes_are_products_of_the_familys_own_generators(p):
                for w in range(1, 11) for b in pt.np_partitions(w, p))
 
 
+@pytest.mark.parametrize("p", (2, 3))
+def test_a_cold_monomial_build_checks_none_of_its_own_prefixes(p, monkeypatch):
+    # a build reads each prefix by its packed key: the partitions it cuts itself are not checked again
+    fam = perturbed_family(p, 9, max_index=12)  # generators built, monomials cold
+    want = {beta: _product_of_generators(fam, beta) for w in range(1, 13) for beta in pt.np_partitions(w, p)}
+    checked, check = [], pt.check_partition
+    monkeypatch.setattr(pt, "check_partition", lambda alpha: checked.append(alpha) or check(alpha))
+    for beta, cls in want.items():
+        assert fam._monomial(pt.pack(beta)) == cls, beta
+    assert checked == []
+
+
 def test_monomial_class_still_refuses_bad_input_once_warm():
     fam = standard_generators(2)
     for beta in pt.np_partitions(6, 2):
