@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Exhaustive fixed-point localization sweep with timing.
 
-Checks lhs = rhs for every weight tuple up to the given length, every
-monomial of admissible degree, and every nonzero evaluation residue.  The
-case count grows like p^L * L^2, but both sides depend on the weights only
-as a multiset, so the work grows like C(p+L-1, L) * L^2: the p^L ordered
-tuples only share out their multiset's verdicts.
+Checks lhs = rhs for every weight multiset up to the given length, every
+monomial of admissible degree, and every nonzero evaluation residue.  Both
+sides depend on the weights only as a multiset, so the work grows like
+C(p+L-1, L) * L^2, while the reported case count is the p^L * L^2 ordered
+cases the multisets cover.
 """
 
 import argparse

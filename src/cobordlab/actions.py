@@ -120,6 +120,15 @@ class Disjoint(Record):
 WeightedVariety = PAct | HAct | Disjoint
 
 
+def _parts(a: WeightedVariety) -> tuple[tuple[int, tuple[PAct | HAct, ...]], ...]:
+    """The (multiplicity, factors) parts of an action node; an atomic action is one part of one factor."""
+    if isinstance(a, Disjoint):
+        return a.parts
+    if isinstance(a, (PAct, HAct)):
+        return ((1, (a,)),)
+    raise TypeError(f"not an action node: {a!r}")
+
+
 def fixed_dim(a: WeightedVariety):
     """Exact dimension of the fixed locus; -inf when it is empty.
 
@@ -128,11 +137,7 @@ def fixed_dim(a: WeightedVariety):
     pairs (c, g), of dimension (mult_V(c) - 1) + (r - 1) where the fibre
     rank is r = mult_W(g), less one when g = c; empty unless r >= 1.
     """
-    if isinstance(a, (PAct, HAct)):
-        return _atomic_fixed_dim(a)
-    if isinstance(a, Disjoint):
-        return max((sum(map(_atomic_fixed_dim, factors)) for _, factors in a.parts), default=NEG_INF)
-    raise TypeError(f"not an action node: {a!r}")
+    return max((sum(map(_atomic_fixed_dim, factors)) for _, factors in _parts(a)), default=NEG_INF)
 
 
 # keyed by value, so equal actions built apart share an entry; bounded for long sessions
@@ -223,18 +228,12 @@ def construct_action_L(i: int, G: CharacterGroup) -> PAct | HAct:
 def underlying_variety(a: WeightedVariety) -> VExpr:
     """The variety expression an action node acts on, over interned atoms."""
 
-    def atom(node) -> PAtom | HAtom:
+    def atom(node: PAct | HAct) -> PAtom | HAtom:
         if isinstance(node, PAct):
             return _p_atom(len(node.weights) - 1)
-        if isinstance(node, HAct):
-            return _h_atom(len(node.V) - 1, len(node.W) - 1)
-        raise TypeError(f"not an atomic action: {node!r}")
+        return _h_atom(len(node.V) - 1, len(node.W) - 1)
 
-    if isinstance(a, (PAct, HAct)):
-        return VExpr(((1, (atom(a),)),))
-    if isinstance(a, Disjoint):
-        return VExpr(tuple((mult, tuple(map(atom, factors))) for mult, factors in a.parts))
-    raise TypeError(f"not an action node: {a!r}")
+    return VExpr(tuple((mult, tuple(map(atom, factors))) for mult, factors in _parts(a)))
 
 
 def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> tuple[Disjoint, object]:

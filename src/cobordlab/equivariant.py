@@ -146,39 +146,31 @@ def _inverse_power(v: int, k: int, m: int, p: int) -> tuple[int, ...]:
 
 
 def localization_case_count(p: int, max_len: int) -> int:
-    """Cases in localization_sweep_violations(p, max_len): weights x monomials x r."""
+    """Ordered cases that localization_sweep_violations(p, max_len) covers: weights x monomials x r."""
     return sum(p**length * (length * (length + 1) // 2) * (p - 1) for length in range(1, max_len + 1))
 
 
 def localization_sweep_violations(p: int, max_len: int = 5) -> list[tuple]:
     """Exhaustive sweep of the identity: all weights, monomials, and r.
 
-    Covers every weight tuple of length <= max_len, every monomial
-    zeta^a t^b with a + b <= n, every nonzero r.  Returns the failing
-    (weights, (a, b), r, lhs, rhs) tuples in that order; must be empty.
-
-    Exact with one evaluation per weight multiset: both sides are symmetric
+    Covers every weight multiset of size <= max_len, every monomial
+    zeta^a t^b with a + b <= n, every nonzero r.  Both sides are symmetric
     in the weights (the lhs does not read them, the table reads their
-    multiplicities), so every ordered tuple reports its multiset's failing
-    cells, in the order a per-tuple sweep finds them.
+    multiplicities), so each multiset stands for all its orderings.
+    Returns the failing (sorted weights, (a, b), r, lhs, rhs) tuples in that
+    order, multisets in lexicographic order; must be empty.
     """
     pt.check_prime(p)
     bad = []
     for length in range(1, max_len + 1):
         n = length - 1
-        verdicts: dict[tuple[int, ...], list[tuple]] = {}  # sorted weights -> failing cells
-        for weights in itertools.product(range(p), repeat=length):
-            key = tuple(sorted(weights))
-            cells = verdicts.get(key)
-            if cells is None:
-                cells = verdicts[key] = []
-                tables = {r: _fixed_point_degrees(p, key, r) for r in range(1, p)}
-                for a in range(n + 1):
-                    for b in range(n + 1 - a):
-                        lhs = int((a, b) == (n, 0))
-                        for r, table in tables.items():
-                            rhs = pow(r, b, p) * table[a] % p
-                            if lhs != rhs:
-                                cells.append(((a, b), r, lhs, rhs))
-            bad.extend((weights,) + cell for cell in cells)
+        for weights in itertools.combinations_with_replacement(range(p), length):
+            tables = {r: _fixed_point_degrees(p, weights, r) for r in range(1, p)}
+            for a in range(n + 1):
+                for b in range(n + 1 - a):
+                    lhs = int((a, b) == (n, 0))
+                    for r, table in tables.items():
+                        rhs = pow(r, b, p) * table[a] % p
+                        if lhs != rhs:
+                            bad.append((weights, (a, b), r, lhs, rhs))
     return bad

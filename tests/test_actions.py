@@ -28,7 +28,7 @@ from cobordlab.actions import (
     realize,
     underlying_variety,
 )
-from cobordlab.chow import HAtom, VExpr, atom_class, chern_numbers
+from cobordlab.chow import HAtom, PAtom, VExpr, atom_class, chern_numbers
 from cobordlab.cobordism import (
     GeneratorFamily,
     NotInLp,
@@ -110,6 +110,9 @@ def test_construct_action_h_formula():
     assert fixed_dim(construct_action_H(1, 1, g2)) == 0
     assert fixed_dim(construct_action_H(0, 0, g2)) == NEG_INF
     assert fixed_dim(construct_action_H(4, 2, g2)) == 2  # normalizes n <= m
+    for n, m in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="^indices must be nonnegative$"):
+            construct_action_H(n, m, g2)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
@@ -217,6 +220,9 @@ def test_action_node_validation():
         Disjoint(((1, (p2, Disjoint(()))),))
     with pytest.raises(ValueError, match="multiplicities must be positive"):
         Disjoint(((0, (p2,)),))
+    for read in (fixed_dim, underlying_variety):
+        with pytest.raises(TypeError, match="^not an action node: "):
+            read(PAtom(2))
 
 
 def test_underlying_variety():

@@ -215,6 +215,9 @@ def test_make_h_atom_swaps():
     assert atom == HAtom(2, 4) and not swapped
     with pytest.raises(ValueError):
         HAtom(4, 2)
+    for a, b in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="^H indices must be nonnegative$"):
+            make_h_atom(a, b)
 
 
 def test_cf_series_whitney_product():

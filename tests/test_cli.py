@@ -15,7 +15,7 @@ import pytest
 from reference import reference_parse_raw_bpoly
 
 import cobordlab
-from cobordlab import chow
+from cobordlab import chow, cli
 from cobordlab.cli import is_raw_input, load_class, main, parse_raw_bpoly
 from cobordlab.cobordism import standard_generators
 from cobordlab.fpring import BPoly, format_bpoly
@@ -283,6 +283,12 @@ def test_localize(capsys):
     assert code == 0
     code, _, _ = run(capsys, "localize", "-p", "2", "--weights", "0,1", "--r", "0")
     assert code == 1
+
+
+def test_localize_reports_a_mismatch_as_an_internal_assertion(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "localization_check", lambda p, weights, y, r: (0, 1))
+    assert run(capsys, "localize", "-p", "2", "--weights", "0,1") == (
+        3, "lhs 0, rhs 1\n", "internal assertion failed: localization mismatch: lhs 0 != rhs 1\n")
 
 
 # (exit code, stdout, stderr) of localize at its input limits: p is checked before any

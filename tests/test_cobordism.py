@@ -283,6 +283,18 @@ def test_dim_q_via_generators_needs_membership():
         dim_q_via_generators(BPoly(2, {(2, 1, 1): 1}), 2)
 
 
+def test_dim_q_via_generators_refuses_q_below_one_before_the_solve():
+    # b_(2,1,1) is outside L_2, so a solve would raise NotInLp first
+    for q in (0, -2):
+        with pytest.raises(ValueError, match="^q must be a positive integer$"):
+            dim_q_via_generators(BPoly(2, {(2, 1, 1): 1}), q)
+
+
+def test_evaluate_gen_poly_refuses_a_family_of_another_prime():
+    with pytest.raises(ValueError, match="^prime mismatch$"):
+        evaluate_gen_poly(GenPoly(3, {(1,): 1}), standard_generators(2))
+
+
 def test_standard_family_memoized():
     assert standard_generators(2) is standard_generators(2)
 
