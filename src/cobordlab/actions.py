@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from functools import cache, lru_cache
 
 from .chow import HAtom, PAtom, VExpr, _h_atom, _p_atom, chern_numbers
@@ -143,16 +142,22 @@ def fixed_dim(a: WeightedVariety):
 # keyed by value, so equal actions built apart share an entry; bounded for long sessions
 @lru_cache(maxsize=1 << 12)
 def _atomic_fixed_dim(a: PAct | HAct):
+    """fixed_dim of one atomic action, from character counts, with no pair loop.
+
+    The best Milnor pair (c, g) takes g of W's top count t, so its
+    dimension is mult_V(c) + t - 2, less one when c is the only character
+    of count t (then g = c, or a g of count at most t - 1).
+    """
     if isinstance(a, PAct):
-        return max(Counter(a.weights).values()) - 1
-    cv, cw = Counter(a.V), Counter(a.W)
-    best = NEG_INF
-    for c, mv in cv.items():
-        for g, mw in cw.items():
-            r = mw - (1 if g == c else 0)
-            if r >= 1:
-                best = max(best, (mv - 1) + (r - 1))
-    return best
+        return max(map(a.weights.count, set(a.weights))) - 1
+    V, W = a.V, a.W
+    if len(W) == 1:
+        return NEG_INF  # V = W = (c,): the fibre rank mult_W(c) - 1 is 0
+    counts = {g: W.count(g) for g in set(W)}
+    top = max(counts.values())
+    tops = [g for g, m in counts.items() if m == top]
+    lone = tops[0] if len(tops) == 1 else None
+    return top - 2 + max(V.count(c) - (c == lone) for c in set(V))
 
 
 def _character_multiset(dim_plus_one: int, G: CharacterGroup) -> tuple[Character, ...]:

@@ -15,11 +15,11 @@ needs them; the COBORDLAB_CACHE environment variable is ignored.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 from .actions import CharacterGroup, action_to_json, realize
 from .bounds import check_order, main_bound, milnor_divisibility_check, ratio_bound, small_fixed_divisibility
@@ -37,15 +37,6 @@ from .fpring import NEG_INF, BPoly, format_bpoly, format_genpoly
 from .partitions import IndexSet, check_prime, rho_q
 
 RAW_DEFAULT_WEIGHT = 16
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; the contract says 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
 
 # -- input parsing ----------------------------------------------------------
 
@@ -287,73 +278,134 @@ def cmd_selftest(args) -> int:
 
 # -- wiring -----------------------------------------------------------------
 
+# The grammar, one table read two ways: main reads a plain argv straight
+# from it (read_argv), and build_parser builds the argparse parser from it
+# for everything else, which is where help and usage errors come from.
+# An option is (flags, dest, kind, default, required, help): no flags for
+# the positional, kind a type callable, None for a string or STORE_TRUE.
+STORE_TRUE = "store_true"
+INPUT = ((), "input", None, None, True, "variety expression or raw b[...] class")
+MAX_WEIGHT = (("--max-weight",), "max_weight", int, None, False,
+              "weight ceiling (raw default 16); class filters by it")
+PRIME = (("-p", "--prime"), "prime", int, None, True, "the prime p")
+ORDER = (("-q", "--order"), "order", int, None, True, "group order, a power of p")
+JSON = (("--json",), "json", STORE_TRUE, False, False, "machine-readable output")
+FAMILY = (("--family",), "family", None, "standard", False, "standard or perturbed(SEED)")
 
-def build_parser() -> _Parser:
+# subcommand -> (handler, help, options in argparse's order)
+COMMANDS = {
+    "class": (cmd_class, "mod-p class of a variety expression", (INPUT, MAX_WEIGHT, PRIME, JSON)),
+    "express": (cmd_express, "write a class in the polynomial generators",
+                (INPUT, MAX_WEIGHT, PRIME, JSON, FAMILY)),
+    "dimq": (cmd_dimq, "fixed-locus dimension invariant, both routes",
+             (INPUT, MAX_WEIGHT, PRIME, ORDER, JSON, FAMILY)),
+    "bound": (cmd_bound, "main/ratio/divisibility bounds", (
+        INPUT, MAX_WEIGHT, PRIME, ORDER, JSON, FAMILY,
+        (("--indices",), "indices", None, None, False, "comma list: indices spanned by the ratio-bound ideal"),
+        (("--parts",), "parts", int, 0, False, "ratio bound part count s"),
+        (("--small-d",), "small_d", int, None, False, "check small fixed-locus divisibility at this d"),
+        (("--milnor-d",), "milnor_d", int, None, False, "check Milnor-generator divisibility at this d"),
+    )),
+    "realize": (cmd_realize, "construct an action achieving dim_q", (INPUT, MAX_WEIGHT, PRIME, ORDER, JSON, FAMILY)),
+    "rho": (cmd_rho, "exact infimum of floor(i/q)/i over an index set", (
+        PRIME, ORDER, JSON,
+        (("--members",), "members", None, None, False, "comma list: a finite index set"),
+        (("--np-minus",), "np_minus", None, None, False, "comma list: exclusions from N_p (may be empty)"),
+    )),
+    "localize": (cmd_localize, "fixed-point localization check on P(V)", (
+        PRIME, JSON,
+        (("--weights",), "weights", None, None, True, "comma list of character weights"),
+        (("--zeta",), "zeta", int, 0, False, "zeta exponent of the monomial y"),
+        (("--t",), "t", int, 0, False, "t exponent of the monomial y"),
+        (("--r",), "r", int, 1, False, "evaluation residue (nonzero)"),
+    )),
+    "selftest": (cmd_selftest, "run the acceptance checks", (JSON,)),
+}
+
+
+def read_argv(argv):
+    """The namespace argparse makes of argv, or None if argv is not plain.
+
+    Plain: a subcommand first, then exact option spellings, each value a
+    separate word that does not start with '-', and at most one positional,
+    which does not start with '-' either, with every required option given.
+    Values go through the table's type callables; a repeated option keeps
+    its last value, as in argparse.  None sends argv to argparse, which
+    reads it or prints the help or the usage error.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, _, options = COMMANDS[argv[0]]
+    args = {"command": argv[0], "fn": fn}
+    by_flag, positional, given = {}, None, set()
+    for option in options:
+        flags, dest, _, default, _, _ = option
+        args[dest] = default
+        by_flag.update(dict.fromkeys(flags, option))
+        if not flags:
+            positional = dest
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            if positional is None or positional in given:
+                return None
+            dest, value = positional, word
+        elif word in by_flag:
+            _, dest, kind, _, _, _ = by_flag[word]
+            if kind is STORE_TRUE:
+                value = True
+            else:
+                value = next(words, "-")  # a missing value reads as a dash-led one
+                if value.startswith("-"):
+                    return None
+                if kind is not None:
+                    try:
+                        value = kind(value)
+                    except (TypeError, ValueError):
+                        return None
+        else:
+            return None
+        args[dest] = value
+        given.add(dest)
+    if any(required and dest not in given for _, dest, _, _, required, _ in options):
+        return None
+    return SimpleNamespace(**args)
+
+
+def build_parser():
+    """The argparse parser of the COMMANDS table, for what read_argv leaves to it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits with status 2 on usage errors; the contract says 1."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="cobordlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(sp, order=False, family=False, input_arg=True):
-        if input_arg:
-            sp.add_argument("input", help="variety expression or raw b[...] class")
-            sp.add_argument("--max-weight", type=int, default=None,
-                            help="weight ceiling (raw default 16); class filters by it")
-        sp.add_argument("-p", "--prime", type=int, required=True, help="the prime p")
-        if order:
-            sp.add_argument("-q", "--order", type=int, required=True, help="group order, a power of p")
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
-        if family:
-            sp.add_argument("--family", default="standard", help="standard or perturbed(SEED)")
-
-    sp = sub.add_parser("class", help="mod-p class of a variety expression")
-    common(sp)
-    sp.set_defaults(fn=cmd_class)
-
-    sp = sub.add_parser("express", help="write a class in the polynomial generators")
-    common(sp, family=True)
-    sp.set_defaults(fn=cmd_express)
-
-    sp = sub.add_parser("dimq", help="fixed-locus dimension invariant, both routes")
-    common(sp, order=True, family=True)
-    sp.set_defaults(fn=cmd_dimq)
-
-    sp = sub.add_parser("bound", help="main/ratio/divisibility bounds")
-    common(sp, order=True, family=True)
-    sp.add_argument("--indices", default=None, help="comma list: indices spanned by the ratio-bound ideal")
-    sp.add_argument("--parts", type=int, default=0, help="ratio bound part count s")
-    sp.add_argument("--small-d", type=int, default=None, help="check small fixed-locus divisibility at this d")
-    sp.add_argument("--milnor-d", type=int, default=None, help="check Milnor-generator divisibility at this d")
-    sp.set_defaults(fn=cmd_bound)
-
-    sp = sub.add_parser("realize", help="construct an action achieving dim_q")
-    common(sp, order=True, family=True)
-    sp.set_defaults(fn=cmd_realize)
-
-    sp = sub.add_parser("rho", help="exact infimum of floor(i/q)/i over an index set")
-    common(sp, order=True, input_arg=False)
-    sp.add_argument("--members", default=None, help="comma list: a finite index set")
-    sp.add_argument("--np-minus", default=None, help="comma list: exclusions from N_p (may be empty)")
-    sp.set_defaults(fn=cmd_rho)
-
-    sp = sub.add_parser("localize", help="fixed-point localization check on P(V)")
-    common(sp, input_arg=False)
-    sp.add_argument("--weights", required=True, help="comma list of character weights")
-    sp.add_argument("--zeta", type=int, default=0, help="zeta exponent of the monomial y")
-    sp.add_argument("--t", type=int, default=0, help="t exponent of the monomial y")
-    sp.add_argument("--r", type=int, default=1, help="evaluation residue (nonzero)")
-    sp.set_defaults(fn=cmd_localize)
-
-    sp = sub.add_parser("selftest", help="run the acceptance checks")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.set_defaults(fn=cmd_selftest)
+    for name, (fn, summary, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        for flags, dest, kind, default, required, text in options:
+            if not flags:
+                sp.add_argument(dest, help=text)
+            elif kind is STORE_TRUE:
+                sp.add_argument(*flags, dest=dest, action=STORE_TRUE, help=text)
+            else:
+                sp.add_argument(*flags, dest=dest, type=kind, default=default, required=required, help=text)
+        sp.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return int(e.code or 0)
     try:
         return args.fn(args)
     except NotInLp as e:

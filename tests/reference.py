@@ -21,7 +21,8 @@ library route against an independent one.
   epsilon_r), the check of cobordlab.equivariant.f_poly.
 * Partition refinement, the check that monomial classes are triangular.
 * The fixed-locus dimension of an action node counted from its character
-  multisets on every call, the check of the memoized cobordlab.actions.fixed_dim.
+  multisets on every call, every (V, W) pair of a Milnor action tried, the
+  check of the memoized cobordlab.actions.fixed_dim and its closed form.
 * The term kernel on tuple partitions (a union is a sorted concatenation)
   and the canonical sort key of a tuple partition, the check of the packed
   keys that cobordlab.fpring and cobordlab.partitions work on.
@@ -41,13 +42,19 @@ library route against an independent one.
 * A raw b[...] parser with its own tokenizer and token loop, the check of
   cobordlab.cli.parse_raw_bpoly on the scanner it shares with the variety
   grammar.
+
+It also holds subprocess_env, the environment under which the tests run the
+package in a fresh interpreter.
 """
 
+import os
 import re
 from collections import Counter
 from functools import cache, lru_cache
 from math import comb, factorial
+from pathlib import Path
 
+import cobordlab
 from cobordlab import partitions as pt
 from cobordlab.actions import Disjoint, HAct, PAct
 from cobordlab.chow import PAtom, VExpr, atom_class, make_h_atom
@@ -630,19 +637,24 @@ def refines(alpha: pt.Partition, beta: pt.Partition) -> bool:
 # -- fixed-locus dimensions, unmemoized ---------------------------------------
 
 
-def reference_fixed_dim(a):
-    """fixed_dim with the Counter formulas evaluated afresh for every atomic factor."""
+def reference_atomic_fixed_dim(a):
+    """The fixed dimension of a PAct or HAct from Counters, every pair of a Milnor action tried."""
     if isinstance(a, PAct):
         return max(Counter(a.weights).values()) - 1
-    if isinstance(a, HAct):
-        cv, cw = Counter(a.V), Counter(a.W)
-        best = pt.NEG_INF
-        for c, mv in cv.items():
-            for g, mw in cw.items():
-                r = mw - (1 if g == c else 0)
-                if r >= 1:
-                    best = max(best, (mv - 1) + (r - 1))
-        return best
+    cv, cw = Counter(a.V), Counter(a.W)
+    best = pt.NEG_INF
+    for c, mv in cv.items():
+        for g, mw in cw.items():
+            r = mw - (1 if g == c else 0)
+            if r >= 1:
+                best = max(best, (mv - 1) + (r - 1))
+    return best
+
+
+def reference_fixed_dim(a):
+    """fixed_dim with the Counter formulas evaluated afresh for every atomic factor."""
+    if isinstance(a, (PAct, HAct)):
+        return reference_atomic_fixed_dim(a)
     if isinstance(a, Disjoint):
         sums = []
         for _, factors in a.parts:
@@ -886,3 +898,12 @@ def reference_parse_raw_bpoly(text: str, p: int, ceiling: int = 16) -> BPoly:
     if top != pt.NEG_INF and top > ceiling:
         raise ValueError(f"raw class weight {top} exceeds {ceiling}; raise --max-weight")
     return BPoly(p, {tuple(part for part, e in key for _ in range(e)): c for key, c in terms.items()})
+
+
+# -- fresh interpreters -------------------------------------------------------
+
+
+def subprocess_env(**extra) -> dict:
+    """os.environ with the package's source root put first on PYTHONPATH, and extra on top."""
+    src = str(Path(cobordlab.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)

@@ -7,9 +7,10 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
+from reference import reference_atomic_fixed_dim
 
 import cobordlab.partitions as pt
-from cobordlab.actions import Disjoint, HAct, PAct, fixed_dim, underlying_variety
+from cobordlab.actions import Disjoint, HAct, PAct, _atomic_fixed_dim, fixed_dim, underlying_variety
 from cobordlab.bounds import (
     main_bound,
     milnor_divisibility_check,
@@ -81,6 +82,25 @@ def test_main_bound_holds_on_every_small_cyclic_linear_action():
         assert at_bound == tight, q
         total += len(actions)
     assert total == 58269
+
+
+# Milnor actions the sweep does not reach: W of one character (no fibre),
+# V of one character, W with one top character, and characters of (2, 2)
+EDGE_MILNOR_ACTIONS = (
+    HAct(((0,),), ((0,),)),
+    HAct(((0,),), ((0,), (1,))),
+    HAct(((1,),), ((0,), (1,), (1,))),
+    HAct(((0,), (0,)), ((0,), (0,), (0,))),
+    HAct(((0, 1), (1, 0)), ((0, 0), (0, 1), (1, 0), (1, 0), (1, 1))),
+)
+
+
+def test_the_atomic_fixed_dim_closed_form_equals_the_pair_loop():
+    # _atomic_fixed_dim reads the best Milnor pair off W's top count; the
+    # reference tries every pair of characters, on every action of the sweep
+    actions = [a for q in TIGHT_SMALL_ACTIONS for a in _small_cyclic_actions(q)] + list(EDGE_MILNOR_ACTIONS)
+    assert [_atomic_fixed_dim.__wrapped__(a) for a in actions] == [reference_atomic_fixed_dim(a) for a in actions]
+    assert [reference_atomic_fixed_dim(a) for a in EDGE_MILNOR_ACTIONS] == [NEG_INF, 0, 0, 2, 1]
 
 
 # q -> sampled products where the fixed locus is exactly as small as the main bound allows

@@ -2,28 +2,25 @@
 
 import argparse
 import contextlib
+import importlib.util
+import io
 import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from reference import reference_parse_raw_bpoly
+from reference import reference_parse_raw_bpoly, subprocess_env
 
-import cobordlab
 from cobordlab import chow, cli
 from cobordlab.cli import is_raw_input, load_class, main, parse_raw_bpoly
 from cobordlab.cobordism import standard_generators
 from cobordlab.fpring import BPoly, format_bpoly
-
-
-def _subprocess_env():
-    src = str(Path(cobordlab.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -41,7 +38,7 @@ def run_limited(argv, cpu_seconds, address_space=None):
             resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
         resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
 
-    return subprocess.run([sys.executable, "-m", "cobordlab.cli", *argv], env=_subprocess_env(),
+    return subprocess.run([sys.executable, "-m", "cobordlab.cli", *argv], env=subprocess_env(),
                           capture_output=True, text=True, timeout=30, preexec_fn=limit)
 
 
@@ -327,6 +324,159 @@ def test_usage_errors(capsys):
     assert run(capsys, "express", "P(4)", "-p", "2", "--family", "bogus")[0] == 1
 
 
+# -- the argv reader against argparse -----------------------------------------
+
+# values that the reader and argparse both read, per option kind
+PLAIN_VALUES = {
+    int: ("0", "2", "3", "17", "+5", " 9"),
+    None: ("P(4)", "2.P(4)*H(2,4) + P(1)", "b[2]*b[1]^2", "", "0,1", "perturbed(1)", "standard", "x y"),
+}
+# argv forms the reader leaves to argparse; "repeat" is the one it reads
+REFUSED_FORMS = ("abbreviation", "equals", "joined", "double-dash", "negative", "help", "unknown-option",
+                 "unknown-command", "missing-required", "extra-positional", "bad-int", "missing-value")
+
+
+def _plain_groups(rng, name):
+    """A plain argv for subcommand name as word groups: every required option, some others, the positional anywhere."""
+    groups, positional = [], None
+    for flags, _, kind, _, required, _ in cli.COMMANDS[name][2]:
+        if not flags:
+            positional = [rng.choice(PLAIN_VALUES[None])]
+        elif required or rng.random() < 0.5:
+            groups.append([rng.choice(flags)] + ([] if kind is cli.STORE_TRUE else [rng.choice(PLAIN_VALUES[kind])]))
+    rng.shuffle(groups)
+    if positional is not None:
+        groups.insert(rng.randint(0, len(groups)), positional)
+    return groups
+
+
+def _mutated(rng, name, form):
+    """A plain argv of subcommand name changed into the given form, or None where the form does not apply."""
+    options = cli.COMMANDS[name][2]
+    groups = _plain_groups(rng, name)
+    valued = [o for o in options if o[0] and o[2] is not cli.STORE_TRUE]
+    ints = [o for o in valued if o[2] is int]
+    required = [o for o in options if o[4]]
+    at = rng.randint(0, len(groups))
+    if form == "repeat":
+        flags, _, kind, _, _, _ = rng.choice([o for o in options if o[0]])
+        extra = [rng.choice(flags)] + ([] if kind is cli.STORE_TRUE else [rng.choice(PLAIN_VALUES[kind])])
+    elif form == "abbreviation":
+        long = [f for o in options for f in o[0] if f.startswith("--") and len(f) > 3]
+        flag = rng.choice(long)
+        extra = [flag[:rng.randint(3, len(flag) - 1)]] + ([] if flag == "--json" else ["2"])
+    elif form == "equals" and valued:
+        flags, _, kind, _, _, _ = rng.choice(valued)
+        extra = [f"{flags[-1]}={rng.choice(PLAIN_VALUES[kind])}"]
+    elif form == "joined":
+        extra = [rng.choice(("-p2", "-p3", "-q4"))]
+    elif form == "double-dash":
+        extra = ["--"] + ([rng.choice(PLAIN_VALUES[None])] if rng.random() < 0.5 else [])
+    elif form == "negative" and ints:
+        extra = [rng.choice(rng.choice(ints)[0]), rng.choice(("-1", "-2"))]
+    elif form == "help":
+        extra = [rng.choice(("-h", "--help"))]
+    elif form == "unknown-option":
+        extra = [rng.choice(("--bogus", "-x", "--cache"))] + (["2"] if rng.random() < 0.5 else [])
+    elif form == "unknown-command":
+        return [rng.choice(("nosuch", "Class", "expres", "dim", "-p", ""))] + [w for g in groups for w in g]
+    elif form == "missing-required" and required:
+        dropped = rng.choice(required)[0]  # no flags: the positional, the one group not led by a dash
+        groups = [g for g in groups if (g[0] not in dropped if dropped else g[0].startswith("-"))]
+        at, extra = 0, []
+    elif form == "extra-positional":  # a second one, or one where the subcommand takes none
+        extra = [rng.choice(PLAIN_VALUES[None])]
+    elif form == "bad-int" and ints:
+        extra = [rng.choice(rng.choice(ints)[0]), rng.choice(("x", "2.0", "", "0x10"))]
+    elif form == "missing-value" and valued:
+        groups.append([rng.choice(rng.choice(valued)[0])])
+        extra = []
+    else:
+        return None
+    groups.insert(at, extra)
+    return [name] + [w for g in groups for w in g]
+
+
+def _argparse_vars(parser, argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits (help or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_the_argv_reader_agrees_with_argparse_or_leaves_argv_to_it():
+    # a seeded corpus over all eight subcommands: the reader returns None or
+    # exactly the namespace argparse makes; every plain argv is read, every
+    # other form is left to argparse, which reads some of them itself
+    parser = cli.build_parser()
+    rng = random.Random(34)
+    forms, fallback_read = set(), 0
+    for name in cli.COMMANDS:
+        for _ in range(40):
+            argv = [name] + [w for g in _plain_groups(rng, name) for w in g]
+            args = cli.read_argv(argv)
+            assert args is not None and vars(args) == _argparse_vars(parser, argv), argv
+            argv = _mutated(rng, name, "repeat")
+            assert vars(cli.read_argv(argv)) == _argparse_vars(parser, argv), argv
+            for form in REFUSED_FORMS:
+                argv = _mutated(rng, name, form)
+                if argv is None:
+                    continue
+                assert cli.read_argv(argv) is None, (form, argv)
+                forms.add(form)
+                fallback_read += _argparse_vars(parser, argv) is not None
+    for argv in ([], ["-h"], ["--help"], ["--json"], ["class"], ["selftest", "--json", "--json"]):
+        args = cli.read_argv(argv)
+        assert args is None or vars(args) == _argparse_vars(parser, argv), argv
+    assert forms == set(REFUSED_FORMS)
+    assert fallback_read > 100  # abbreviations, --opt=value, -p2 and negative values that argparse reads
+
+
+def test_the_reader_reads_every_golden_argv():
+    from test_cli_golden import GOLDEN
+
+    parser = cli.build_parser()
+    for text in GOLDEN:
+        argv = shlex.split(text)
+        args = cli.read_argv(argv)
+        assert args is not None and vars(args) == _argparse_vars(parser, argv), text
+
+
+def _perfbench_worker():
+    """perfbench/worker.py as a module, with sys.path as it was before its import."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+def test_the_reader_reads_every_benchmark_request(tmp_path, monkeypatch):
+    # one round of the benchmark's CLI requests, built by its own prepare,
+    # which runs each through cli.main: here the reader alone reads them
+    worker = _perfbench_worker()
+    parser = cli.build_parser()
+    seen = []
+
+    def read_only(argv):
+        args = cli.read_argv(argv)
+        assert args is not None and vars(args) == _argparse_vars(parser, argv), argv
+        seen.append(argv[0])
+        return 0
+
+    monkeypatch.setattr(worker, "import_checked", importlib.import_module)
+    monkeypatch.setattr(cli, "make_family", cli.make_family)  # prepare replaces it
+    monkeypatch.setattr(cli, "main", read_only)
+    worker.prepare(1, len(worker.CLI_SLOTS), str(tmp_path / "requests.json"))
+    assert sorted(seen) == sorted(slot[3] for slot in worker.CLI_SLOTS)
+
+
 def test_raw_parser():
     assert parse_raw_bpoly("b[2]*b[1]^2 + b[4]", 2) == BPoly(2, {(2, 1, 1): 1, (4,): 1})
     assert parse_raw_bpoly("3", 5) == BPoly(5, {(): 3})
@@ -590,7 +740,7 @@ def test_an_unwritable_cache_path_is_ignored(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["express", "P(6)*P(4)"], ["dimq", "-q", "4", "P(8)"]])
 def test_a_run_writes_nothing_under_home(tmp_path, argv):
-    env = dict(_subprocess_env(), HOME=str(tmp_path))
+    env = subprocess_env(HOME=str(tmp_path))
     env.pop("COBORDLAB_CACHE", None)
     proc = subprocess.run([sys.executable, "-m", "cobordlab.cli", *argv, "-p", "2"],
                           env=env, capture_output=True, text=True, timeout=120)
@@ -659,7 +809,7 @@ def test_contract_check_survives_optimize_flag():
         "cli.dim_q_via_generators = lambda x, q, fam=None: -7\n"
         "sys.exit(cli.main(['dimq', 'P(4)', '-p', '2', '-q', '2']))\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_subprocess_env(),
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=subprocess_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "dimension disagreement" in proc.stderr

@@ -2,18 +2,15 @@
 
 import hashlib
 import json
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from reference import all_partitions, reference_elimination, reference_express, refines
+from reference import all_partitions, reference_elimination, reference_express, refines, subprocess_env
 
-import cobordlab
 import cobordlab.partitions as pt
 from cobordlab import cobordism
 from cobordlab.acceptance import SEED
@@ -510,9 +507,7 @@ sys.exit(cli.main(["express", "-p", "2", "b[4]*b[2] + b[2]^3"]))
 
 
 def _express_with_a_bad_row(at, value):
-    src = str(Path(cobordlab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", CLEARING_ROW.format(at=at, value=value)], env=env,
+    proc = subprocess.run([sys.executable, "-c", CLEARING_ROW.format(at=at, value=value)], env=subprocess_env(),
                           capture_output=True, text=True, timeout=30)
     assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
     return proc.stderr

@@ -1,13 +1,11 @@
 """Equivariant Chow model: dividing polynomials, localization, and the f-divided reference."""
 
 import itertools
-import os
 import random
 import subprocess
 import sys
 from collections import Counter
 from math import comb
-from pathlib import Path
 
 import pytest
 import reference
@@ -20,9 +18,9 @@ from reference import (
     euler_inverse_eps,
     f_alpha_class,
     reduce_zeta,
+    subprocess_env,
 )
 
-import cobordlab
 from cobordlab import equivariant
 from cobordlab.equivariant import (
     _fixed_point_degrees,
@@ -233,11 +231,9 @@ def test_localization_sweep_small():
 def test_a_deep_sweep_visits_each_weight_multiset_once():
     # 275 multisets of length <= 22 at p = 2; walking the 2^23 - 2 ordered tuples took over 10 s of CPU
     resource = pytest.importorskip("resource")
-    src = str(Path(cobordlab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "from cobordlab.equivariant import localization_sweep_violations as s; print(len(s(2, 22)))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30,
-                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (2, 2)))
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+                          timeout=30, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (2, 2)))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", ""), proc.stderr
 
 

@@ -2,27 +2,25 @@
 
 Importing cobordlab.cli must not load dataclasses (which brings inspect, ast,
 dis and tokenize), fractions (which brings decimal), tempfile (which brings
-shutil) or the acceptance checks: a CLI request would pay for them on every
-start.  An express request must not load any of them either.  rho, bound
-and selftest import what they need inside the function, so they run here
-in fresh processes too.
+shutil), argparse (which brings gettext; the CLI builds its argparse parser
+only for help and usage errors) or the acceptance checks: a CLI request
+would pay for them on every start.  An express request must not load any of
+them either.  rho, bound and selftest import what they need inside the
+function, so they run here in fresh processes too.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-import cobordlab
+from reference import subprocess_env
 
-DEFERRED = ("dataclasses", "inspect", "fractions", "decimal", "tempfile", "cobordlab.acceptance")
-SRC = str(Path(cobordlab.__file__).resolve().parent.parent)
+DEFERRED = ("dataclasses", "inspect", "fractions", "decimal", "tempfile", "argparse", "cobordlab.acceptance")
 
 
 def _python(*args, **env):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])), **env)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=subprocess_env(**env), capture_output=True, text=True,
+                          timeout=120)
 
 
 # compare with what the interpreter had loaded before, so that modules a
