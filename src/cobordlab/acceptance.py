@@ -14,16 +14,9 @@ import time
 from collections import namedtuple
 
 from . import partitions as pt
-from .actions import (
-    CharacterGroup,
-    construct_action_H,
-    construct_action_P,
-    fixed_dim,
-    realize,
-    underlying_variety,
-)
+from .actions import CharacterGroup, construct_action, fixed_dim, realize, underlying_variety
 from .bounds import main_bound, milnor_divisibility_check, np_monomial_ratio_violations, small_fixed_divisibility
-from .chow import HAtom, PAtom, atom_class, chern_numbers
+from .chow import HAtom, PAtom, _h_atom, _p_atom, atom_class, chern_numbers
 from .cobordism import (
     NotInLp,
     dim_q_direct,
@@ -158,7 +151,7 @@ def check_fixed_locus_formulas(ctx: list) -> tuple[bool, str]:
     for q in (2, 3, 4, 8, 9):
         G = CharacterGroup.cyclic(q)
         for n in range(31):
-            action = construct_action_P(n, G)
+            action = construct_action(_p_atom(n), G)
             built.append((action, G))
             if fixed_dim(action) != n // q:
                 bad.append(("P", n, q))
@@ -166,7 +159,7 @@ def check_fixed_locus_formulas(ctx: list) -> tuple[bool, str]:
         G = CharacterGroup.cyclic(q)
         for n in range(9):
             for m in range(n + 1):
-                action = construct_action_H(n, m, G)
+                action = construct_action(_h_atom(n, m), G)
                 built.append((action, G))
                 got = fixed_dim(action)
                 if n + m == 0:

@@ -6,8 +6,8 @@ character multisets: every fixed-locus dimension formula used here depends
 only on multiplicities and equality of characters.  Characters are tuples
 of residues, one per invariant factor of the character group.
 
-The constructors build the actions whose fixed loci have dimension exactly
-floor(n/q) on P^n (and the matching two-case value on H(n, m)); realize
+construct_action builds the natural action on an atom, whose fixed locus
+has dimension exactly floor(n/q) on P^n and g(n, m, q) on H(n, m); realize
 assembles them into a disjoint union of products achieving dim_q for any
 class in the generator ring.
 """
@@ -178,55 +178,27 @@ def _character_multiset(dim_plus_one: int, G: CharacterGroup) -> tuple[Character
     return tuple(sorted(weights))
 
 
-def construct_action_P(n: int, G: CharacterGroup) -> PAct:
-    """Action on P^n with fixed locus of dimension exactly floor(n/q)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    action = PAct(_character_multiset(n + 1, G))
-    if fixed_dim(action) != n // G.q:
-        raise AssertionError(f"P({n}) action misses fixed dimension {n // G.q}")
-    return action
-
-
-def construct_action_H(n: int, m: int, G: CharacterGroup) -> HAct:
-    """Action on H(n, m), n <= m after normalization.
-
-    V and W follow the same first-characters-get-one-more rule as the P^n
-    case; with n <= m the prefix choice makes V a sub-multiset of W.  The
-    fixed dimension is floor((n+m-1)/q) when q divides both n and m, and
-    floor(n/q) + floor(m/q) otherwise; H(0,0) is empty (-inf).
-    """
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    n, m = min(n, m), max(n, m)
-    q = G.q
-    action = HAct(_character_multiset(n + 1, G), _character_multiset(m + 1, G))
-    if n + m > 0:
-        if n % q == 0 and m % q == 0:
-            expected = (n + m - 1) // q
-        else:
-            expected = n // q + m // q
-    else:
-        expected = NEG_INF
-    if fixed_dim(action) != expected:
-        raise AssertionError(f"H({n},{m}) action misses fixed dimension {expected}")
-    return action
-
-
 @cache
-def construct_action_L(i: int, G: CharacterGroup) -> PAct | HAct:
-    """Action on the weight-i generator variety with fixed dimension floor(i/q).
+def construct_action(atom: PAtom | HAtom, G: CharacterGroup) -> PAct | HAct:
+    """The natural action of G on an atom, checked against its fixed dimension.
 
-    Memoized per (i, G): actions are immutable records, so one instance
-    serves every monomial that uses the generator.
+    P(n) gets the weights of an (n+1)-dimensional representation, whose
+    fixed dimension is n // q.  H(n, m), n <= m, takes V and W by the same
+    rule, so the prefix choice makes V a sub-multiset of W, and its fixed
+    dimension is g = max(n//q + (m-1)//q, (n-1)//q + m//q); H(0,0) is empty
+    (-inf).  Memoized per (atom, G): actions are immutable records, so one
+    instance serves every monomial that uses the atom.
     """
-    atom = generator_atom(i, G.p)
+    q = G.q
     if isinstance(atom, PAtom):
-        action: PAct | HAct = construct_action_P(atom.n, G)
+        action: PAct | HAct = PAct(_character_multiset(atom.n + 1, G))
+        want = atom.n // q
     else:
-        action = construct_action_H(atom.n, atom.m, G)
-    if fixed_dim(action) != i // G.q:
-        raise AssertionError(f"weight-{i} generator action misses fixed dimension {i // G.q}")
+        n, m = atom.n, atom.m
+        action = HAct(_character_multiset(n + 1, G), _character_multiset(m + 1, G))
+        want = max(n // q + (m - 1) // q, (n - 1) // q + m // q) if m else NEG_INF
+    if fixed_dim(action) != want:
+        raise AssertionError(f"{atom} action misses fixed dimension {want}")
     return action
 
 
@@ -257,9 +229,15 @@ def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> 
     if fam is not None and fam is not standard_generators(p):
         raise ValueError("realize needs the standard family: its atoms are the standard generator varieties")
     P = express_required(x, fam)
+    # The action on the weight-i generator atom fixes floor(i/q), so each
+    # product fixes pi_q of its monomial and needs no check of its own.
+    # P(i) fixes i // q.  H(n, m) = H(p^s, (k-1)p^s), with n + m = i + 1,
+    # fixes g: if q | p^s, q divides n and m, and g = (n+m-1)//q = i//q; if
+    # q > p^s, g = m//q, and m mod q is a multiple of p^s, at most q - p^s,
+    # so adding p^s - 1 stays below the next multiple of q: m//q = i//q.
     parts = []
     for beta, mult in P.sorted_terms():
-        parts.append((mult, tuple(construct_action_L(part, G) for part in beta)))
+        parts.append((mult, tuple(construct_action(generator_atom(part, p), G) for part in beta)))
     action = Disjoint(tuple(parts))
     achieved = fixed_dim(action)
     if achieved != dim_q_direct(x, G.q):

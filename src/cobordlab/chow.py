@@ -31,6 +31,8 @@ class PAtom(pt.Record):
 
     def __init__(self, n: int):
         object.__setattr__(self, "n", n)
+        if n < 0:
+            raise ValueError("P index must be nonnegative")
 
     def __str__(self):
         return f"P({self.n})"
@@ -42,6 +44,8 @@ class HAtom(pt.Record):
     def __init__(self, n: int, m: int):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
+        if n < 0:
+            raise ValueError("H indices must be nonnegative")  # with n <= m, m is too
         if n > m:
             raise ValueError("HAtom stores n <= m; use make_h_atom to normalize")
 
@@ -54,8 +58,6 @@ Atom = PAtom | HAtom
 
 def make_h_atom(a: int, b: int) -> tuple[HAtom, bool]:
     """Normalized Milnor atom and whether the indices were swapped."""
-    if a < 0 or b < 0:
-        raise ValueError("H indices must be nonnegative")
     return (HAtom(a, b), False) if a <= b else (HAtom(b, a), True)
 
 

@@ -24,8 +24,8 @@ the reported obstruction is the coarsest one there.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from functools import cache
-from typing import Callable
 
 from . import partitions as pt
 from .chow import _h_atom, _p_atom, atom_class, product_class

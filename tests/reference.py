@@ -22,7 +22,10 @@ library route against an independent one.
 * Partition refinement, the check that monomial classes are triangular.
 * The fixed-locus dimension of an action node counted from its character
   multisets on every call, every (V, W) pair of a Milnor action tried, the
-  check of the memoized cobordlab.actions.fixed_dim and its closed form.
+  check of the memoized cobordlab.actions.fixed_dim and its closed form;
+  and the natural action's fixed dimension on an atom in its two cases, the
+  check of the one formula g(n, m, q) that cobordlab.actions.construct_action
+  states.
 * The term kernel on tuple partitions (a union is a sorted concatenation)
   and the canonical sort key of a tuple partition, the check of the packed
   keys that cobordlab.fpring and cobordlab.partitions work on.
@@ -662,6 +665,22 @@ def reference_fixed_dim(a):
             sums.append(pt.NEG_INF if pt.NEG_INF in dims else sum(dims))
         return max(sums, default=pt.NEG_INF)
     raise TypeError(f"not an action node: {a!r}")
+
+
+def reference_natural_fixed_dim(atom, q: int):
+    """The natural action's fixed dimension on an atom, H(n, m) by its two cases.
+
+    P(n) fixes n // q.  H(n, m) fixes (n+m-1) // q when q divides n and m,
+    and n // q + m // q otherwise; H(0,0) is empty.
+    """
+    if isinstance(atom, PAtom):
+        return atom.n // q
+    n, m = atom.n, atom.m
+    if n + m == 0:
+        return pt.NEG_INF
+    if n % q == 0 and m % q == 0:
+        return (n + m - 1) // q
+    return n // q + m // q
 
 
 # -- products and atoms, built afresh ----------------------------------------

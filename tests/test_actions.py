@@ -9,7 +9,12 @@ from collections import Counter
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from reference import reference_fixed_dim, reference_generator_atom, reference_underlying_variety
+from reference import (
+    reference_fixed_dim,
+    reference_generator_atom,
+    reference_natural_fixed_dim,
+    reference_underlying_variety,
+)
 
 import cobordlab.partitions as pt
 from cobordlab import acceptance
@@ -21,9 +26,7 @@ from cobordlab.actions import (
     HAct,
     PAct,
     action_to_json,
-    construct_action_H,
-    construct_action_L,
-    construct_action_P,
+    construct_action,
     fixed_dim,
     realize,
     underlying_variety,
@@ -36,6 +39,7 @@ from cobordlab.cobordism import (
     evaluate_gen_poly,
     generator_atom,
     perturbed_family,
+    random_gen_poly,
     standard_generators,
 )
 from cobordlab.fpring import NEG_INF, BPoly, GenPoly
@@ -95,24 +99,32 @@ def test_character_group_validation():
 
 
 def test_construct_action_p():
-    act = construct_action_P(4, CharacterGroup.cyclic(2))
+    act = construct_action(PAtom(4), CharacterGroup.cyclic(2))
     assert act.weights == ((0,), (0,), (0,), (1,), (1,))
     assert fixed_dim(act) == 2
-    assert fixed_dim(construct_action_P(0, CharacterGroup.cyclic(4))) == 0
-    with pytest.raises(ValueError):
-        construct_action_P(-1, CharacterGroup.cyclic(2))
+    assert fixed_dim(construct_action(PAtom(0), CharacterGroup.cyclic(4))) == 0
 
 
 def test_construct_action_h_formula():
     g2 = CharacterGroup.cyclic(2)
-    assert fixed_dim(construct_action_H(2, 4, g2)) == 2  # both divisible: (2+4-1)//2
-    assert fixed_dim(construct_action_H(2, 3, g2)) == 2  # 2//2 + 3//2
-    assert fixed_dim(construct_action_H(1, 1, g2)) == 0
-    assert fixed_dim(construct_action_H(0, 0, g2)) == NEG_INF
-    assert fixed_dim(construct_action_H(4, 2, g2)) == 2  # normalizes n <= m
-    for n, m in ((-1, 2), (2, -1)):
-        with pytest.raises(ValueError, match="^indices must be nonnegative$"):
-            construct_action_H(n, m, g2)
+    assert fixed_dim(construct_action(HAtom(2, 4), g2)) == 2  # both divisible: (2+4-1)//2
+    assert fixed_dim(construct_action(HAtom(2, 3), g2)) == 2  # 2//2 + 3//2
+    assert fixed_dim(construct_action(HAtom(1, 1), g2)) == 0
+    assert fixed_dim(construct_action(HAtom(0, 0), g2)) == NEG_INF
+
+
+@pytest.mark.parametrize(
+    "factors", [(2,), (4,), (8,), (3,), (9,), (5,), (25,), (27,),
+                (2, 2), (2, 4), (3, 3), (2, 2, 2), (3, 9), (5, 5), (2, 2, 4)],
+)
+def test_construct_action_fixes_the_two_case_reference(factors):
+    # every P(n), n <= 64, and every H(n, m), n <= m <= 40, against the two-case
+    # formula: the builder states g, so this cross-checks g against it; built
+    # past the memo, which would keep all 13,890 actions (about 24 MB) for the session
+    G = CharacterGroup(factors)
+    atoms = [PAtom(n) for n in range(65)] + [HAtom(n, m) for m in range(41) for n in range(m + 1)]
+    for atom in atoms:
+        assert fixed_dim(construct_action.__wrapped__(atom, G)) == reference_natural_fixed_dim(atom, G.q), (factors, atom)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
@@ -128,7 +140,7 @@ def test_natural_milnor_action_fixes_g_and_bounds_dim_q(p, power):
         for n in range(m + 1):
             x = atom_class(HAtom(n, m), p)
             if not x.is_zero():
-                got = fixed_dim(construct_action_H(n, m, G))
+                got = fixed_dim(construct_action(HAtom(n, m), G))
                 assert got == max(n // q + (m - 1) // q, (n - 1) // q + m // q), (q, n, m)
                 assert got >= dim_q_direct(x, q), (q, n, m)
                 if got > dim_q_direct(x, q):
@@ -136,18 +148,24 @@ def test_natural_milnor_action_fixes_g_and_bounds_dim_q(p, power):
     assert above == ([(5, 7), (5, 16)] if q == 3 else [])
 
 
+def generator_action(i, G):
+    """The action realize builds on the weight-i generator variety."""
+    return construct_action(generator_atom(i, G.p), G)
+
+
 def test_construct_action_l():
-    assert fixed_dim(construct_action_L(5, CharacterGroup.cyclic(8))) == 0
-    assert fixed_dim(construct_action_L(4, CharacterGroup.cyclic(4))) == 1
-    act = construct_action_L(5, CharacterGroup.cyclic(2))
+    assert fixed_dim(generator_action(5, CharacterGroup.cyclic(8))) == 0
+    assert fixed_dim(generator_action(4, CharacterGroup.cyclic(4))) == 1
+    act = generator_action(5, CharacterGroup.cyclic(2))
     assert isinstance(act, HAct)  # 5+1 = 3*2 forces the Milnor generator
     assert len(act.V) == 3 and len(act.W) == 5
-    with pytest.raises(ValueError):
-        construct_action_L(2, CharacterGroup.cyclic(3))  # 2 not in N_3
-    # memoized per (i, G): the same record, and a bad index still refused
-    assert construct_action_L(5, CharacterGroup.cyclic(2)) is act
-    with pytest.raises(ValueError):
-        construct_action_L(2, CharacterGroup.cyclic(3))
+    with pytest.raises(ValueError, match="not a generator index"):
+        generator_action(2, CharacterGroup.cyclic(3))  # 2 not in N_3
+    # memoized per (atom, G): the same record, also for an equal atom built apart
+    assert generator_action(5, CharacterGroup.cyclic(2)) is act
+    assert construct_action(HAtom(2, 4), CharacterGroup((2,))) is act
+    with pytest.raises(ValueError, match="not a generator index"):
+        generator_action(2, CharacterGroup.cyclic(3))
 
 
 @settings(deadline=None)
@@ -158,22 +176,22 @@ def test_construct_action_l():
 def test_product_fixed_dim_is_pi_q(parts, q):
     beta = tuple(sorted(parts, reverse=True))
     g = CharacterGroup.cyclic(q)
-    node = Disjoint(((1, tuple(construct_action_L(i, g) for i in beta)),))
+    node = Disjoint(((1, tuple(generator_action(i, g) for i in beta)),))
     assert fixed_dim(node) == pt.pi_q(beta, q)
 
 
 def test_fixed_dim_combinators():
     g = CharacterGroup.cyclic(2)
-    p1 = (construct_action_P(2, g),)
-    p2 = (construct_action_P(4, g),)
+    p1 = (construct_action(PAtom(2), g),)
+    p2 = (construct_action(PAtom(4), g),)
     assert fixed_dim(Disjoint(((1, p1), (3, p2)))) == 2
     assert fixed_dim(Disjoint(())) == NEG_INF
     assert fixed_dim(Disjoint(((1, ()),))) == 0  # the empty product is a point
     # an empty-fixed factor swallows the whole product, but not the other parts
     empty = HAct(((0,),), ((0,),))
     assert fixed_dim(empty) == NEG_INF
-    assert fixed_dim(Disjoint(((1, (construct_action_P(4, g), empty)),))) == NEG_INF
-    assert fixed_dim(Disjoint(((1, (construct_action_P(4, g), empty)), (2, p1)))) == 1
+    assert fixed_dim(Disjoint(((1, (construct_action(PAtom(4), g), empty)),))) == NEG_INF
+    assert fixed_dim(Disjoint(((1, (construct_action(PAtom(4), g), empty)), (2, p1)))) == 1
 
 
 def test_memoized_fixed_dim_matches_the_counter_formula():
@@ -213,7 +231,7 @@ def test_action_node_validation():
         PAct(((1,), (0,)))  # stored unsorted
     with pytest.raises(ValueError):
         HAct(((0,), (0,)), ((0,),))  # V not inside W
-    p2 = construct_action_P(2, CharacterGroup.cyclic(2))
+    p2 = construct_action(PAtom(2), CharacterGroup.cyclic(2))
     with pytest.raises(ValueError, match="disjoint parts must be products"):
         Disjoint(((1, p2),))  # a bare action, not a tuple of factors
     with pytest.raises(ValueError, match="product factors must be atomic actions"):
@@ -227,8 +245,8 @@ def test_action_node_validation():
 
 def test_underlying_variety():
     g = CharacterGroup.cyclic(2)
-    assert str(underlying_variety(construct_action_L(5, g))) == "H(2,4)"
-    node = Disjoint(((1, (construct_action_P(2, g), construct_action_L(5, g))),))
+    assert str(underlying_variety(generator_action(5, g))) == "H(2,4)"
+    node = Disjoint(((1, (construct_action(PAtom(2), g), generator_action(5, g))),))
     assert str(underlying_variety(node)) == "P(2)*H(2,4)"
     # every generator action sits on the standard generator variety
     for p in (2, 3, 5):
@@ -237,7 +255,7 @@ def test_underlying_variety():
             for i in range(1, 41):
                 if not pt.in_np(i, p):
                     continue
-                act = construct_action_L(i, g)
+                act = generator_action(i, g)
                 assert underlying_variety(act) == VExpr(((1, (generator_atom(i, p),)),)), (p, q, i)
                 assert fixed_dim(act) == i // q, (p, q, i)
 
@@ -294,6 +312,29 @@ def test_realize_degenerate_classes():
     assert achieved == NEG_INF and action.parts == ()
 
 
+@pytest.mark.parametrize("factors", [(2, 2), (2, 4), (3, 3), (2, 2, 2), (3, 9), (5, 5), (2, 2, 4)])
+def test_realize_keeps_its_contract_on_non_cyclic_groups(factors):
+    # evidence that the natural actions reach dim_q for non-cyclic G too, not
+    # a proof that dim_q is the least fixed dimension there; every other class
+    # gets a generator of weight q to q + 8, so that dim_q is positive for q > 16
+    G = CharacterGroup(factors)
+    p, q = G.p, G.q
+    rng = random.Random(sum(factors))
+    fam = standard_generators(p)
+    heavy = [i for i in range(q, q + 9) if pt.in_np(i, p)]
+    positive = 0
+    for k in range(30):
+        gp = random_gen_poly(rng, p, 16)
+        if k % 2:
+            gp = gp + GenPoly(p, {(rng.choice(heavy),): rng.randrange(1, p)})
+        x = evaluate_gen_poly(gp, fam)
+        action, achieved = realize(x, G)
+        assert achieved == dim_q_direct(x, q), (factors, x)
+        assert chern_numbers(underlying_variety(action), p) == x, (factors, x)
+        positive += achieved > 0
+    assert positive >= 15, factors
+
+
 def test_realize_rejections():
     g2 = CharacterGroup.cyclic(2)
     with pytest.raises(NotInLp):
@@ -310,9 +351,9 @@ def test_realize_rejections():
 
 def test_action_to_json_shapes():
     g = CharacterGroup.cyclic(2)
-    blob = action_to_json(construct_action_P(2, g))
+    blob = action_to_json(construct_action(PAtom(2), g))
     assert json.dumps(blob) == '{"type": "P", "weights": [[0], [0], [1]]}'
-    h = action_to_json(construct_action_L(5, g))
+    h = action_to_json(generator_action(5, g))
     assert h["type"] == "H" and len(h["V"]) == 3 and len(h["W"]) == 5
     action, _ = realize(chern_numbers("P(4)", 2), g)
     nested = action_to_json(action)

@@ -3,7 +3,8 @@
 Importing cobordlab.cli must not load dataclasses (which brings inspect, ast,
 dis and tokenize), fractions (which brings decimal), tempfile (which brings
 shutil), argparse (which brings gettext; the CLI builds its argparse parser
-only for help and usage errors) or the acceptance checks: a CLI request
+only for help and usage errors), typing (an annotation takes Callable from
+collections.abc, which is already loaded) or the acceptance checks: a CLI request
 would pay for them on every start.  An express request must not load any of
 them either.  rho, bound and selftest import what they need inside the
 function, so they run here in fresh processes too.
@@ -15,7 +16,7 @@ import sys
 
 from reference import subprocess_env
 
-DEFERRED = ("dataclasses", "inspect", "fractions", "decimal", "tempfile", "argparse", "cobordlab.acceptance")
+DEFERRED = ("dataclasses", "inspect", "fractions", "decimal", "tempfile", "argparse", "typing", "cobordlab.acceptance")
 
 
 def _python(*args, **env):

@@ -191,6 +191,9 @@ def test_keywords_and_defaults():
     "build,message",
     [
         pytest.param(lambda: HAtom(3, 2), "n <= m", id="HAtom-order"),
+        pytest.param(lambda: PAtom(-1), "^P index must be nonnegative$", id="PAtom-negative"),
+        pytest.param(lambda: HAtom(-1, 2), "^H indices must be nonnegative$", id="HAtom-negative-n"),
+        pytest.param(lambda: HAtom(-2, -1), "^H indices must be nonnegative$", id="HAtom-negative-both"),
         pytest.param(lambda: CharacterGroup(()), "at least one invariant factor", id="CharacterGroup-empty"),
         pytest.param(lambda: CharacterGroup((2, 3)), "powers of one prime", id="CharacterGroup-two-primes"),
         pytest.param(lambda: CharacterGroup((6,)), "not a prime power", id="CharacterGroup-6"),
