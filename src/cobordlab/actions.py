@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .chow import HAtom, PAtom, VExpr, _h_atom, _p_atom, chern_numbers
 from .cobordism import GeneratorFamily, dim_q_direct, express_required, generator_atom, standard_generators
@@ -178,7 +178,7 @@ def _character_multiset(dim_plus_one: int, G: CharacterGroup) -> tuple[Character
     return tuple(sorted(weights))
 
 
-@cache
+@lru_cache(maxsize=1 << 12)
 def construct_action(atom: PAtom | HAtom, G: CharacterGroup) -> PAct | HAct:
     """The natural action of G on an atom, checked against its fixed dimension.
 
@@ -186,8 +186,8 @@ def construct_action(atom: PAtom | HAtom, G: CharacterGroup) -> PAct | HAct:
     fixed dimension is n // q.  H(n, m), n <= m, takes V and W by the same
     rule, so the prefix choice makes V a sub-multiset of W, and its fixed
     dimension is g = max(n//q + (m-1)//q, (n-1)//q + m//q); H(0,0) is empty
-    (-inf).  Memoized per (atom, G): actions are immutable records, so one
-    instance serves every monomial that uses the atom.
+    (-inf).  Memoized for the last 4096 (atom, G): actions are immutable
+    records, so one instance serves every monomial that uses the atom.
     """
     q = G.q
     if isinstance(atom, PAtom):

@@ -17,7 +17,7 @@ from math import ceil
 from . import partitions as pt
 from .cobordism import GeneratorFamily, dim_q_direct, express_required
 from .fpring import NEG_INF, BPoly
-from .partitions import IndexSet, Partition, Record, rho_q
+from .partitions import Partition, Record, np_heads, rho_q
 
 
 def check_order(p: int, q: int) -> int:
@@ -91,7 +91,7 @@ def ratio_bound(x: BPoly, A, s: int, q: int, fam: GeneratorFamily | None = None)
         return BoundReport(
             NEG_INF, f"no monomial with at most {s} factors indexed in A", None, inputs
         )
-    rho = rho_q(IndexSet.np_minus(p, excluded=frozenset(A)), q)
+    rho = rho_q(np_heads(p, q, frozenset(A)), q)
     bound = ceil(rho * (n - (q - 1) * s))
     return BoundReport(
         bound, f"monomial with at most {s} factors indexed in A", certificate, inputs
@@ -152,7 +152,7 @@ def np_monomial_ratio_violations(p: int, q: int, max_weight: int) -> list[Partit
     Mathematically empty for every (p, q); the exhaustive scan is the
     machine check.  With p = q = 2 the threshold is ceil(2n/5).
     """
-    rho = rho_q(IndexSet.np_minus(p), q)
+    rho = rho_q(np_heads(p, q), q)
     violations = []
     for n in range(1, max_weight + 1):
         for beta in pt.np_partitions(n, p):

@@ -34,7 +34,7 @@ from .cobordism import (
 )
 from .equivariant import localization_check
 from .fpring import NEG_INF, BPoly, format_bpoly, format_genpoly
-from .partitions import IndexSet, check_prime, rho_q
+from .partitions import check_prime, np_heads, rho_q
 
 RAW_DEFAULT_WEIGHT = 16
 
@@ -238,10 +238,10 @@ def cmd_rho(args) -> int:
     if (args.members is None) == (args.np_minus is None):
         raise ValueError("give exactly one of --members or --np-minus")
     if args.members is not None:
-        index_set = IndexSet.finite(_parse_int_list(args.members))
+        members = _parse_int_list(args.members)
     else:
-        index_set = IndexSet.np_minus(args.prime, _parse_int_list(args.np_minus))
-    value = rho_q(index_set, q)
+        members = np_heads(args.prime, q, frozenset(_parse_int_list(args.np_minus)))
+    value = rho_q(members, q)
     emit(args, lambda: {"rho": str(value)}, lambda: f"rho_{q} = {value}")
     return 0
 

@@ -6,8 +6,8 @@ so partitions_of(4) runs (4,), (3,1), (2,2), (2,1,1), (1,1,1,1).
 
 Besides enumeration this module provides the packed integer keys that
 stand for partitions inside the term kernel and their canonical order, the
-floor-sum statistic pi_q, the generator index sets N_p, the exact ratio
-rho_q of an index set, and the Record base of the value types.
+floor-sum statistic pi_q, the generator index sets N_p and their heads mod
+q, the exact ratio rho_q, and the Record base of the value types.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ NEG_INF = float("-inf")
 
 # partitions_of and chow.atom_class refuse weights above this
 DEFAULT_WEIGHT_CAP = 64
-
-# safety margin for the rho_q residue scan, which stops at its first ratio 0
-# or once every residue class mod q has met the cofinite index set
-_RHO_SCAN_LIMIT = 10**6
 
 
 def is_partition(alpha) -> bool:
@@ -123,8 +119,8 @@ def max_pi_q(keys, q: int):
 def partitions_of(n: int, parts=None, max_len: int | None = None) -> list[Partition]:
     """All partitions of n in canonical order, optionally with restricted parts and at most max_len parts.
 
-    parts may be None (no restriction), an IndexSet, or any container
-    supporting membership tests for integers 1..n.  Nothing is memoized
+    parts may be None (no restriction) or any container supporting
+    membership tests for integers 1..n.  Nothing is memoized
     here: np_partitions and chow's layer tables keep what they ask for.
     """
     if n > DEFAULT_WEIGHT_CAP:
@@ -154,8 +150,9 @@ def partitions_of(n: int, parts=None, max_len: int | None = None) -> list[Partit
 
 @cache
 def np_partitions(n: int, p: int) -> tuple[Partition, ...]:
-    """partitions_of(n, parts=IndexSet.np_minus(p)) as a tuple, memoized per (n, p)."""
-    return tuple(partitions_of(n, parts=IndexSet.np_minus(p)))
+    """The partitions of n into parts from N_p, as a tuple, memoized per (n, p)."""
+    check_prime(p)
+    return tuple(partitions_of(n, parts=frozenset(i for i in range(1, n + 1) if in_np(i, p))))
 
 
 @cache
@@ -222,15 +219,10 @@ def in_np(i: int, p: int) -> bool:
     return i >= 1 and not is_power_of(i + 1, p)
 
 
-def outside_np(n: int, p: int) -> frozenset[int]:
-    """The indices 1..n that are not in N_p."""
-    return frozenset(i for i in range(1, n + 1) if not in_np(i, p))
-
-
 @cache
 def outside_mask(p: int) -> int:
     """The key fields of the parts outside N_p: a packed key meets the mask iff it owns such a part."""
-    return sum(KEY_LIMIT << KEY_BITS * (i + 1) for i in outside_np(KEY_LIMIT, p))
+    return sum(KEY_LIMIT << KEY_BITS * (i + 1) for i in range(1, KEY_LIMIT + 1) if not in_np(i, p))
 
 
 class Record:
@@ -281,71 +273,44 @@ class Record:
         return type(self), self._values(self)
 
 
-class IndexSet(Record):
-    """A set of generator indices: explicit and finite, or cofinite in N_p.
-
-    The cofinite form is N_p minus a finite exclusion set, where N_p is the
-    set of i >= 1 with i+1 not a power of p.
-    """
-
-    __slots__ = ("members", "p", "excluded")
-
-    def __init__(self, members: frozenset[int] | None = None, p: int | None = None,
-                 excluded: frozenset[int] = frozenset()):
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "excluded", excluded)
-
-    @staticmethod
-    def finite(members) -> "IndexSet":
-        ms = frozenset(members)
-        if any((not isinstance(m, int)) or m < 1 for m in ms):
-            raise ValueError("index sets contain positive integers only")
-        return IndexSet(members=ms)
-
-    @staticmethod
-    def np_minus(p: int, excluded=()) -> "IndexSet":
-        check_prime(p)
-        return IndexSet(p=p, excluded=frozenset(excluded))
-
-    def __contains__(self, i: int) -> bool:
-        if self.members is not None:
-            return i in self.members
-        return in_np(i, self.p) and i not in self.excluded
-
-
-def rho_q(index_set: IndexSet, q: int):
-    """Exact infimum of floor(i/q)/i over the index set, as a Fraction.
-
-    For an empty set the value is 1/q.  For a cofinite set the infimum is
-    attained on the smallest member of some residue class mod q, because
-    a -> a/(aq+r) is increasing in a; scanning residue classes up to their
-    first members is exact, and the scan stops early at a ratio of 0.
-    """
+def rho_q(members, q: int):
+    """Exact minimum of floor(i/q)/i over a finite set of indices, as a Fraction; 1/q for none."""
     # imported here, so that importing the package does not load fractions
     # and decimal; of the CLI subcommands only rho and bound get this far
     from fractions import Fraction
 
+    members = tuple(members)
+    if any(not isinstance(i, int) or i < 1 for i in members):
+        raise ValueError("index sets contain positive integers only")
     if q < 1:
         raise ValueError("q must be a positive integer")
-    if index_set.members is not None:
-        if not index_set.members:
-            return Fraction(1, q)
-        return min(Fraction(i // q, i) for i in index_set.members)
-    best = None
-    seen_residues: set[int] = set()
-    i = 1
-    while len(seen_residues) < q and best != 0:  # no member beats a ratio of 0
-        if i > _RHO_SCAN_LIMIT:
-            raise AssertionError("rho_q residue scan failed to terminate")
-        r = i % q
-        if r not in seen_residues and i in index_set:
-            seen_residues.add(r)
-            ratio = Fraction(i // q, i)
-            if best is None or ratio < best:
-                best = ratio
-        i += 1
-    return best
+    return min((Fraction(i // q, i) for i in members), default=Fraction(1, q))
+
+
+def np_heads(p: int, q: int, excluded=()) -> tuple[int, ...]:
+    """The first member of N_p minus excluded in each residue class mod q: rho_q of these is that set's.
+
+    For i = aq + r, floor(i/q)/i = a/(aq + r) grows with a, so a class's
+    first member reaches its infimum.  A first member below q has ratio 0,
+    and it is returned alone.  Every head lies below M + 3q + 1, M the
+    largest of excluded and 0: past M a non-member is p^k - 1, and two of
+    them q apart satisfy p^a (p^d - 1) = q, which fixes a = v_p(q) and d, so
+    of the three terms i, i + q, i + 2q of a class past M one is a member.
+    For q a power of p that pair is q - 1, 2q - 1 with p = 2, and 3q - 1 is
+    never p^k - 1.
+    """
+    check_prime(p)
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    heads: dict[int, int] = {}
+    for i in range(1, max((0, *excluded)) + 3 * q + 1):
+        if i % q not in heads and in_np(i, p) and i not in excluded:
+            if i < q:
+                return (i,)
+            heads[i % q] = i
+            if len(heads) == q:
+                return tuple(heads.values())
+    raise AssertionError(f"a residue class mod {q} has no member of N_{p} below the proven bound")
 
 
 def canonical_order(keys) -> list[int]:

@@ -42,6 +42,9 @@ library route against an independent one.
   cobordlab.cobordism; and the triangular solve that clears one length at
   a time, fewest parts first, on tuple partitions, the check of the
   largest-key solve there.
+* The ratio rho_q of N_p minus a finite set as a brute-force minimum over
+  a long range, the check of the residue-class heads of
+  cobordlab.partitions.np_heads.
 * A raw b[...] parser with its own tokenizer and token loop, the check of
   cobordlab.cli.parse_raw_bpoly on the scanner it shares with the variety
   grammar.
@@ -53,6 +56,7 @@ package in a fresh interpreter.
 import os
 import re
 from collections import Counter
+from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, factorial
 from pathlib import Path
@@ -681,6 +685,30 @@ def reference_natural_fixed_dim(atom, q: int):
     if n % q == 0 and m % q == 0:
         return (n + m - 1) // q
     return n // q + m // q
+
+
+# -- the ratio rho_q of N_p minus a finite set, by brute force ----------------
+
+
+def brute_force_np_rho(p: int, q: int, excluded) -> Fraction:
+    """min floor(i/q)/i over N_p minus excluded for i in range(1, max(excluded) + 20q).
+
+    N_p is read off the powers of p (i is out when i + 1 is one), and the
+    ratios are compared by cross-multiplication, so no Fraction is built
+    per index.
+    """
+    top = max(excluded, default=0) + 20 * q
+    powers, power = set(), 1
+    while power <= top:
+        powers.add(power)
+        power *= p
+    best_num, best_den = 1, 1  # no ratio exceeds 1
+    for i in range(1, top):
+        if i + 1 in powers or i in excluded:
+            continue
+        if i // q * best_den < best_num * i:
+            best_num, best_den = i // q, i
+    return Fraction(best_num, best_den)
 
 
 # -- products and atoms, built afresh ----------------------------------------

@@ -120,11 +120,24 @@ def test_construct_action_h_formula():
 def test_construct_action_fixes_the_two_case_reference(factors):
     # every P(n), n <= 64, and every H(n, m), n <= m <= 40, against the two-case
     # formula: the builder states g, so this cross-checks g against it; built
-    # past the memo, which would keep all 13,890 actions (about 24 MB) for the session
+    # past the memo, whose 4,096 entries these 13,890 actions would churn
     G = CharacterGroup(factors)
     atoms = [PAtom(n) for n in range(65)] + [HAtom(n, m) for m in range(41) for n in range(m + 1)]
     for atom in atoms:
         assert fixed_dim(construct_action.__wrapped__(atom, G)) == reference_natural_fixed_dim(atom, G.q), (factors, atom)
+
+
+def test_construct_action_memo_is_bounded():
+    # 4,200 distinct (atom, G) pairs against a memo of 4,096: it stays within its
+    # bound, and the first pair, evicted as the least recently used, is rebuilt equal
+    groups = [CharacterGroup.cyclic(q) for q in (2, 4, 8, 16, 3, 9, 27, 5, 25, 7)]
+    pairs = [(PAtom(n), G) for G in groups for n in range(420)]
+    first = construct_action(*pairs[0])
+    for pair in pairs:
+        construct_action(*pair)
+    assert construct_action.cache_info().currsize <= 4096
+    again = construct_action(*pairs[0])
+    assert again == first and again is not first
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

@@ -6,10 +6,10 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
-from reference import canonical_term_key, refines, sub_multisets
+from reference import brute_force_np_rho, canonical_term_key, refines, sub_multisets
 
 import cobordlab.partitions as pt
-from cobordlab.partitions import IndexSet, rho_q
+from cobordlab.partitions import np_heads, rho_q
 
 # weakly decreasing tuples of small positive parts
 partition_st = st.lists(st.integers(1, 8), min_size=0, max_size=5).map(
@@ -18,6 +18,11 @@ partition_st = st.lists(st.integers(1, 8), min_size=0, max_size=5).map(
 
 # classical p(n) for n = 0..10
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def np_set(n, p):
+    """The members of N_p up to n, as a plain set."""
+    return frozenset(i for i in range(1, n + 1) if pt.in_np(i, p))
 
 
 def test_partitions_of_counts():
@@ -39,15 +44,14 @@ def test_partitions_of_canonical_order():
 def test_partitions_of_restricted_parts():
     assert pt.partitions_of(9, parts=[2, 5]) == [(5, 2, 2)]
     assert pt.partitions_of(7, parts={2, 4}) == []
-    # IndexSet works as a parts filter
-    n2 = IndexSet.np_minus(2)
-    assert pt.partitions_of(4, parts=n2) == [(4,), (2, 2)]
+    # a plain set of N_2's members works as a parts filter
+    assert pt.partitions_of(4, parts=np_set(4, 2)) == [(4,), (2, 2)]
 
 
 def test_partitions_of_edges():
     assert pt.partitions_of(0) == [()]
     assert pt.partitions_of(-3) == []
-    n2 = IndexSet.np_minus(2)
+    n2 = np_set(8, 2)
     assert pt.partitions_of(0, parts=n2) == [()]
     assert pt.partitions_of(-3, parts=n2) == []
     with pytest.raises(ValueError):
@@ -70,11 +74,11 @@ def test_a_length_cap_keeps_the_partitions_within_it_in_order():
         for n in range(13):
             for cap in range(n + 1):
                 want = [b for b in pt.np_partitions(n, p) if len(b) <= cap]
-                assert pt.partitions_of(n, parts=IndexSet.np_minus(p), max_len=cap) == want, (p, n, cap)
+                assert pt.partitions_of(n, parts=np_set(n, p), max_len=cap) == want, (p, n, cap)
 
 
 def test_partitions_of_memo_is_not_shared_with_callers():
-    n2 = IndexSet.np_minus(2)
+    n2 = np_set(6, 2)
     want_all, want_n2 = list(pt.partitions_of(6)), list(pt.partitions_of(6, parts=n2))
     for got in (pt.partitions_of(6), pt.partitions_of(6, parts=n2)):
         got.append((99,))
@@ -216,45 +220,81 @@ def test_is_prime_accepts_large_primes():
 
 
 def test_index_set_membership():
-    fin = IndexSet.finite([3, 5])
-    assert 3 in fin and 5 in fin and 4 not in fin
-    cof = IndexSet.np_minus(2, [5])
-    assert 2 in cof and 4 in cof
-    assert 5 not in cof  # excluded
-    assert 7 not in cof  # not in N_2 to begin with
+    # the heads of N_2 minus {5} mod 2: 2 heads class 0, and class 1 skips 1, 3
+    # and 7 (outside N_2) and 5 (excluded) to reach 9
+    assert np_heads(2, 2, frozenset({5})) == (2, 9)
+    assert np_heads(2, 2) == (2, 5)
+    # a first member below q has ratio 0 and comes alone: 1 is in N_3
+    assert np_heads(3, 3) == (1,)
+    assert np_heads(3, 3, frozenset({1, 2, 3})) == (4, 5, 6)
+    # every residue class has a head, and each is a member
+    heads = np_heads(3, 9, frozenset(range(1, 12)))
+    assert sorted(h % 9 for h in heads) == list(range(9))
+    assert all(pt.in_np(h, 3) and h >= 12 for h in heads)
 
 
 def test_index_set_validation():
-    with pytest.raises(ValueError):
-        IndexSet.finite([0])
-    with pytest.raises(ValueError):
-        IndexSet.finite([-2, 3])
-    with pytest.raises(ValueError):
-        IndexSet.np_minus(4)
+    members = "^index sets contain positive integers only$"
+    order = "^q must be a positive integer$"
+    for call, message in [
+        (lambda: rho_q([0], 2), members),
+        (lambda: rho_q([-2, 3], 2), members),
+        (lambda: rho_q([1.5], 2), members),
+        (lambda: rho_q([3], 0), order),
+        (lambda: rho_q([], -1), order),
+        (lambda: np_heads(4, 4), "^4 is not prime$"),
+        (lambda: np_heads(2, 0), order),
+        (lambda: np_heads(3, -3, frozenset({1})), order),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_rho_finite():
-    assert rho_q(IndexSet.finite({6, 8}), 3) == Fraction(1, 4)
-    assert rho_q(IndexSet.finite([]), 3) == Fraction(1, 3)
-    assert rho_q(IndexSet.finite({1, 2}), 5) == 0
+    assert rho_q({6, 8}, 3) == Fraction(1, 4)
+    assert rho_q([], 3) == Fraction(1, 3)
+    assert rho_q({1, 2}, 5) == 0
 
 
 def test_rho_cofinite():
-    assert rho_q(IndexSet.np_minus(2), 2) == Fraction(2, 5)
-    assert rho_q(IndexSet.np_minus(2, [5]), 2) == Fraction(4, 9)
+    assert rho_q(np_heads(2, 2), 2) == Fraction(2, 5)
+    assert rho_q(np_heads(2, 2, frozenset({5})), 2) == Fraction(4, 9)
     # 1 is in N_3 and floor(1/3) = 0, so the infimum collapses
-    assert rho_q(IndexSet.np_minus(3), 3) == 0
+    assert rho_q(np_heads(3, 3), 3) == 0
+    # an order of 2^40 answers at once: 2 is in N_2 and below q
+    assert np_heads(2, 2**40) == (2,)
+    assert rho_q(np_heads(2, 2**40, frozenset({1, 2})), 2**40) == 0
+    # negative exclusions exclude nothing and do not shorten the scan
+    assert np_heads(2, 2, frozenset({-7})) == np_heads(2, 2)
     with pytest.raises(ValueError):
-        rho_q(IndexSet.np_minus(2), 0)
+        rho_q(np_heads(2, 2), 0)
+
+
+def test_np_heads_reach_the_brute_force_minimum():
+    # 800 seeded cases, p in {2, 3, 5, 7}, q = p^0 .. p^4: an exclusion set is
+    # either scattered or an initial run past q, so both the ratio-0 answer and
+    # heads past max(excluded) are reached; against a scan of range(1, max + 20q)
+    rng = random.Random(36)
+    for p in (2, 3, 5, 7):
+        for k in range(5):
+            q = p**k
+            for case in range(40):
+                excluded = set(rng.sample(range(1, 3 * q + 10), rng.randint(0, 6)))
+                if case % 2:
+                    excluded |= set(range(1, q + rng.randrange(2 * q + 1)))
+                excluded = frozenset(excluded)
+                heads = np_heads(p, q, excluded)
+                assert all(pt.in_np(h, p) and h not in excluded for h in heads), (p, q, excluded)
+                assert rho_q(heads, q) == brute_force_np_rho(p, q, excluded), (p, q, excluded)
 
 
 @given(st.sets(st.integers(1, 40), min_size=1, max_size=8), st.integers(1, 5))
 def test_rho_is_the_min_ratio(members, q):
-    val = rho_q(IndexSet.finite(members), q)
+    val = rho_q(members, q)
     assert val == min(Fraction(i // q, i) for i in members)
     # shrinking the set can only raise the infimum
     sub = set(list(members)[: max(1, len(members) // 2)])
-    assert rho_q(IndexSet.finite(sub), q) >= val
+    assert rho_q(sub, q) >= val
 
 
 def test_canonical_term_key_order():
@@ -268,8 +308,8 @@ def test_np_partitions_is_the_restricted_enumeration():
         for n in range(21):
             got = pt.np_partitions(n, p)
             assert isinstance(got, tuple) and got is pt.np_partitions(n, p)
-            assert list(got) == pt.partitions_of(n, parts=IndexSet.np_minus(p))
-            assert pt.outside_np(n, p) == {i for i in range(1, n + 1) if not pt.in_np(i, p)}
+            assert list(got) == pt.partitions_of(n, parts=np_set(n, p))
+            assert all(pt.in_np(part, p) for beta in got for part in beta)
     with pytest.raises(ValueError):
         pt.np_partitions(pt.DEFAULT_WEIGHT_CAP + 1, 2)
     with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from reference import ChowModel, KClass
 from cobordlab.actions import CharacterGroup, Disjoint, HAct, PAct
 from cobordlab.bounds import BoundReport
 from cobordlab.chow import HAtom, PAtom, VExpr
-from cobordlab.partitions import IndexSet, Record
+from cobordlab.partitions import Record
 
 MODEL = ChowModel(2, (3,))
 P1 = PAct(((0,), (1,)))
@@ -25,11 +25,9 @@ ATOMS = (PAtom(1), HAtom(2, 3))
 
 # (record, its field values in slot order, its exact repr)
 CASES = [
-    (IndexSet(), (None, None, frozenset()), "IndexSet(members=None, p=None, excluded=frozenset())"),
-    (IndexSet.finite([2]), (frozenset({2}), None, frozenset()),
-     "IndexSet(members=frozenset({2}), p=None, excluded=frozenset())"),
-    (IndexSet.np_minus(3, [5]), (None, 3, frozenset({5})),
-     "IndexSet(members=None, p=3, excluded=frozenset({5}))"),
+    (PAtom(0), (0,), "PAtom(n=0)"),
+    (HAtom(0, 0), (0, 0), "HAtom(n=0, m=0)"),
+    (CharacterGroup((2, 4)), ((2, 4),), "CharacterGroup(invariant_factors=(2, 4))"),
     (KClass(MODEL, ((4, (1,)),), -1), (MODEL, ((4, (1,)),), -1),
      "KClass(model=ChowModel(p=2, caps=(3,)), lines=((4, (1,)),), offset=-1)"),
     (PAtom(3), (3,), "PAtom(n=3)"),
@@ -51,7 +49,7 @@ HASHABLE = [pytest.param(*c, id=i) for i, c in zip(IDS, CASES) if not isinstance
 
 def test_every_record_class_is_covered():
     covered = {type(x) for x, _, _ in CASES}
-    assert covered == {IndexSet, KClass, PAtom, HAtom, VExpr, CharacterGroup,
+    assert covered == {KClass, PAtom, HAtom, VExpr, CharacterGroup,
                        PAct, HAct, Disjoint, BoundReport}
     assert all(issubclass(cls, Record) for cls in covered)
 
@@ -122,7 +120,7 @@ def test_bound_report_is_unhashable():
 def test_unequal_fields_are_unequal():
     assert PAtom(3) != PAtom(4)
     assert HAtom(2, 3) != HAtom(2, 4)
-    assert IndexSet.finite([1]) != IndexSet.finite([2])
+    assert PAct(((0,), (1,))) != PAct(((0,), (0,)))
     assert KClass(MODEL, (), 0) != KClass(MODEL, (), 1)
     assert CharacterGroup((4,)) != CharacterGroup((2, 2))
 
@@ -165,9 +163,6 @@ def test_copy_and_pickle_round_trip(x, values, text):
 
 
 def test_keywords_and_defaults():
-    assert IndexSet() == IndexSet(None, None, frozenset())
-    assert IndexSet(members=frozenset({1})).members == frozenset({1})
-    assert IndexSet(p=2, excluded=frozenset({5})) == IndexSet.np_minus(2, [5])
     assert KClass(MODEL, ()) == KClass(MODEL, (), offset=0)
     assert KClass(model=MODEL, lines=((1, (1,)),), offset=2).offset == 2
     assert PAtom(n=3) == PAtom(3)
