@@ -247,21 +247,82 @@ def realize(x: BPoly, G: CharacterGroup, fam: GeneratorFamily | None = None) -> 
     return action, achieved
 
 
+def _action_tree(a: WeightedVariety, factor) -> dict:
+    """The JSON layout of an action node, with factor(f) standing for each atomic action f in it."""
+    if isinstance(a, Disjoint):
+        return {
+            "type": "Disjoint",
+            "parts": [
+                {"multiplicity": mult, "action": {"type": "Product", "factors": list(map(factor, factors))}}
+                for mult, factors in a.parts
+            ],
+        }
+    return factor(a)
+
+
+def _factor_tree(a: PAct | HAct) -> dict:
+    if isinstance(a, PAct):
+        return {"type": "P", "weights": a.weights}
+    if isinstance(a, HAct):
+        return {"type": "H", "V": a.V, "W": a.W}
+    raise TypeError(f"not an action node: {a!r}")
+
+
 def action_to_json(a: WeightedVariety) -> dict:
     """The action as a tree for json.dumps, which writes each tuple as an array.
 
     The character multisets go in as the action's own tuples, not copied.
     """
-    if isinstance(a, PAct):
-        return {"type": "P", "weights": a.weights}
-    if isinstance(a, HAct):
-        return {"type": "H", "V": a.V, "W": a.W}
-    if isinstance(a, Disjoint):
-        return {
-            "type": "Disjoint",
-            "parts": [
-                {"multiplicity": mult, "action": {"type": "Product", "factors": list(map(action_to_json, factors))}}
-                for mult, factors in a.parts
-            ],
-        }
-    raise TypeError(f"not an action node: {a!r}")
+    return _action_tree(a, _factor_tree)
+
+
+def render_json(obj, indent: int | None = None) -> str:
+    """json.dumps(obj, sort_keys=True, indent=indent), reading each action node in obj as its action_to_json tree.
+
+    obj is built of dicts with string keys, lists, tuples, JSON scalars and
+    action nodes.  Each distinct atomic action is encoded once by
+    json.dumps and its text spliced in wherever it occurs, so a realized
+    action, whose parts reuse a few interned factors, is never held as one
+    tree of small strings.  Around it, containers get json.dumps's
+    separators and line breaks.
+    """
+    # imported here, so that importing the package does not load json; the CLI has it already
+    import json
+
+    chunks: list[str] = []
+    texts: dict = {}  # (atomic action, depth) -> its text, indented for that depth
+
+    def write(node, depth: int) -> None:
+        if isinstance(node, (PAct, HAct)):
+            if (node, depth) not in texts:
+                text = json.dumps(_factor_tree(node), sort_keys=True, indent=indent)
+                texts[node, depth] = text.replace("\n", "\n" + " " * ((indent or 0) * depth))
+            chunks.append(texts[node, depth])
+            return
+        if isinstance(node, Disjoint):
+            node = _action_tree(node, lambda f: f)
+        if isinstance(node, dict):
+            opener, closer, items = "{", "}", [(json.dumps(k) + ": ", v) for k, v in sorted(node.items())]
+        elif isinstance(node, (list, tuple)):
+            opener, closer, items = "[", "]", [("", v) for v in node]
+        else:
+            chunks.append(json.dumps(node))
+            return
+        if not items:
+            chunks.append(opener + closer)
+            return
+        if indent is None:
+            pad = step = ""
+            sep = ", "
+        else:
+            pad = "\n" + " " * (indent * depth)
+            step = pad + " " * indent
+            sep = "," + step
+        chunks.append(opener + step)
+        for i, (key, value) in enumerate(items):
+            chunks.append(sep + key if i else key)
+            write(value, depth + 1)
+        chunks.append(pad + closer)
+
+    write(obj, 0)
+    return "".join(chunks)

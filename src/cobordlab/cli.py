@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from types import SimpleNamespace
 
-from .actions import CharacterGroup, action_to_json, realize
+from .actions import CharacterGroup, realize, render_json
 from .bounds import check_order, main_bound, milnor_divisibility_check, ratio_bound, small_fixed_divisibility
 from .chow import Scanner, VExpr, chern_numbers, parse_variety, read_products, sums_to_zero
 from .cobordism import (
@@ -34,7 +34,7 @@ from .cobordism import (
 )
 from .equivariant import localization_check
 from .fpring import NEG_INF, BPoly, format_bpoly, format_genpoly
-from .partitions import check_prime, np_heads, rho_q
+from .partitions import check_indices, check_prime, np_heads, rho_q
 
 RAW_DEFAULT_WEIGHT = 16
 
@@ -134,12 +134,17 @@ def _dim_text(v) -> str:
     return "-inf" if v == NEG_INF else str(v)
 
 
-def emit(args, obj, text) -> None:
+def emit(args, obj, text, render=None) -> None:
     """Print the answer as JSON under --json, as text otherwise.
 
-    obj and text are zero-argument callables, so only the printed form is built.
+    obj and text are zero-argument callables, so only the printed form is
+    built.  render(tree, indent), if given, writes the JSON in place of
+    json.dumps with sorted keys.
     """
-    print(json.dumps(obj(), sort_keys=True, indent=2) if args.json else text())
+    if not args.json:
+        print(text())
+    else:
+        print(json.dumps(obj(), sort_keys=True, indent=2) if render is None else render(obj(), 2))
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -200,7 +205,7 @@ def cmd_bound(args) -> int:
     out: dict = {"main": _json_dim(bound)}
     lines = [f"main bound: {_dim_text(bound)}"]
     if args.indices is not None:
-        A = _parse_int_list(args.indices)
+        A = list(check_indices(_parse_int_list(args.indices)))
         report = ratio_bound(x, A, args.parts, q, fam)
         out["ratio"] = report.to_json_dict()
         lines.append(f"ratio bound (A={A}, s={args.parts}): {_dim_text(report.bound)}"
@@ -224,11 +229,11 @@ def cmd_realize(args) -> int:
     x = load_class(args)
     fam = make_family(args)
     action, achieved = realize(x, CharacterGroup.cyclic(q), fam)
-    tree = action_to_json(action)
     emit(
         args,
-        lambda: {"achievedDim": _json_dim(achieved), "action": tree},
-        lambda: f"achieved fixed dimension {_dim_text(achieved)}\n{json.dumps(tree, sort_keys=True)}",
+        lambda: {"achievedDim": _json_dim(achieved), "action": action},
+        lambda: f"achieved fixed dimension {_dim_text(achieved)}\n{render_json(action)}",
+        render_json,
     )
     return 0
 
@@ -240,7 +245,7 @@ def cmd_rho(args) -> int:
     if args.members is not None:
         members = _parse_int_list(args.members)
     else:
-        members = np_heads(args.prime, q, frozenset(_parse_int_list(args.np_minus)))
+        members = np_heads(args.prime, q, frozenset(check_indices(_parse_int_list(args.np_minus))))
     value = rho_q(members, q)
     emit(args, lambda: {"rho": str(value)}, lambda: f"rho_{q} = {value}")
     return 0

@@ -273,15 +273,21 @@ class Record:
         return type(self), self._values(self)
 
 
+def check_indices(members) -> tuple[int, ...]:
+    """members as a tuple, refused unless each is a positive int, as every index set's members are."""
+    members = tuple(members)
+    if any(not isinstance(i, int) or i < 1 for i in members):
+        raise ValueError("index sets contain positive integers only")
+    return members
+
+
 def rho_q(members, q: int):
     """Exact minimum of floor(i/q)/i over a finite set of indices, as a Fraction; 1/q for none."""
     # imported here, so that importing the package does not load fractions
     # and decimal; of the CLI subcommands only rho and bound get this far
     from fractions import Fraction
 
-    members = tuple(members)
-    if any(not isinstance(i, int) or i < 1 for i in members):
-        raise ValueError("index sets contain positive integers only")
+    members = check_indices(members)
     if q < 1:
         raise ValueError("q must be a positive integer")
     return min((Fraction(i // q, i) for i in members), default=Fraction(1, q))

@@ -29,6 +29,7 @@ from cobordlab.actions import (
     construct_action,
     fixed_dim,
     realize,
+    render_json,
     underlying_variety,
 )
 from cobordlab.chow import HAtom, PAtom, VExpr, atom_class, chern_numbers
@@ -325,7 +326,10 @@ def test_realize_degenerate_classes():
     assert achieved == NEG_INF and action.parts == ()
 
 
-@pytest.mark.parametrize("factors", [(2, 2), (2, 4), (3, 3), (2, 2, 2), (3, 9), (5, 5), (2, 2, 4)])
+NON_CYCLIC = [(2, 2), (2, 4), (3, 3), (2, 2, 2), (3, 9), (5, 5), (2, 2, 4)]
+
+
+@pytest.mark.parametrize("factors", NON_CYCLIC)
 def test_realize_keeps_its_contract_on_non_cyclic_groups(factors):
     # evidence that the natural actions reach dim_q for non-cyclic G too, not
     # a proof that dim_q is the least fixed dimension there; every other class
@@ -373,3 +377,64 @@ def test_action_to_json_shapes():
     assert nested["type"] == "Disjoint"
     assert {part["action"]["type"] for part in nested["parts"]} == {"Product"}
     json.dumps(nested)  # serializable all the way down
+
+
+def assert_renders_as_json_dumps(action, achieved=None):
+    """render_json writes the CLI's text line and its --json payload as json.dumps does."""
+    tree = action_to_json(action)
+    assert render_json(action) == json.dumps(tree, sort_keys=True)
+    shown = None if achieved == NEG_INF else achieved
+    assert render_json({"achievedDim": shown, "action": action}, 2) == json.dumps(
+        {"achievedDim": shown, "action": tree}, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("power", [1, 2])
+def test_render_json_matches_json_dumps_on_realized_actions(p, power):
+    G = CharacterGroup.cyclic(p**power)
+    fam = standard_generators(p)
+    rng = random.Random(100 * p + power)
+    for _ in range(12):
+        x = evaluate_gen_poly(random_gen_poly(rng, p, 16, max_terms=6), fam)
+        assert_renders_as_json_dumps(*realize(x, G))
+
+
+def test_render_json_matches_json_dumps_on_the_heaviest_cli_action():
+    # realize -p 3 -q 3 "H(4,19)": 141 parts over a few interned factors
+    action, achieved = realize(chern_numbers("H(4,19)", 3), CharacterGroup.cyclic(3))
+    assert len(action.parts) == 141
+    assert_renders_as_json_dumps(action, achieved)
+
+
+@pytest.mark.parametrize("factors", NON_CYCLIC)
+def test_render_json_matches_json_dumps_on_non_cyclic_groups(factors):
+    G = CharacterGroup(factors)
+    rng = random.Random(sum(factors))
+    fam = standard_generators(G.p)
+    for _ in range(6):
+        x = evaluate_gen_poly(random_gen_poly(rng, G.p, 12), fam)
+        assert_renders_as_json_dumps(*realize(x, G))
+    for atom in (PAtom(0), PAtom(5), HAtom(0, 0), HAtom(1, 1), HAtom(2, 7)):
+        assert_renders_as_json_dumps(construct_action(atom, G))
+
+
+def test_render_json_matches_json_dumps_on_hand_built_nodes():
+    G = CharacterGroup((2, 4))
+    a, h = construct_action(PAtom(3), G), construct_action(HAtom(2, 5), G)
+    twin = PAct(tuple(a.weights))  # equal to a, built apart
+    for action in (
+        Disjoint(()),
+        Disjoint(((1, ()),)),  # the empty product
+        Disjoint(((5, (a,)), (2, (h, a, h))),),  # multiplicities above 1, a factor twice in one product
+        Disjoint(((1, (a, a, a)), (3, (twin, h)), (1, (h,)))),  # factors repeated across parts
+        a,
+        h,
+    ):
+        assert_renders_as_json_dumps(action, fixed_dim(action))
+    # one factor at two depths, and scalars, lists and empty containers around the action nodes
+    mixed = {"z": [a, {"deep": [h, a]}], "action": Disjoint(((1, (a, h)),)), "a": a, "empty": [], "none": {},
+             "n": 0, "t": True, "s": "x\u00e9"}
+    plain = {k: action_to_json(v) if isinstance(v, (PAct, HAct, Disjoint)) else v for k, v in mixed.items()}
+    plain["z"] = [action_to_json(a), {"deep": [action_to_json(h), action_to_json(a)]}]
+    for indent in (None, 2, 4):
+        assert render_json(mixed, indent) == json.dumps(plain, sort_keys=True, indent=indent)

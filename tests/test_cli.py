@@ -258,17 +258,28 @@ def test_a_request_that_runs_out_of_memory_prints_one_error_line():
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
-def test_realize_renders_its_action_once():
-    # text mode builds one tree over the action's own character tuples, and no JSON object
-    argv = ["realize", "-p", "3", "-q", "3", "H(4,19)"]
+def _traced_peak_of_a_second_run(argv):
+    """tracemalloc's peak over a second main(argv), stdout to /dev/null, after a warm-up run."""
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         assert main(argv) == 0  # warm-up: builds the generators and fills the memos
         tracemalloc.start()
         try:
             assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+
+def test_realize_renders_its_action_once():
+    # each distinct factor is encoded once and spliced into its 141 parts: no
+    # tree of the whole action and no string per printed integer (60 KB out)
+    peak = _traced_peak_of_a_second_run(["realize", "-p", "3", "-q", "3", "H(4,19)"])
+    assert peak < 500_000, peak
+
+
+def test_realize_renders_its_json_action_once():
+    # the same splice at indent 2, where json.dumps falls back to its Python encoder (365 KB out)
+    peak = _traced_peak_of_a_second_run(["realize", "-p", "3", "-q", "3", "H(4,19)", "--json"])
     assert peak < 1_300_000, peak
 
 
@@ -312,6 +323,29 @@ def test_localize_input_limits(capsys, argv):
 ], ids=("indices", "weights", "members", "np-minus"))
 def test_a_malformed_integer_list_is_an_input_error(capsys, argv, text):
     assert run(capsys, *argv, text) == (1, "", f"error: expected a comma list of integers, got {text!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "-p", "2", "-q", "2", "--np-minus", "-1"],
+    ["rho", "-p", "2", "-q", "2", "--np-minus", "0"],
+    ["rho", "-p", "3", "-q", "9", "--np-minus", "2,0", "--json"],
+    ["bound", "-p", "2", "-q", "2", "--indices", "-3", "P(4)"],
+    ["bound", "-p", "2", "-q", "2", "P(8)", "--indices", "2,0", "--parts", "1", "--json"],
+], ids=("np-minus-negative", "np-minus-zero", "np-minus-list", "indices-negative", "indices-list"))
+def test_a_non_positive_index_is_an_input_error(capsys, argv):
+    # an exclusion from N_p or a ratio-bound index below 1 names no generator index
+    assert run(capsys, *argv) == (1, "", "error: index sets contain positive integers only\n")
+
+
+def test_the_index_refusal_comes_where_the_list_is_read(capsys):
+    # the refusals made before the list is read keep their place
+    assert run(capsys, "rho", "-p", "4", "-q", "2", "--np-minus", "0") == (1, "", "error: 4 is not prime\n")
+    assert run(capsys, "rho", "-p", "2", "-q", "2", "--members", "4", "--np-minus", "0") == (
+        1, "", "error: give exactly one of --members or --np-minus\n")
+    assert run(capsys, "bound", "-p", "2", "-q", "3", "P(4)", "--indices", "0") == (
+        1, "", "error: order 3 is not a power of the prime 2\n")
+    # character weights are residues, not indices: 0 stays valid there
+    assert run(capsys, "localize", "-p", "2", "--weights", "0,0,1") == (0, "lhs 0, rhs 0\n", "")
 
 
 def test_usage_errors(capsys):
