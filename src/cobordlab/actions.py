@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from functools import lru_cache
 
 from .chow import HAtom, PAtom, VExpr, _h_atom, _p_atom, chern_numbers
@@ -257,15 +258,15 @@ def _action_tree(a: WeightedVariety, factor) -> dict:
                 for mult, factors in a.parts
             ],
         }
-    return factor(a)
+    if isinstance(a, (PAct, HAct)):
+        return factor(a)
+    raise TypeError(f"not an action node: {a!r}")
 
 
 def _factor_tree(a: PAct | HAct) -> dict:
     if isinstance(a, PAct):
         return {"type": "P", "weights": a.weights}
-    if isinstance(a, HAct):
-        return {"type": "H", "V": a.V, "W": a.W}
-    raise TypeError(f"not an action node: {a!r}")
+    return {"type": "H", "V": a.V, "W": a.W}
 
 
 def action_to_json(a: WeightedVariety) -> dict:
@@ -279,50 +280,33 @@ def action_to_json(a: WeightedVariety) -> dict:
 def render_json(obj, indent: int | None = None) -> str:
     """json.dumps(obj, sort_keys=True, indent=indent), reading each action node in obj as its action_to_json tree.
 
-    obj is built of dicts with string keys, lists, tuples, JSON scalars and
-    action nodes.  Each distinct atomic action is encoded once by
-    json.dumps and its text spliced in wherever it occurs, so a realized
-    action, whose parts reuse a few interned factors, is never held as one
-    tree of small strings.  Around it, containers get json.dumps's
-    separators and line breaks.
+    json.dumps writes obj with each distinct atomic action as a marker
+    "\\0<i>" (written "\\u0000<i>"), a string no CLI payload holds.  Each
+    marker is then replaced by its action's own json.dumps text, encoded
+    once and re-indented to the marker's line: a realized action's parts
+    reuse a few interned factors.  A value that is neither JSON nor an
+    action node raises TypeError, as json.dumps does.
     """
-    # imported here, so that importing the package does not load json; the CLI has it already
+    # imported here, so that importing the package or the CLI does not load json
     import json
 
-    chunks: list[str] = []
-    texts: dict = {}  # (atomic action, depth) -> its text, indented for that depth
+    marks: dict = {}  # atomic action -> its marker
 
-    def write(node, depth: int) -> None:
-        if isinstance(node, (PAct, HAct)):
-            if (node, depth) not in texts:
-                text = json.dumps(_factor_tree(node), sort_keys=True, indent=indent)
-                texts[node, depth] = text.replace("\n", "\n" + " " * ((indent or 0) * depth))
-            chunks.append(texts[node, depth])
-            return
-        if isinstance(node, Disjoint):
-            node = _action_tree(node, lambda f: f)
-        if isinstance(node, dict):
-            opener, closer, items = "{", "}", [(json.dumps(k) + ": ", v) for k, v in sorted(node.items())]
-        elif isinstance(node, (list, tuple)):
-            opener, closer, items = "[", "]", [("", v) for v in node]
-        else:
-            chunks.append(json.dumps(node))
-            return
-        if not items:
-            chunks.append(opener + closer)
-            return
-        if indent is None:
-            pad = step = ""
-            sep = ", "
-        else:
-            pad = "\n" + " " * (indent * depth)
-            step = pad + " " * indent
-            sep = "," + step
-        chunks.append(opener + step)
-        for i, (key, value) in enumerate(items):
-            chunks.append(sep + key if i else key)
-            write(value, depth + 1)
-        chunks.append(pad + closer)
+    def default(node):  # _action_tree refuses a value that is not an action node
+        return _action_tree(node, lambda f: marks.setdefault(f, f"\0{len(marks)}"))
 
-    write(obj, 0)
-    return "".join(chunks)
+    text = json.dumps(obj, sort_keys=True, indent=indent, default=default)
+    if not marks:
+        return text
+    factors, spaces = list(marks), re.compile(" *")
+    texts: dict = {}  # (marker index, leading spaces of its line) -> the factor's text
+
+    def splice(m: re.Match) -> str:
+        line = text.rfind("\n", 0, m.start()) + 1
+        key = (m[1], spaces.match(text, line).end() - line)
+        if key not in texts:
+            factor = json.dumps(_factor_tree(factors[int(m[1])]), sort_keys=True, indent=indent)
+            texts[key] = factor.replace("\n", "\n" + " " * key[1])
+        return texts[key]
+
+    return re.sub(r'"\\u0000(\d+)"', splice, text)

@@ -15,7 +15,6 @@ needs them; the COBORDLAB_CACHE environment variable is ignored.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from collections import Counter
@@ -134,17 +133,13 @@ def _dim_text(v) -> str:
     return "-inf" if v == NEG_INF else str(v)
 
 
-def emit(args, obj, text, render=None) -> None:
+def emit(args, obj, text) -> None:
     """Print the answer as JSON under --json, as text otherwise.
 
     obj and text are zero-argument callables, so only the printed form is
-    built.  render(tree, indent), if given, writes the JSON in place of
-    json.dumps with sorted keys.
+    built; render_json writes the JSON, with sorted keys.
     """
-    if not args.json:
-        print(text())
-    else:
-        print(json.dumps(obj(), sort_keys=True, indent=2) if render is None else render(obj(), 2))
+    print(render_json(obj(), 2) if args.json else text())
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -210,6 +205,8 @@ def cmd_bound(args) -> int:
         out["ratio"] = report.to_json_dict()
         lines.append(f"ratio bound (A={A}, s={args.parts}): {_dim_text(report.bound)}"
                      + (" [hypothesis not met]" if report.certificate is None and not x.is_zero() else ""))
+    elif args.parts < 0:
+        raise ValueError("s must be nonnegative")  # ratio_bound's refusal; without --indices it never runs
     if args.small_d is not None:
         verdict = small_fixed_divisibility(x, q, args.small_d, fam)
         out["smallFixed"] = verdict
@@ -233,7 +230,6 @@ def cmd_realize(args) -> int:
         args,
         lambda: {"achievedDim": _json_dim(achieved), "action": action},
         lambda: f"achieved fixed dimension {_dim_text(achieved)}\n{render_json(action)}",
-        render_json,
     )
     return 0
 

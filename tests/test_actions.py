@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -438,3 +439,17 @@ def test_render_json_matches_json_dumps_on_hand_built_nodes():
     plain["z"] = [action_to_json(a), {"deep": [action_to_json(h), action_to_json(a)]}]
     for indent in (None, 2, 4):
         assert render_json(mixed, indent) == json.dumps(plain, sort_keys=True, indent=indent)
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, object()], ids=("fraction", "set", "object"))
+def test_render_json_refuses_what_json_dumps_refuses(value, indent):
+    # the hook reads action nodes only: any other value is a TypeError, as in json.dumps, never a marker or output
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=indent)
+    a = construct_action(PAtom(3), CharacterGroup.cyclic(2))
+    for obj in (value, [value], {"action": a, "z": value}, [Disjoint(((1, (a,)),)), {"x": value}]):
+        with pytest.raises(TypeError):
+            render_json(obj, indent)
+    with pytest.raises(TypeError, match="^not an action node: "):
+        action_to_json(value)

@@ -348,6 +348,28 @@ def test_the_index_refusal_comes_where_the_list_is_read(capsys):
     assert run(capsys, "localize", "-p", "2", "--weights", "0,0,1") == (0, "lhs 0, rhs 0\n", "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "-p", "2", "-q", "2", "P(4)", "--parts", "-1"],
+    ["bound", "-p", "2", "-q", "2", "P(4)", "--parts", "-1", "--json"],
+    ["bound", "-p", "2", "-q", "2", "P(4)", "--indices", "", "--parts", "-1"],
+    ["bound", "-p", "3", "-q", "3", "P(8)", "--parts", "-2", "--milnor-d", "0", "--json"],
+], ids=("text", "json", "with-indices", "beside-milnor"))
+def test_a_negative_part_count_is_an_input_error(capsys, argv):
+    # --parts is the ratio bound's s, a count of factors, with --indices or without
+    assert run(capsys, *argv) == (1, "", "error: s must be nonnegative\n")
+
+
+def test_the_part_count_refusal_comes_where_the_ratio_options_are_read(capsys):
+    # the order, the input class and the index list are refused first, as before
+    assert run(capsys, "bound", "-p", "2", "-q", "3", "P(4)", "--parts", "-1") == (
+        1, "", "error: order 3 is not a power of the prime 2\n")
+    assert run(capsys, "bound", "-p", "2", "-q", "2", "--max-weight", "2", "P(4)", "--parts", "-1") == (
+        1, "", "error: class weight 4 exceeds 2\n")
+    assert run(capsys, "bound", "-p", "2", "-q", "2", "P(4)", "--indices", "-3", "--parts", "-1") == (
+        1, "", "error: index sets contain positive integers only\n")
+    assert run(capsys, "bound", "-p", "2", "-q", "2", "P(4)", "--parts", "0") == (0, "main bound: 2\n", "")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "class", "P(4)")[0] == 1  # missing -p
     assert run(capsys, "nosuchcommand")[0] == 1

@@ -4,10 +4,13 @@ Importing cobordlab.cli must not load dataclasses (which brings inspect, ast,
 dis and tokenize), fractions (which brings decimal), tempfile (which brings
 shutil), argparse (which brings gettext; the CLI builds its argparse parser
 only for help and usage errors), typing (an annotation takes Callable from
-collections.abc, which is already loaded) or the acceptance checks: a CLI request
-would pay for them on every start.  An express request must not load any of
-them either.  rho, bound and selftest import what they need inside the
-function, so they run here in fresh processes too.
+collections.abc, which is already loaded), json (only an answer's JSON and
+realize's action, written by actions.render_json, need it) or the acceptance
+checks: a CLI request would pay for them on every start.  An express request
+must not load any of them either.  rho, bound, realize and selftest import
+what they need inside the function, so they run here in fresh processes too.
+The check scripts take their module lists before they import json to print
+them.
 """
 
 import json
@@ -16,7 +19,8 @@ import sys
 
 from reference import subprocess_env
 
-DEFERRED = ("dataclasses", "inspect", "fractions", "decimal", "tempfile", "argparse", "typing", "cobordlab.acceptance")
+DEFERRED = ("dataclasses", "inspect", "fractions", "decimal", "tempfile", "argparse", "typing", "json",
+            "cobordlab.acceptance")
 
 
 def _python(*args, **env):
@@ -27,10 +31,12 @@ def _python(*args, **env):
 # compare with what the interpreter had loaded before, so that modules a
 # site hook imports at start-up do not count against the package
 IMPORT_CHECK = (
-    "import json, sys\n"
+    "import sys\n"
     "before = set(sys.modules)\n"
     "import cobordlab.cli\n"
-    f"print(json.dumps(sorted(m for m in {DEFERRED!r} if m in sys.modules and m not in before)))\n"
+    f"loaded = sorted(m for m in {DEFERRED!r} if m in sys.modules and m not in before)\n"
+    "import json\n"
+    "print(json.dumps(loaded))\n"
 )
 
 
@@ -52,10 +58,12 @@ def test_importing_the_cli_defers_the_heavy_modules_without_site_hooks():
 # an express request that builds generators, run with -S so that no site
 # hook loads a deferred module first; the list goes to stderr after the output
 EXPRESS_CHECK = (
-    "import json, sys\n"
+    "import sys\n"
     "from cobordlab.cli import main\n"
     "code = main(['express', '-p', '5', 'P(48)*P(10) + P(58)'])\n"
-    f"print(json.dumps([code, sorted(m for m in {DEFERRED!r} if m in sys.modules)]), file=sys.stderr)\n"
+    f"loaded = sorted(m for m in {DEFERRED!r} if m in sys.modules)\n"
+    "import json\n"
+    "print(json.dumps([code, loaded]), file=sys.stderr)\n"
 )
 
 
@@ -74,10 +82,11 @@ ACCEPTANCE_MODULES = [
     "cobordlab.cobordism", "cobordlab.equivariant", "cobordlab.fpring", "cobordlab.partitions",
 ]
 ACCEPTANCE_CHECK = (
-    "import json, sys\n"
+    "import sys\n"
     "before = set(sys.modules)\n"
     "import cobordlab.acceptance\n"
     "new = [m for m in sys.modules if m not in before]\n"
+    "import json\n"
     f"print(json.dumps([sorted(m for m in new if m.startswith('cobordlab')), sorted(m for m in {DEFERRED!r} if m in new)]))\n"
 )
 
@@ -89,6 +98,10 @@ def test_importing_the_acceptance_checks_loads_only_the_package_modules():
 
 
 def test_deferred_imports_run_in_fresh_processes():
+    proc = _python("-m", "cobordlab.cli", "realize", "-p", "2", "-q", "2", "P(4)")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ('achieved fixed dimension 2\n{"parts": [{"action": {"factors": [{"type": "P", "weights": '
+                           '[[0], [0], [0], [1], [1]]}], "type": "Product"}, "multiplicity": 1}], "type": "Disjoint"}\n')
     proc = _python("-m", "cobordlab.cli", "rho", "-p", "2", "-q", "2", "--np-minus", "")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rho_2 = 2/5\n", "")
     proc = _python("-m", "cobordlab.cli", "rho", "-p", "3", "-q", "3", "--members", "6,8", "--json")
